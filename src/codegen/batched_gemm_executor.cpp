@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "codegen/block_engine.hpp"
 #include "codegen/gemm_executor.hpp"
 #include "common/failpoint.hpp"
 #include "common/strings.hpp"
@@ -34,10 +35,8 @@ void execute_impl(const BatchedGemmShape& shape, const GemmTuning& tuning, T alp
                   std::int64_t stride_c) {
   check_strides(shape, lda, stride_a, ldb, stride_b, ldc, stride_c);
   ISAAC_FAILPOINT("execute.throw");
-  for (std::int64_t i = 0; i < shape.batch; ++i) {
-    execute_gemm(shape.gemm, tuning, alpha, a + i * stride_a, lda, b + i * stride_b, ldb, beta,
-                 c + i * stride_c, ldc);
-  }
+  engine::run_gemm(shape.gemm, shape.batch, tuning, alpha, a, lda, stride_a, b, ldb, stride_b,
+                   beta, c, ldc, stride_c);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Functional executor for strided-batched GEMM.
 //
 // Each batch element is the tiled GEMM algorithm of gemm_executor.hpp applied
-// to operand slices at a constant stride: A_i = A + i·stride_a, etc. The batch
-// loop runs on the calling thread; the per-batch GEMM already parallelizes
-// its block grid over the thread pool.
+// to operand slices at a constant stride: A_i = A + i·stride_a, etc. The
+// batch is folded into the block grid, so a call with KG = 1 is one pool pass
+// over batch × (M/ML) × (N/NL) blocks, and `execute.throw` fires at most once
+// per call, not once per member.
 //
 // All buffers column-major per batch element (BLAS convention). Strides are
 // in elements, and must be at least the footprint of one batch operand.

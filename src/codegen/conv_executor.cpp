@@ -1,73 +1,28 @@
 #include "codegen/conv_executor.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
+#include "codegen/block_engine.hpp"
 #include "common/failpoint.hpp"
-#include "common/thread_pool.hpp"
 
 namespace isaac::codegen {
 
 namespace {
 
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
-
-constexpr int kNumLocks = 64;
-
-/// Decompose an implicit-GEMM row index into (n, p, q): rows enumerate the
-/// output's N fastest, then Q, then P — matching the N-fastest O layout.
-struct RowIndex {
-  std::int64_t n, p, q;
+/// One reduction index red = (c·R + r)·S + s of the implicit GEMM. `offset`
+/// is the I[c, r, s, 0] part of the gather address, c·H·W·N + r·W·N + s·N.
+struct RedEntry {
+  std::int64_t r, s, offset;
 };
 
-RowIndex decompose_row(const ConvShape& s, std::int64_t row) {
-  RowIndex out{};
-  out.n = row % s.n;
-  row /= s.n;
-  out.q = row % s.q();
-  row /= s.q();
-  out.p = row;
-  return out;
-}
-
-/// Decompose a reduction index into (c, r, sx): S fastest, then R, then C.
-struct RedIndex {
-  std::int64_t c, r, sx;
+/// One implicit-GEMM row (n fastest, then q, then p, matching O's layout):
+/// the top-left input coordinate of its window and the rest of the gather
+/// address, (p·stride_h − pad_h)·W·N + (q·stride_w − pad_w)·N + n.
+struct RowEntry {
+  std::int64_t h0, w0, base;
 };
-
-RedIndex decompose_red(const ConvShape& s, std::int64_t red) {
-  RedIndex out{};
-  out.sx = red % s.s;
-  red /= s.s;
-  out.r = red % s.r;
-  red /= s.r;
-  out.c = red;
-  return out;
-}
-
-float gather_input(const ConvShape& s, const float* input, const RowIndex& row,
-                   const RedIndex& red) {
-  const std::int64_t hh = row.p * s.stride_h + red.r - s.pad_h;
-  const std::int64_t ww = row.q * s.stride_w + red.sx - s.pad_w;
-  if (hh < 0 || hh >= s.h || ww < 0 || ww >= s.w) return 0.0f;  // padding
-  // I[c, h, w, n], n fastest.
-  const std::int64_t idx = ((red.c * s.h + hh) * s.w + ww) * s.n + row.n;
-  return input[idx];
-}
-
-float load_filter(const ConvShape& s, const float* filters, const RedIndex& red,
-                  std::int64_t k) {
-  // F[c, r, s, k], k fastest.
-  const std::int64_t idx = ((red.c * s.r + red.r) * s.s + red.sx) * s.k + k;
-  return filters[idx];
-}
-
-std::int64_t output_index(const ConvShape& s, const RowIndex& row, std::int64_t k) {
-  // O[k, p, q, n], n fastest.
-  return ((k * s.p() + row.p) * s.q() + row.q) * s.n + row.n;
-}
 
 }  // namespace
 
@@ -75,99 +30,54 @@ void execute_conv(const ConvShape& shape, const ConvTuning& tuning, float alpha,
                   const float* input, const float* filters, float beta, float* output) {
   ISAAC_FAILPOINT("execute.throw");
   const GemmTuning gt = conv_gemm_tuning(tuning);
-  const std::int64_t m = shape.npq();   // implicit rows
-  const std::int64_t nk = shape.k;      // implicit cols
+  const std::int64_t m = shape.npq();    // implicit rows
+  const std::int64_t nk = shape.k;       // implicit cols
   const std::int64_t crs = shape.crs();  // reduction depth
   if (m <= 0 || nk <= 0 || crs <= 0) {
     throw std::invalid_argument("execute_conv: empty problem");
   }
 
-  const std::int64_t out_elems = m * nk;
-  ThreadPool::global().parallel_for(static_cast<std::size_t>(out_elems),
-                                    [&](std::size_t lo, std::size_t hi) {
-                                      for (std::size_t i = lo; i < hi; ++i) {
-                                        if (beta == 0.0f) {
-                                          output[i] = 0.0f;
-                                        } else if (beta != 1.0f) {
-                                          output[i] *= beta;
-                                        }
-                                      }
-                                    });
+  const std::int64_t wn = shape.w * shape.n;
+  const std::int64_t hwn = shape.h * wn;
+  std::vector<RedEntry> red(static_cast<std::size_t>(crs));
+  for (std::int64_t i = 0; i < crs; ++i) {
+    const std::int64_t sx = i % shape.s;
+    const std::int64_t r = (i / shape.s) % shape.r;
+    const std::int64_t c = i / (shape.s * shape.r);
+    red[static_cast<std::size_t>(i)] = {r, sx, c * hwn + r * wn + sx * shape.n};
+  }
 
-  const std::int64_t grid_m = ceil_div(m, gt.ml);
-  const std::int64_t grid_n = ceil_div(nk, gt.nl);
-  const std::int64_t blocks = grid_m * grid_n * gt.kg;
-  const int depth = gt.u * gt.kl;
-
-  std::vector<std::mutex> locks(kNumLocks);
-
-  ThreadPool::global().parallel_for_each(static_cast<std::size_t>(blocks), [&](std::size_t bi) {
-    const std::int64_t tn = static_cast<std::int64_t>(bi) % grid_n;
-    const std::int64_t tm = (static_cast<std::int64_t>(bi) / grid_n) % grid_m;
-    const std::int64_t g = static_cast<std::int64_t>(bi) / (grid_n * grid_m);
-
-    const std::int64_t m0 = tm * gt.ml;
-    const std::int64_t n0 = tn * gt.nl;
-    const std::int64_t red_eff = ceil_div(crs, gt.kg);
-    const std::int64_t red0 = g * red_eff;
-    const std::int64_t red1 = std::min(crs, red0 + red_eff);
-    if (red0 >= red1) return;
-
-    // Indirection table for this block's row tile: precomputed (n,p,q)
-    // decompositions — "scrambling" metadata the real kernel stores once.
-    std::vector<RowIndex> rows(static_cast<std::size_t>(gt.ml));
-    for (int i = 0; i < gt.ml; ++i) {
-      const std::int64_t row = m0 + i;
-      rows[static_cast<std::size_t>(i)] =
-          row < m ? decompose_row(shape, row) : RowIndex{-1, -1, -1};
+  // O[k, p, q, n] = O[k·NPQ + row]: the output is column-major m×K.
+  const engine::Grid grid{m, nk, crs, 1, gt.ml, gt.nl, gt.u * gt.kl, gt.kg};
+  const engine::Output<float> out{alpha, beta, output, m, 0};
+  engine::run(grid, out, [&](const engine::Block& blk) {
+    RowEntry* rows = engine::scratch<RowEntry>(static_cast<std::size_t>(grid.ml));
+    const std::int64_t q_extent = shape.q();
+    for (int i = 0; i < blk.mv; ++i) {
+      const std::int64_t row = blk.m0 + i;
+      const std::int64_t n = row % shape.n;
+      const std::int64_t q = (row / shape.n) % q_extent;
+      const std::int64_t p = row / (shape.n * q_extent);
+      const std::int64_t h0 = p * shape.stride_h - shape.pad_h;
+      const std::int64_t w0 = q * shape.stride_w - shape.pad_w;
+      rows[i] = {h0, w0, h0 * wn + w0 * shape.n + n};
     }
-
-    std::vector<float> smem_i(static_cast<std::size_t>(depth) * gt.ml);
-    std::vector<float> smem_f(static_cast<std::size_t>(depth) * gt.nl);
-    std::vector<float> acc(static_cast<std::size_t>(gt.ml) * gt.nl, 0.0f);
-
-    for (std::int64_t rr = red0; rr < red1; rr += depth) {
-      for (int d = 0; d < depth; ++d) {
-        const std::int64_t red = rr + d;
-        const bool red_ok = red < red1;
-        const RedIndex ri = red_ok ? decompose_red(shape, red) : RedIndex{0, 0, 0};
-        for (int i = 0; i < gt.ml; ++i) {
-          const RowIndex& row = rows[static_cast<std::size_t>(i)];
-          smem_i[static_cast<std::size_t>(d) * gt.ml + i] =
-              (red_ok && row.n >= 0) ? gather_input(shape, input, row, ri) : 0.0f;
+    return [&, rows, blk](std::int64_t k0, int dv, float* sa, float* sb) {
+      for (int d = 0; d < dv; ++d) {
+        const RedEntry& e = red[static_cast<std::size_t>(k0 + d)];
+        float* dst = sa + static_cast<std::ptrdiff_t>(d) * grid.ml;
+        for (int i = 0; i < blk.mv; ++i) {
+          const std::int64_t hh = rows[i].h0 + e.r;
+          const std::int64_t ww = rows[i].w0 + e.s;
+          dst[i] = (hh >= 0 && hh < shape.h && ww >= 0 && ww < shape.w)
+                       ? input[e.offset + rows[i].base]
+                       : 0.0f;  // padding
         }
-        for (int j = 0; j < gt.nl; ++j) {
-          const std::int64_t k = n0 + j;
-          smem_f[static_cast<std::size_t>(d) * gt.nl + j] =
-              (red_ok && k < nk) ? load_filter(shape, filters, ri, k) : 0.0f;
-        }
+        // F[c, r, s, k] = F[red·K + k]: k contiguous.
+        std::copy_n(filters + (k0 + d) * nk + blk.n0, blk.nv,
+                    sb + static_cast<std::ptrdiff_t>(d) * grid.nl);
       }
-      for (int d = 0; d < depth; ++d) {
-        const float* irow = smem_i.data() + static_cast<std::size_t>(d) * gt.ml;
-        const float* frow = smem_f.data() + static_cast<std::size_t>(d) * gt.nl;
-        for (int j = 0; j < gt.nl; ++j) {
-          const float fv = frow[j];
-          if (fv == 0.0f) continue;
-          float* acol = acc.data() + static_cast<std::size_t>(j) * gt.ml;
-          for (int i = 0; i < gt.ml; ++i) acol[i] += irow[i] * fv;
-        }
-      }
-    }
-
-    const std::size_t lock_idx = static_cast<std::size_t>((tm * 31 + tn) % kNumLocks);
-    std::unique_lock<std::mutex> guard(locks[lock_idx], std::defer_lock);
-    if (gt.kg > 1) guard.lock();
-
-    for (int j = 0; j < gt.nl; ++j) {
-      const std::int64_t k = n0 + j;
-      if (k >= nk) continue;
-      for (int i = 0; i < gt.ml; ++i) {
-        const RowIndex& row = rows[static_cast<std::size_t>(i)];
-        if (row.n < 0) continue;
-        output[output_index(shape, row, k)] +=
-            alpha * acc[static_cast<std::size_t>(j) * gt.ml + i];
-      }
-    }
+    };
   });
 }
 

@@ -1,10 +1,16 @@
 // Functional executor for multi-channel convolution.
 //
-// Runs the implicit-GEMM algorithm of §3.3 on the CPU pool: the block grid
-// tiles (NPQ × K × CG), each block stages a gathered I tile and an F tile
-// (k-major, exactly like the GEMM executor's staging) and accumulates
-// micro-tiles, handling padding and edge predication. Ground truth for
-// correctness tests and the execution backend of isaac::conv().
+// Runs the implicit-GEMM algorithm of §3.3 on the CPU pool, through the block
+// engine shared with GEMM (block_engine.hpp, with the guarantees listed in
+// gemm_executor.hpp): the block grid tiles (NPQ × K × CG), each block stages
+// a gathered I tile and an F tile k-major and accumulates them, handling
+// padding and edge predication. The gather goes through index tables, the
+// "scrambling" metadata of §3.3: a per-call table maps each reduction index
+// to its (r, s) filter offset and I address part, and a per-block table maps
+// each output row to its window origin and the rest of the address. O's
+// columns are contiguous (O[k, p, q, n] = O[k·NPQ + row]), so the epilogue is
+// GEMM's. Ground truth for correctness tests and the execution backend of
+// isaac::conv().
 //
 // Layouts (paper §3.3, last index fastest):
 //   I ∈ R^{C×H×W×N},  F ∈ R^{C×R×S×K},  O ∈ R^{K×P×Q×N}

@@ -1,123 +1,48 @@
 #include "codegen/gemm_executor.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
-#include <vector>
 
+#include "codegen/block_engine.hpp"
 #include "common/failpoint.hpp"
-#include "common/thread_pool.hpp"
 
 namespace isaac::codegen {
 
 namespace {
 
-std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
-
-/// One mutex per C tile row-stripe serializes split-reduction accumulation
-/// (the functional analogue of global atomics).
-constexpr int kNumLocks = 64;
-
+/// Stage op(A) and op(B) tiles reading along each operand's contiguous
+/// dimension; the layout branch is taken once per round, not per element.
 template <typename T>
-struct GemmRun {
-  const GemmShape& shape;
-  const GemmTuning& tuning;
-  T alpha;
-  const T* a;
-  std::int64_t lda;
-  const T* b;
-  std::int64_t ldb;
-  T beta;
-  T* c;
-  std::int64_t ldc;
-
-  // op(A)(m, k): column-major A (M×K) when !trans_a, else stored K×M.
-  T load_a(std::int64_t m, std::int64_t k) const {
-    return shape.trans_a ? a[k + m * lda] : a[m + k * lda];
-  }
-  // op(B)(k, n): column-major B (K×N) when !trans_b, else stored N×K.
-  T load_b(std::int64_t k, std::int64_t n) const {
-    return shape.trans_b ? b[n + k * ldb] : b[k + n * ldb];
-  }
-};
-
-/// Execute one thread block: stage the k-major tiles round by round exactly
-/// as the PTX kernel does (including zero-fill of predicated-off lanes), run
-/// the per-thread micro-tiles, then accumulate into C.
-template <typename T>
-void run_block(const GemmRun<T>& run, std::int64_t tile_m, std::int64_t tile_n,
-               std::int64_t slice_g, std::vector<std::mutex>& locks) {
-  const GemmShape& s = run.shape;
-  const GemmTuning& t = run.tuning;
-
-  const std::int64_t m0 = tile_m * t.ml;
-  const std::int64_t n0 = tile_n * t.nl;
-  const std::int64_t k_eff = ceil_div(s.k, t.kg);
-  const std::int64_t k0 = slice_g * k_eff;
-  const std::int64_t k1 = std::min<std::int64_t>(s.k, k0 + k_eff);
-  if (k0 >= k1) return;  // empty slice (K not divisible by KG)
-
-  // "Shared memory": k-major staging tiles [U*KL][ML] and [U*KL][NL].
-  const int depth = t.u * t.kl;
-  std::vector<T> smem_a(static_cast<std::size_t>(depth) * t.ml);
-  std::vector<T> smem_b(static_cast<std::size_t>(depth) * t.nl);
-
-  // Per-block accumulator tile (covers the KL groups' partials; the PTX
-  // kernel holds these in registers + a shared-memory reduction).
-  std::vector<T> acc(static_cast<std::size_t>(t.ml) * t.nl, T(0));
-
-  for (std::int64_t kk = k0; kk < k1; kk += depth) {
-    // Cooperative, predicated prefetch: out-of-range lanes stage zeros,
-    // exactly like the @p-guarded loads with pre-zeroed registers.
-    for (int d = 0; d < depth; ++d) {
-      const std::int64_t k = kk + d;
-      const bool k_ok = k < k1;
-      for (int i = 0; i < t.ml; ++i) {
-        const std::int64_t m = m0 + i;
-        smem_a[static_cast<std::size_t>(d) * t.ml + i] =
-            (k_ok && m < s.m) ? run.load_a(m, k) : T(0);
-      }
-      for (int j = 0; j < t.nl; ++j) {
-        const std::int64_t n = n0 + j;
-        smem_b[static_cast<std::size_t>(d) * t.nl + j] =
-            (k_ok && n < s.n) ? run.load_b(k, n) : T(0);
-      }
+void stage_gemm(const GemmShape& s, const engine::Block& blk, const T* a, std::int64_t lda,
+                const T* b, std::int64_t ldb, int ml, int nl, std::int64_t k0, int dv, T* sa,
+                T* sb) {
+  if (!s.trans_a) {  // A is M×K: m contiguous
+    for (int d = 0; d < dv; ++d) {
+      std::copy_n(a + blk.m0 + (k0 + d) * lda, blk.mv, sa + static_cast<std::ptrdiff_t>(d) * ml);
     }
-    // Inner product over the staged depth (all KL groups' slices).
-    for (int d = 0; d < depth; ++d) {
-      const T* arow = smem_a.data() + static_cast<std::size_t>(d) * t.ml;
-      const T* brow = smem_b.data() + static_cast<std::size_t>(d) * t.nl;
-      for (int j = 0; j < t.nl; ++j) {
-        const T bv = brow[j];
-        if (bv == T(0)) continue;
-        T* acol = acc.data() + static_cast<std::size_t>(j) * t.ml;
-        for (int i = 0; i < t.ml; ++i) acol[i] += arow[i] * bv;
-      }
+  } else {  // A stored K×M: k contiguous
+    for (int i = 0; i < blk.mv; ++i) {
+      const T* src = a + k0 + (blk.m0 + i) * lda;
+      for (int d = 0; d < dv; ++d) sa[static_cast<std::ptrdiff_t>(d) * ml + i] = src[d];
     }
   }
-
-  // Epilogue: predicated stores; KG>1 accumulates (atomics analogue).
-  const std::size_t lock_idx =
-      static_cast<std::size_t>((tile_m * 31 + tile_n) % kNumLocks);
-  std::unique_lock<std::mutex> guard(locks[lock_idx], std::defer_lock);
-  if (run.tuning.kg > 1) guard.lock();
-
-  for (int j = 0; j < t.nl; ++j) {
-    const std::int64_t n = n0 + j;
-    if (n >= s.n) continue;
-    for (int i = 0; i < t.ml; ++i) {
-      const std::int64_t m = m0 + i;
-      if (m >= s.m) continue;
-      run.c[m + n * run.ldc] +=
-          run.alpha * acc[static_cast<std::size_t>(j) * t.ml + i];
+  if (!s.trans_b) {  // B is K×N: k contiguous
+    for (int j = 0; j < blk.nv; ++j) {
+      const T* src = b + k0 + (blk.n0 + j) * ldb;
+      for (int d = 0; d < dv; ++d) sb[static_cast<std::ptrdiff_t>(d) * nl + j] = src[d];
+    }
+  } else {  // B stored N×K: n contiguous
+    for (int d = 0; d < dv; ++d) {
+      std::copy_n(b + blk.n0 + (k0 + d) * ldb, blk.nv, sb + static_cast<std::ptrdiff_t>(d) * nl);
     }
   }
 }
 
 template <typename T>
-void execute_impl(const GemmShape& shape, const GemmTuning& tuning, T alpha, const T* a,
-                  std::int64_t lda, const T* b, std::int64_t ldb, T beta, T* c,
-                  std::int64_t ldc) {
+void run_gemm_impl(const GemmShape& shape, std::int64_t batch, const GemmTuning& tuning, T alpha,
+                   const T* a, std::int64_t lda, std::int64_t stride_a, const T* b,
+                   std::int64_t ldb, std::int64_t stride_b, T beta, T* c, std::int64_t ldc,
+                   std::int64_t stride_c) {
   if (shape.m <= 0 || shape.n <= 0 || shape.k <= 0) {
     throw std::invalid_argument("execute_gemm: empty problem");
   }
@@ -130,31 +55,16 @@ void execute_impl(const GemmShape& shape, const GemmTuning& tuning, T alpha, con
     throw std::invalid_argument("execute_gemm: leading dimension too small");
   }
 
-  // beta pass first (the zero-init / scale kernel that precedes KG-split
-  // accumulation; for KG==1 it is fused but semantically identical).
-  ThreadPool::global().parallel_for_each(static_cast<std::size_t>(shape.n), [&](std::size_t n) {
-    T* col = c + static_cast<std::int64_t>(n) * ldc;
-    if (beta == T(0)) {
-      std::fill_n(col, shape.m, T(0));
-    } else if (beta != T(1)) {
-      for (std::int64_t m = 0; m < shape.m; ++m) col[m] *= beta;
-    }
-  });
-
-  const std::int64_t grid_m = ceil_div(shape.m, tuning.ml);
-  const std::int64_t grid_n = ceil_div(shape.n, tuning.nl);
-  const std::int64_t blocks = grid_m * grid_n * tuning.kg;
-
-  GemmRun<T> run{shape, tuning, alpha, a, lda, b, ldb, beta, c, ldc};
-  std::vector<std::mutex> locks(kNumLocks);
-
-  ThreadPool::global().parallel_for_each(static_cast<std::size_t>(blocks), [&](std::size_t bi) {
-    // n-fastest, then m, then the KG slice (matches the scheduling order the
-    // analyzer assumes for its reuse hints).
-    const std::int64_t tn = static_cast<std::int64_t>(bi) % grid_n;
-    const std::int64_t tm = (static_cast<std::int64_t>(bi) / grid_n) % grid_m;
-    const std::int64_t g = static_cast<std::int64_t>(bi) / (grid_n * grid_m);
-    run_block(run, tm, tn, g, locks);
+  const engine::Grid grid{shape.m,   shape.n,   shape.k,
+                          batch,     tuning.ml, tuning.nl,
+                          tuning.u * tuning.kl, tuning.kg};
+  const engine::Output<T> out{alpha, beta, c, ldc, stride_c};
+  engine::run(grid, out, [&](const engine::Block& blk) {
+    const T* ab = a + blk.batch * stride_a;
+    const T* bb = b + blk.batch * stride_b;
+    return [&shape, &grid, blk, ab, bb, lda, ldb](std::int64_t k0, int dv, T* sa, T* sb) {
+      stage_gemm(shape, blk, ab, lda, bb, ldb, grid.ml, grid.nl, k0, dv, sa, sb);
+    };
   });
 }
 
@@ -176,18 +86,38 @@ void reference_impl(const GemmShape& shape, T alpha, const T* a, std::int64_t ld
 
 }  // namespace
 
+namespace engine {
+
+void run_gemm(const GemmShape& shape, std::int64_t batch, const GemmTuning& tuning, float alpha,
+              const float* a, std::int64_t lda, std::int64_t stride_a, const float* b,
+              std::int64_t ldb, std::int64_t stride_b, float beta, float* c, std::int64_t ldc,
+              std::int64_t stride_c) {
+  run_gemm_impl(shape, batch, tuning, alpha, a, lda, stride_a, b, ldb, stride_b, beta, c, ldc,
+                stride_c);
+}
+
+void run_gemm(const GemmShape& shape, std::int64_t batch, const GemmTuning& tuning, double alpha,
+              const double* a, std::int64_t lda, std::int64_t stride_a, const double* b,
+              std::int64_t ldb, std::int64_t stride_b, double beta, double* c, std::int64_t ldc,
+              std::int64_t stride_c) {
+  run_gemm_impl(shape, batch, tuning, alpha, a, lda, stride_a, b, ldb, stride_b, beta, c, ldc,
+                stride_c);
+}
+
+}  // namespace engine
+
 void execute_gemm(const GemmShape& shape, const GemmTuning& tuning, float alpha, const float* a,
                   std::int64_t lda, const float* b, std::int64_t ldb, float beta, float* c,
                   std::int64_t ldc) {
   ISAAC_FAILPOINT("execute.throw");
-  execute_impl(shape, tuning, alpha, a, lda, b, ldb, beta, c, ldc);
+  engine::run_gemm(shape, 1, tuning, alpha, a, lda, 0, b, ldb, 0, beta, c, ldc, 0);
 }
 
 void execute_gemm(const GemmShape& shape, const GemmTuning& tuning, double alpha,
                   const double* a, std::int64_t lda, const double* b, std::int64_t ldb,
                   double beta, double* c, std::int64_t ldc) {
   ISAAC_FAILPOINT("execute.throw");
-  execute_impl(shape, tuning, alpha, a, lda, b, ldb, beta, c, ldc);
+  engine::run_gemm(shape, 1, tuning, alpha, a, lda, 0, b, ldb, 0, beta, c, ldc, 0);
 }
 
 void reference_gemm(const GemmShape& shape, float alpha, const float* a, std::int64_t lda,

@@ -1,11 +1,22 @@
 // Functional executor for generated GEMM kernels.
 //
-// Runs the *same tiled algorithm* the PTX generator emits — block grid over
-// (M/ML) × (N/NL) × KG, per-block staging of k-major tiles, per-thread
-// micro-tiles, predicated edges, split-reduction accumulation — on the CPU
-// thread pool, producing actual numerical results. This is the semantic
-// ground truth for correctness tests and what the public isaac::gemm() API
-// executes after kernel selection.
+// Runs the tiled algorithm the PTX generator emits on the CPU thread pool,
+// through the block engine shared with batched GEMM and conv
+// (block_engine.hpp). What "the same algorithm" guarantees: the block grid
+// over (M/ML) × (N/NL) × KG, k-major staging of U·KL-deep tiles per block,
+// KG-split accumulation into C, and predicated edges, so a block never reads
+// or writes outside the matrices. What it does not reproduce: the kernel's
+// zero staging of predicated-off lanes (the engine bounds its loops by the
+// valid extent instead), its per-thread MS×NS register tiles (the host
+// micro-kernel has its own blocking), or its summation order. This is the
+// semantic ground truth for correctness tests and what the public
+// isaac::gemm() API executes after kernel selection.
+//
+// With KG = 1 a call is one pool pass whose block epilogues write
+// C = alpha·acc + beta·C; when beta = 0, C is written without being read, so
+// it may hold garbage (NaN included). KG > 1 first scales C by beta, then
+// accumulates the slices under stripe locks. `execute.throw` fires at most
+// once per call.
 //
 // All buffers are column-major (BLAS convention). The executor computes in
 // fp32 for F16/F32 shapes and fp64 for F64 shapes; simulated device precision

@@ -1,13 +1,18 @@
 // Tests for the CONV parameterization: implicit-GEMM lowering, validity,
-// analysis, and the functional executor against the naive direct reference.
+// analysis, and the functional executor against the naive direct reference,
+// on hand-picked cases and a seeded sample of the legal space.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "codegen/conv.hpp"
 #include "codegen/conv_executor.hpp"
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
+#include "telemetry/metrics.hpp"
+#include "tuning/search_space.hpp"
 
 namespace isaac::codegen {
 namespace {
@@ -147,9 +152,11 @@ struct ConvCase {
 
 class ConvExecutorMatchesReference : public ::testing::TestWithParam<ConvCase> {};
 
-TEST_P(ConvExecutorMatchesReference, Float) {
-  const ConvShape& s = GetParam().shape;
-  const ConvTuning& t = GetParam().tuning;
+/// Run the executor and the reference on seeded operands, both outputs
+/// starting at `init`, and return the largest difference (NaN if any). A NaN
+/// `init` checks that beta = 0 never reads the output: the reference then
+/// starts from zeros, which it computes the same result from.
+double conv_max_diff(const ConvShape& s, const ConvTuning& t, float beta, float init) {
   Rng rng(static_cast<std::uint64_t>(s.c * 7 + s.k * 3 + s.n));
 
   std::vector<float> input(static_cast<std::size_t>(s.c * s.h * s.w * s.n));
@@ -158,16 +165,24 @@ TEST_P(ConvExecutorMatchesReference, Float) {
   for (auto& x : filters) x = static_cast<float>(rng.uniform(-1, 1));
 
   const std::size_t out_size = static_cast<std::size_t>(s.k * s.p() * s.q() * s.n);
-  std::vector<float> out(out_size, 0.5f), out_ref(out_size, 0.5f);
+  std::vector<float> out(out_size, init), out_ref(out_size, std::isnan(init) ? 0.0f : init);
 
-  execute_conv(s, t, 1.0f, input.data(), filters.data(), 0.0f, out.data());
-  reference_conv(s, 1.0f, input.data(), filters.data(), 0.0f, out_ref.data());
+  execute_conv(s, t, 1.0f, input.data(), filters.data(), beta, out.data());
+  reference_conv(s, 1.0f, input.data(), filters.data(), beta, out_ref.data());
 
   double max_diff = 0;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    max_diff = std::max(max_diff, static_cast<double>(std::abs(out[i] - out_ref[i])));
+    const double diff = std::abs(out[i] - out_ref[i]);
+    if (std::isnan(diff)) return diff;
+    max_diff = std::max(max_diff, diff);
   }
-  EXPECT_LT(max_diff, 1e-3 * static_cast<double>(s.crs()))
+  return max_diff;
+}
+
+TEST_P(ConvExecutorMatchesReference, Float) {
+  const ConvShape& s = GetParam().shape;
+  const ConvTuning& t = GetParam().tuning;
+  EXPECT_LT(conv_max_diff(s, t, 0.0f, 0.5f), 1e-3 * static_cast<double>(s.crs()))
       << s.to_string() << " / " << t.to_string();
 }
 
@@ -244,6 +259,81 @@ TEST(ConvExecutor, EmptyProblemThrows) {
   EXPECT_THROW(execute_conv(s, tiny_tuning(), 1.0f, dummy.data(), dummy.data(), 0.0f,
                             dummy.data()),
                std::invalid_argument);
+}
+
+TEST(ConvExecutor, BetaZeroIgnoresNaNOutput) {
+  for (const int cg : {1, 2}) {
+    auto t = tiny_tuning();
+    t.cg = cg;
+    const auto s = ConvShape::from_npq(3, 5, 7, 13, 6, 3, 3);
+    EXPECT_LT(conv_max_diff(s, t, 0.0f, std::numeric_limits<float>::quiet_NaN()),
+              1e-3 * static_cast<double>(s.crs()))
+        << "cg=" << cg;
+  }
+}
+
+TEST(ConvExecutor, BetaHalfWithRaggedTailsAndReductionSplit) {
+  // NPQ = 105 over 16-row tiles and K = 13 over 8-column tiles leave ragged
+  // tails in both dimensions; CG > 1 takes the scale-then-accumulate path.
+  const auto s = ConvShape::from_npq(3, 5, 7, 13, 6, 3, 3);
+  for (const int cg : {1, 4}) {
+    for (const int cl : {1, 2}) {
+      auto t = tiny_tuning();
+      t.cg = cg;
+      t.cl = cl;
+      EXPECT_LT(conv_max_diff(s, t, 0.5f, 0.75f), 1e-3 * static_cast<double>(s.crs()))
+          << "cg=" << cg << " cl=" << cl;
+    }
+  }
+}
+
+TEST(ConvExecutor, OnePoolPassPerCallWithoutSplit) {
+  telemetry::set_enabled(true);
+  telemetry::Counter& passes = telemetry::counter("pool.parallel_for");
+  const auto s = ConvShape::from_npq(4, 8, 8, 16, 8, 3, 3);
+  std::vector<float> input(static_cast<std::size_t>(s.c * s.h * s.w * s.n), 1.0f);
+  std::vector<float> filters(static_cast<std::size_t>(s.crs() * s.k), 1.0f);
+  std::vector<float> out(static_cast<std::size_t>(s.k * s.npq()), 1.0f);
+  for (const int cg : {1, 2}) {
+    auto t = tiny_tuning();
+    t.cg = cg;
+    const std::uint64_t before = passes.value();
+    execute_conv(s, t, 1.0f, input.data(), filters.data(), 0.5f, out.data());
+    EXPECT_EQ(passes.value() - before, static_cast<std::uint64_t>(cg)) << "cg=" << cg;
+  }
+  telemetry::set_enabled(false);
+}
+
+TEST(ConvExecutor, SampledLegalTuningsMatchReference) {
+  // Legal => correct over a seeded reservoir sample of the legal space: the
+  // pruned walk over prefix_constraints, gated by validate().
+  constexpr std::size_t kSample = 32;
+  const auto dev = gpusim::tesla_p100();
+  const tuning::ConvSearchSpace space;
+  for (const ConvShape& s : {ConvShape::from_npq(2, 5, 6, 12, 5, 3, 3), strided_padded()}) {
+    const tuning::ConstraintSet cs = space.prefix_constraints(s, dev);
+    Rng rng(static_cast<std::uint64_t>(s.npq()));
+    std::vector<ConvTuning> sample;
+    std::int64_t seen = 0;
+    tuning::walk_legal(space.domains(), cs.empty() ? nullptr : &cs,
+                       [&](const std::vector<std::size_t>& choice, std::uint64_t) {
+                         const ConvTuning t = space.decode(choice);
+                         if (!validate(s, t, dev)) return true;
+                         ++seen;
+                         if (sample.size() < kSample) {
+                           sample.push_back(t);
+                         } else if (const auto r = rng.uniform_int(0, seen - 1);
+                                    r < static_cast<std::int64_t>(kSample)) {
+                           sample[static_cast<std::size_t>(r)] = t;
+                         }
+                         return true;
+                       });
+    ASSERT_EQ(sample.size(), kSample) << s.to_string();
+    for (const ConvTuning& t : sample) {
+      EXPECT_LT(conv_max_diff(s, t, 0.5f, 0.75f), 1e-3 * static_cast<double>(s.crs()))
+          << s.to_string() << " / " << t.to_string();
+    }
+  }
 }
 
 }  // namespace

@@ -1,14 +1,21 @@
 // Tests for the GEMM parameterization: validity (legal space X), static
-// analysis (KernelProfile), and the functional executor against the naive
-// reference across shapes, layouts, and reduction splits.
+// analysis (KernelProfile), and the single and batched functional executors
+// against the naive references across shapes, layouts, reduction splits,
+// strides, and a seeded sample of the legal space.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
+#include "codegen/batched_gemm.hpp"
+#include "codegen/batched_gemm_executor.hpp"
 #include "codegen/gemm.hpp"
 #include "codegen/gemm_executor.hpp"
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
+#include "telemetry/metrics.hpp"
+#include "tuning/search_space.hpp"
 
 namespace isaac::codegen {
 namespace {
@@ -308,6 +315,210 @@ TEST(GemmExecutor, EmptyProblemThrows) {
   EXPECT_THROW(execute_gemm(shape, make_tuning(2, 2, 8, 8, 4), 1.0f, dummy.data(), 8,
                             dummy.data(), 8, 0.0f, dummy.data(), 8),
                std::invalid_argument);
+}
+
+TEST(GemmExecutor, OnePoolPassPerCallWithoutSplit) {
+  // KG = 1 fuses beta into the block epilogue, and batched GEMM folds the
+  // batch into the block grid: one parallel_for per call either way. KG > 1
+  // adds the scale pass.
+  telemetry::set_enabled(true);
+  telemetry::Counter& passes = telemetry::counter("pool.parallel_for");
+  const GemmShape shape = make_shape(64, 64, 64);
+  std::vector<float> a(8 * 64 * 64, 1.0f), b(8 * 64 * 64, 1.0f), c(8 * 64 * 64, 1.0f);
+  const auto count = [&](const auto& call) {
+    const std::uint64_t before = passes.value();
+    call();
+    return passes.value() - before;
+  };
+  EXPECT_EQ(count([&] {
+              execute_gemm(shape, make_tuning(4, 4, 16, 16, 4), 1.0f, a.data(), 64, b.data(), 64,
+                           0.5f, c.data(), 64);
+            }),
+            1u);
+  EXPECT_EQ(count([&] {
+              execute_gemm(shape, make_tuning(4, 4, 16, 16, 4, 1, 2), 1.0f, a.data(), 64,
+                           b.data(), 64, 0.5f, c.data(), 64);
+            }),
+            2u);
+  BatchedGemmShape batched;
+  batched.batch = 8;
+  batched.gemm = shape;
+  EXPECT_EQ(count([&] {
+              execute_batched_gemm(batched, make_tuning(4, 4, 16, 16, 4), 1.0f, a.data(), 64,
+                                   64 * 64, b.data(), 64, 64 * 64, 0.5f, c.data(), 64, 64 * 64);
+            }),
+            1u);
+  telemetry::set_enabled(false);
+}
+
+// ------------------------------------------------------- batched executor --
+/// Operands for a batched call: each member's A, B and C padded by `gap`
+/// elements past its footprint, gaps filled with a sentinel.
+struct BatchedBuffers {
+  std::int64_t lda, ldb, ldc, stride_a, stride_b, stride_c;
+  std::vector<float> a, b, c;
+};
+
+constexpr float kSentinel = -12345.0f;
+
+BatchedBuffers make_batched(const BatchedGemmShape& s, std::int64_t gap, Rng& rng) {
+  const GemmShape& g = s.gemm;
+  BatchedBuffers buf;
+  buf.lda = g.trans_a ? g.k : g.m;
+  buf.ldb = g.trans_b ? g.n : g.k;
+  buf.ldc = g.m;
+  buf.stride_a = buf.lda * (g.trans_a ? g.m : g.k) + gap;
+  buf.stride_b = buf.ldb * (g.trans_b ? g.k : g.n) + gap;
+  buf.stride_c = buf.ldc * g.n + gap;
+  const auto fill = [&](std::vector<float>& v, std::int64_t stride, std::int64_t footprint) {
+    v.assign(static_cast<std::size_t>(stride * s.batch), kSentinel);
+    for (std::int64_t i = 0; i < s.batch; ++i) {
+      for (std::int64_t e = 0; e < footprint; ++e) {
+        v[static_cast<std::size_t>(i * stride + e)] = static_cast<float>(rng.uniform(-1, 1));
+      }
+    }
+  };
+  fill(buf.a, buf.stride_a, buf.stride_a - gap);
+  fill(buf.b, buf.stride_b, buf.stride_b - gap);
+  fill(buf.c, buf.stride_c, buf.stride_c - gap);
+  return buf;
+}
+
+/// Run the batched executor and the reference on the same operands; return
+/// the largest difference over the whole C buffer, gaps included.
+double batched_max_diff(const BatchedGemmShape& s, const GemmTuning& t, float beta,
+                        std::int64_t gap, std::uint64_t seed) {
+  Rng rng(seed);
+  BatchedBuffers buf = make_batched(s, gap, rng);
+  std::vector<float> c_ref = buf.c;
+  execute_batched_gemm(s, t, 1.5f, buf.a.data(), buf.lda, buf.stride_a, buf.b.data(), buf.ldb,
+                       buf.stride_b, beta, buf.c.data(), buf.ldc, buf.stride_c);
+  reference_batched_gemm(s, 1.5f, buf.a.data(), buf.lda, buf.stride_a, buf.b.data(), buf.ldb,
+                         buf.stride_b, beta, c_ref.data(), buf.ldc, buf.stride_c);
+  double max_diff = 0;
+  for (std::size_t i = 0; i < buf.c.size(); ++i) {
+    max_diff = std::max(max_diff, static_cast<double>(std::abs(buf.c[i] - c_ref[i])));
+  }
+  return max_diff;
+}
+
+BatchedGemmShape make_batched_shape(std::int64_t batch, std::int64_t m, std::int64_t n,
+                                    std::int64_t k, bool ta, bool tb) {
+  BatchedGemmShape s;
+  s.batch = batch;
+  s.gemm = make_shape(m, n, k, DataType::F32, ta, tb);
+  return s;
+}
+
+TEST(BatchedGemmExecutor, MatchesReferenceInAllLayouts) {
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      const auto s = make_batched_shape(5, 37, 29, 23, ta, tb);
+      EXPECT_LT(batched_max_diff(s, make_tuning(4, 4, 16, 16, 4), 0.5f, 0, 11), 1e-3 * 23)
+          << s.gemm.to_string();
+    }
+  }
+}
+
+TEST(BatchedGemmExecutor, SplitReductionPerBatchMember) {
+  // KG > 1 accumulates each member's tiles under its own stripe locks.
+  const auto s = make_batched_shape(6, 40, 24, 300, false, true);
+  EXPECT_LT(batched_max_diff(s, make_tuning(4, 4, 16, 8, 4, 2, 4), 0.5f, 0, 12), 1e-3 * 300);
+}
+
+TEST(BatchedGemmExecutor, StridesBeyondFootprintLeaveGapsUntouched) {
+  // The reference never writes the gaps either, so any write there (or a
+  // wrong member offset) shows up as a difference against the sentinel.
+  for (const int kg : {1, 2}) {
+    const auto s = make_batched_shape(4, 21, 19, 40, true, false);
+    EXPECT_LT(batched_max_diff(s, make_tuning(2, 4, 8, 8, 4, 1, kg), 0.5f, 13, 13), 1e-3 * 40)
+        << "kg=" << kg;
+  }
+}
+
+TEST(BatchedGemmExecutor, BetaZeroIgnoresNaN) {
+  const auto s = make_batched_shape(4, 19, 23, 17, false, false);
+  Rng rng(14);
+  BatchedBuffers buf = make_batched(s, 0, rng);
+  std::vector<float> c_ref(buf.c.size(), 0.0f);
+  std::fill(buf.c.begin(), buf.c.end(), std::numeric_limits<float>::quiet_NaN());
+  execute_batched_gemm(s, make_tuning(4, 4, 8, 16, 4), 1.0f, buf.a.data(), buf.lda, buf.stride_a,
+                       buf.b.data(), buf.ldb, buf.stride_b, 0.0f, buf.c.data(), buf.ldc,
+                       buf.stride_c);
+  reference_batched_gemm(s, 1.0f, buf.a.data(), buf.lda, buf.stride_a, buf.b.data(), buf.ldb,
+                         buf.stride_b, 0.0f, c_ref.data(), buf.ldc, buf.stride_c);
+  for (std::size_t i = 0; i < buf.c.size(); ++i) {
+    ASSERT_TRUE(std::isfinite(buf.c[i])) << i;
+    EXPECT_NEAR(buf.c[i], c_ref[i], 1e-3 * 17) << i;
+  }
+}
+
+// ----------------------------------------------------- legal => correct --
+/// A seeded reservoir sample of kLegalSample points of the legal space: the
+/// pruned walk over the space's prefix constraints, gated by `legal`.
+constexpr std::size_t kLegalSample = 32;
+
+template <typename Space, typename Legal>
+std::vector<GemmTuning> sample_legal(const Space& space, const tuning::ConstraintSet& cs,
+                                     const Legal& legal, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<GemmTuning> out;
+  std::int64_t seen = 0;
+  tuning::walk_legal(space.domains(), cs.empty() ? nullptr : &cs,
+                     [&](const std::vector<std::size_t>& choice, std::uint64_t) {
+                       const GemmTuning t = space.decode(choice);
+                       if (!legal(t)) return true;
+                       ++seen;
+                       if (out.size() < kLegalSample) {
+                         out.push_back(t);
+                       } else if (const auto r = rng.uniform_int(0, seen - 1);
+                                  r < static_cast<std::int64_t>(kLegalSample)) {
+                         out[static_cast<std::size_t>(r)] = t;
+                       }
+                       return true;
+                     });
+  return out;
+}
+
+TEST(GemmExecutor, SampledLegalTuningsMatchReference) {
+  const auto dev = gpusim::tesla_p100();
+  const tuning::GemmSearchSpace space;
+  for (const GemmShape& shape : {make_shape(40, 24, 72, DataType::F32, false, true),
+                                 make_shape(33, 17, 50, DataType::F32, true, false)}) {
+    const auto tunings = sample_legal(space, space.prefix_constraints(shape, dev),
+                                      [&](const GemmTuning& t) { return validate(shape, t, dev); },
+                                      static_cast<std::uint64_t>(shape.m));
+    ASSERT_EQ(tunings.size(), kLegalSample) << shape.to_string();
+    for (const GemmTuning& t : tunings) {
+      const auto s = make_batched_shape(1, shape.m, shape.n, shape.k, shape.trans_a,
+                                        shape.trans_b);
+      Rng rng(15);
+      BatchedBuffers buf = make_batched(s, 0, rng);
+      std::vector<float> c_ref = buf.c;
+      execute_gemm(shape, t, 1.5f, buf.a.data(), buf.lda, buf.b.data(), buf.ldb, 0.5f,
+                   buf.c.data(), buf.ldc);
+      reference_gemm(shape, 1.5f, buf.a.data(), buf.lda, buf.b.data(), buf.ldb, 0.5f,
+                     c_ref.data(), buf.ldc);
+      double max_diff = 0;
+      for (std::size_t i = 0; i < buf.c.size(); ++i) {
+        max_diff = std::max(max_diff, static_cast<double>(std::abs(buf.c[i] - c_ref[i])));
+      }
+      EXPECT_LT(max_diff, 1e-3 * static_cast<double>(shape.k))
+          << shape.to_string() << " tuning " << t.to_string();
+    }
+  }
+}
+
+TEST(BatchedGemmExecutor, SampledLegalTuningsMatchReference) {
+  const auto dev = gpusim::tesla_p100();
+  const tuning::BatchedGemmSearchSpace space;
+  const auto s = make_batched_shape(3, 24, 40, 32, false, false);
+  const auto tunings = sample_legal(space, space.prefix_constraints(s.gemm, dev),
+                                    [&](const GemmTuning& t) { return validate(s, t, dev); }, 16);
+  ASSERT_EQ(tunings.size(), kLegalSample);
+  for (const GemmTuning& t : tunings) {
+    EXPECT_LT(batched_max_diff(s, t, 0.5f, 3, 16), 1e-3 * 32) << t.to_string();
+  }
 }
 
 }  // namespace

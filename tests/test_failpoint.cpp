@@ -1,7 +1,7 @@
 // Failpoint registry semantics: spec grammar, trigger modes, deterministic
-// probabilistic sequences, and exactly-N behavior under concurrency. Sites
-// used here are test-local names so arming them cannot perturb other suites
-// (each test disarms what it armed anyway).
+// probabilistic sequences, exactly-N behavior under concurrency, and the
+// executors' once-per-call evaluation of `execute.throw`. Every test disarms
+// what it armed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "codegen/batched_gemm_executor.hpp"
 #include "common/failpoint.hpp"
 
 namespace fp = isaac::failpoint;
@@ -191,4 +192,31 @@ TEST(Failpoint, CountFiresExactlyNAcrossThreads) {
   EXPECT_EQ(fp::fires(name), static_cast<std::uint64_t>(kLimit));
   EXPECT_EQ(fp::hits(name), static_cast<std::uint64_t>(kThreads * kPerThread));
   fp::disarm(name);
+}
+
+TEST(Failpoint, ExecuteThrowFiresOncePerBatchedCall) {
+  // count:N counts executor calls, not batch members: a batched call
+  // evaluates the site exactly once, however many matrices it multiplies.
+  const std::string name = "execute.throw";
+  isaac::codegen::BatchedGemmShape shape;
+  shape.batch = 4;
+  shape.gemm.m = shape.gemm.n = shape.gemm.k = 8;
+  isaac::codegen::GemmTuning tuning;
+  tuning.ms = tuning.ns = 2;
+  tuning.ml = tuning.nl = 8;
+  tuning.u = 4;
+  std::vector<float> a(4 * 64, 1.0f), b(4 * 64, 1.0f), c(4 * 64, 0.0f);
+  const auto run = [&] {
+    isaac::codegen::execute_batched_gemm(shape, tuning, 1.0f, a.data(), 8, 64, b.data(), 8, 64,
+                                         0.0f, c.data(), 8, 64);
+  };
+
+  const std::uint64_t fires_before = fp::fires(name);
+  fp::arm(name, "count:1");
+  EXPECT_THROW(run(), fp::FailpointError);
+  EXPECT_NO_THROW(run());
+  EXPECT_EQ(fp::fires(name) - fires_before, 1u);
+  EXPECT_EQ(fp::hits(name), 2u);
+  fp::disarm(name);
+  for (float v : c) EXPECT_FLOAT_EQ(v, 8.0f);
 }
