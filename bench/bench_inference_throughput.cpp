@@ -20,11 +20,13 @@
 // Rank-throughput mode: `--rank_throughput` measures whole-space model
 // ranking (the §6 recipe's fixed cost and, since the two-tier dispatch, the
 // cold-select latency driver) per operation: candidates scored per second
-// through the allocation-free pipeline vs the pre-rewrite vector-of-vectors
-// path (with top-k ordering agreement between the two), cold `select()`
-// p50/p99, per-chunk scoring-time flatness (an allocations-per-candidate
-// proxy: chunks after the first cost the same when nothing allocates), and
-// the blocked GEMM's speedup over gemm_reference on the MLP-shaped case.
+// through the allocation-free pipeline vs the generate-and-test reference
+// ranking of tests/support/reference_rank.hpp (with top-k ordering agreement
+// between the two), the pruned walk vs the generate-and-test sweep as
+// enumeration engines, cold `select()` p50/p99, per-chunk scoring-time
+// flatness (an allocations-per-candidate proxy: chunks after the first cost
+// the same when nothing allocates), and the blocked GEMM's speedup over
+// gemm_reference on the MLP-shaped case.
 // One JSON line per op plus a summary line, for cross-PR trajectory diffing.
 //
 // Online-learning mode: `--online_learning` replays a cold shape stream
@@ -61,6 +63,7 @@
 #include "mlp/regressor.hpp"
 #include "search/factory.hpp"
 #include "search/model_topk.hpp"
+#include "support/reference_rank.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tuning/collector.hpp"
 #include "tuning/dataset.hpp"
@@ -788,70 +791,18 @@ int run_dispatch_latency() {
 
 // ---------------------------------------------------------- rank throughput --
 
-/// The pre-rewrite ranking pipeline, preserved verbatim as the before/after
-/// baseline: serial odometer sweep of X̂, stride subsample with seed
-/// re-append, per-candidate vector<double> featurization, legacy chunked
-/// scoring, partial sort. Must produce the same candidates and ordering as
-/// rank_legal_space — the agreement field checks it on every run. A sibling
-/// replica lives in tests/test_search.cpp (reference_rank) backing the
-/// ordering-determinism test — keep the two in sync.
-template <typename Op>
-search::RankedCandidates<Op> legacy_rank(const search::SearchProblem<Op>& problem,
-                                         const search::SearchConfig& config,
-                                         std::size_t top_k) {
-  search::RankedCandidates<Op> out;
-  const auto& domains = problem.space->domains();
-  search::Choice odometer(domains.size(), 0);
-  do {
-    ++out.visited;
-    if (problem.legal(odometer)) {
-      ++out.legal;
-      out.candidates.push_back(odometer);
-    }
-  } while (search::advance_choice(odometer, domains));
-  if (out.candidates.empty()) return out;
-
-  const std::size_t cap = config.max_candidates;
-  if (cap > 0 && out.candidates.size() > cap) {
-    std::vector<search::Choice> kept;
-    std::unordered_set<std::uint64_t> in_kept;
-    const double step = static_cast<double>(out.candidates.size()) / static_cast<double>(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-      search::Choice& c = out.candidates[static_cast<std::size_t>(i * step)];
-      if (in_kept.insert(search::choice_hash(c)).second) kept.push_back(std::move(c));
-    }
-    search::detail::append_seed_grid(problem, kept, in_kept);
-    out.candidates = std::move(kept);
-  }
-
-  std::vector<std::vector<double>> rows(out.candidates.size());
-  ThreadPool::global().parallel_for_each(out.candidates.size(), [&](std::size_t i) {
-    rows[i] = problem.featurize(problem.space->decode(out.candidates[i]));
-  });
-  out.scores = problem.model->predict_gflops_chunked(rows, config.batch);
-  out.order.resize(out.candidates.size());
-  for (std::size_t i = 0; i < out.order.size(); ++i) out.order[i] = i;
-  const std::size_t k = std::min(std::max<std::size_t>(top_k, 1), out.order.size());
-  std::partial_sort(out.order.begin(), out.order.begin() + static_cast<std::ptrdiff_t>(k),
-                    out.order.end(), [&](std::size_t a, std::size_t b) {
-                      if (out.scores[a] != out.scores[b]) return out.scores[a] > out.scores[b];
-                      return out.candidates[a] < out.candidates[b];
-                    });
-  out.order.resize(k);
-  return out;
-}
-
 /// Per-op outcome of the rank-throughput bench, so the summary (and CI) can
 /// gate on the weakest op instead of just the last one printed.
 struct RankThroughputResult {
-  double agreement = 0.0;     ///< top-k ordering agreement vs legacy_rank
-  double enum_speedup = 0.0;  ///< pruned-walk skeleton build vs generate-and-test
-  bool skeleton_match = true; ///< pruned survivor set == sweep survivor set
+  double agreement = 0.0;     ///< top-k ordering agreement vs reference_rank
+  double enum_speedup = 0.0;  ///< pruned-walk enumeration vs generate-and-test
+  bool walk_match = true;     ///< walk survivor list == sweep survivor list
 };
 
 template <typename Op>
 RankThroughputResult rank_throughput_op(
     const char* opname, const typename core::OperationTraits<Op>::Shape& rank_shape,
+    const typename core::OperationTraits<Op>::Shape& enum_shape,
     const std::vector<typename core::OperationTraits<Op>::Shape>& cold_shapes,
     std::size_t max_candidates, const mlp::Regressor& m, std::string* json_sink) {
   using Clock = std::chrono::steady_clock;
@@ -869,8 +820,7 @@ RankThroughputResult rank_throughput_op(
   cfg.max_candidates = max_candidates;
   constexpr std::size_t kTopK = 100;
 
-  // Cold pass: pays the one-off structural-skeleton sweep and grows the
-  // thread-local arenas.
+  // Cold pass: grows the thread-local arenas.
   auto t0 = Clock::now();
   const auto first = search::rank_legal_space(problem, cfg, kTopK);
   const double cold_s = secs(t0);
@@ -886,10 +836,10 @@ RankThroughputResult rank_throughput_op(
   }
   const double warm_s = secs(t0);
 
-  // Pre-rewrite baseline on the same machine/thread count, and ordering
-  // agreement between the two pipelines (must be 1.0).
+  // Generate-and-test reference on the same machine/thread count, and
+  // ordering agreement between the two pipelines (must be 1.0).
   t0 = Clock::now();
-  const auto legacy = legacy_rank(problem, cfg, kTopK);
+  const auto legacy = reference::reference_rank(problem, cfg, kTopK);
   const double legacy_s = secs(t0);
   std::size_t agree = 0;
   const std::size_t k = std::min(fast.order.size(), legacy.order.size());
@@ -925,56 +875,32 @@ RankThroughputResult rank_throughput_op(
     }
   }
 
-  // Enumeration engines head-to-head on the relaxed (skeleton) shape: the
-  // generate-and-test flat-range sweep the skeleton builder ran before the
-  // constraint-propagating rewrite, vs the pruned walk that replaced it —
-  // same thread pool, same validate gate, survivor sets compared exactly.
+  // Enumeration engines head-to-head on `enum_shape`: the generate-and-test
+  // flat-range sweep vs the constraint-propagating pruned walk that
+  // rank_legal_space enumerates through — same thread pool, same legality
+  // gate, survivor lists compared exactly. Three timed reps of each engine,
+  // interleaved so both sides sample the same machine-noise window; the
+  // engines are deterministic, so the per-side minimum is the measurement
+  // least polluted by noise.
+  search::SearchProblem<Op> enum_problem = problem;
+  enum_problem.shape = &enum_shape;
   double enum_sweep_s = 0.0;
-  double enum_pruned_s = 0.0;
-  std::size_t skeleton_points = 0;
-  bool skeleton_match = true;
-  if constexpr (requires { core::OperationTraits<Op>::relax_shape(rank_shape); }) {
-    using Traits = core::OperationTraits<Op>;
-    const typename Traits::Shape relaxed = Traits::relax_shape(rank_shape);
-    const auto& domains = space.domains();
-    const std::size_t total = space.size();
+  double enum_walk_s = 0.0;
+  std::vector<std::uint64_t> sweep;
+  std::vector<std::uint64_t> walked;
+  constexpr int kEnumReps = 3;
+  for (int rep = 0; rep < kEnumReps; ++rep) {
+    t0 = Clock::now();
+    sweep = reference::sweep_legal(enum_problem);
+    const double sweep_s = secs(t0);
+    if (rep == 0 || sweep_s < enum_sweep_s) enum_sweep_s = sweep_s;
 
-    // Three timed reps of each engine, interleaved so both sides sample the
-    // same machine-noise window; the engines are deterministic, so the
-    // per-side minimum is the measurement least polluted by noise.
-    constexpr int kEnumReps = 3;
-    std::vector<std::uint64_t> sweep;
-    std::vector<std::uint64_t> pruned;
-    for (int rep = 0; rep < kEnumReps; ++rep) {
-      t0 = Clock::now();
-      constexpr std::size_t kChunk = std::size_t{1} << 16;
-      const std::size_t nchunks = (total + kChunk - 1) / kChunk;
-      std::vector<std::vector<std::uint64_t>> parts(nchunks);
-      ThreadPool::global().parallel_for_each(nchunks, [&](std::size_t ci) {
-        const std::size_t begin = ci * kChunk;
-        const std::size_t end = std::min(total, begin + kChunk);
-        search::Choice c(domains.size(), 0);
-        search::choice_from_flat_into(begin, domains, c);
-        auto& part = parts[ci];
-        for (std::size_t flat = begin; flat < end; ++flat) {
-          if (Traits::validate(relaxed, space.decode(c), dev)) part.push_back(flat);
-          search::advance_choice(c, domains);
-        }
-      });
-      sweep.clear();
-      for (const auto& part : parts) sweep.insert(sweep.end(), part.begin(), part.end());
-      const double sweep_s = secs(t0);
-      if (rep == 0 || sweep_s < enum_sweep_s) enum_sweep_s = sweep_s;
-
-      t0 = Clock::now();
-      pruned = search::detail::build_skeleton_points(problem, relaxed);
-      const double pruned_s = secs(t0);
-      if (rep == 0 || pruned_s < enum_pruned_s) enum_pruned_s = pruned_s;
-    }
-
-    skeleton_points = pruned.size();
-    skeleton_match = (pruned == sweep);
+    t0 = Clock::now();
+    walked = search::detail::enumerate_legal(enum_problem);
+    const double walk_s = secs(t0);
+    if (rep == 0 || walk_s < enum_walk_s) enum_walk_s = walk_s;
   }
+  const bool walk_match = (walked == sweep);
 
   // Cold select() latency: fresh two-tier context, every shape a cache miss.
   core::ContextOptions opts = dispatch_options();
@@ -992,8 +918,8 @@ RankThroughputResult rank_throughput_op(
 
   RankThroughputResult result;
   result.agreement = agreement;
-  result.enum_speedup = enum_pruned_s > 0.0 ? enum_sweep_s / enum_pruned_s : 0.0;
-  result.skeleton_match = skeleton_match;
+  result.enum_speedup = enum_walk_s > 0.0 ? enum_sweep_s / enum_walk_s : 0.0;
+  result.walk_match = walk_match;
 
   char line[1024];
   std::snprintf(
@@ -1001,8 +927,8 @@ RankThroughputResult rank_throughput_op(
       "{\"bench\":\"rank_throughput\",\"op\":\"%s\",\"space\":%zu,\"candidates\":%zu,"
       "\"cands_per_sec\":%.0f,\"cold_cands_per_sec\":%.0f,\"legacy_cands_per_sec\":%.0f,"
       "\"speedup_vs_legacy\":%.2f,\"ordering_agreement\":%.3f,"
-      "\"skeleton_points\":%zu,\"enum_sweep_s\":%.3f,\"enum_pruned_s\":%.3f,"
-      "\"enum_speedup\":%.2f,\"skeleton_match\":%s,"
+      "\"walk_points\":%zu,\"enum_sweep_s\":%.3f,\"enum_pruned_s\":%.3f,"
+      "\"enum_speedup\":%.2f,\"walk_match\":%s,"
       "\"p50_select_us\":%.1f,\"p99_select_us\":%.1f,"
       "\"chunk_us_first\":%.1f,\"chunk_us_p50\":%.1f,\"chunk_us_max\":%.1f}\n",
       opname, space.size(), fast.candidates.size(),
@@ -1011,8 +937,8 @@ RankThroughputResult rank_throughput_op(
       static_cast<double>(legacy.candidates.size()) / legacy_s,
       (static_cast<double>(scored) / warm_s) /
           (static_cast<double>(legacy.candidates.size()) / legacy_s),
-      agreement, skeleton_points, enum_sweep_s, enum_pruned_s, result.enum_speedup,
-      skeleton_match ? "true" : "false", stats::percentile(select_us, 0.50),
+      agreement, walked.size(), enum_sweep_s, enum_walk_s, result.enum_speedup,
+      walk_match ? "true" : "false", stats::percentile(select_us, 0.50),
       stats::percentile(select_us, 0.99), chunk_us.front(),
       stats::percentile(chunk_us, 0.50),
       *std::max_element(chunk_us.begin(), chunk_us.end()));
@@ -1085,24 +1011,37 @@ int run_rank_throughput() {
   bgemm_rank.gemm.n = 64;
   bgemm_rank.gemm.k = 512;
 
+  // The enumeration head-to-head's shapes: dtype, layout and filter geometry
+  // kept, every other dimension blown up so the shape-dependent legality
+  // checks (KG ≤ K, U·KL ≤ ⌈K/KG⌉, output-extent tiles, C·R·S reduction
+  // depth) pass whenever they can — the walk then wins on structural
+  // pruning alone, not on a legal set the real shape happens to shrink.
+  codegen::GemmShape gemm_enum = gemm_rank;
+  gemm_enum.m = gemm_enum.n = gemm_enum.k = std::int64_t{1} << 30;
+  codegen::ConvShape conv_enum = conv_rank;
+  conv_enum.n = conv_enum.c = conv_enum.k = std::int64_t{1} << 20;
+  conv_enum.h = conv_enum.w = std::int64_t{1} << 20;
+  codegen::BatchedGemmShape bgemm_enum = bgemm_rank;
+  bgemm_enum.batch = 1;
+  bgemm_enum.gemm.m = bgemm_enum.gemm.n = bgemm_enum.gemm.k = std::int64_t{1} << 30;
+
   std::string json;
-  const auto gemm_res =
-      rank_throughput_op<core::GemmOp>("gemm", gemm_rank, gemm_cold, 0, m, &json);
-  const auto conv_res =
-      rank_throughput_op<core::ConvOp>("conv", conv_rank, conv_cold, 200000, m, &json);
-  const auto bgemm_res =
-      rank_throughput_op<core::BatchedGemmOp>("bgemm", bgemm_rank, bgemm_cold, 0, m, &json);
+  const auto gemm_res = rank_throughput_op<core::GemmOp>("gemm", gemm_rank, gemm_enum,
+                                                         gemm_cold, 0, m, &json);
+  const auto conv_res = rank_throughput_op<core::ConvOp>("conv", conv_rank, conv_enum,
+                                                         conv_cold, 200000, m, &json);
+  const auto bgemm_res = rank_throughput_op<core::BatchedGemmOp>(
+      "bgemm", bgemm_rank, bgemm_enum, bgemm_cold, 0, m, &json);
   const double min_agreement =
       std::min({gemm_res.agreement, conv_res.agreement, bgemm_res.agreement});
-  const bool all_match =
-      gemm_res.skeleton_match && conv_res.skeleton_match && bgemm_res.skeleton_match;
+  const bool all_match = gemm_res.walk_match && conv_res.walk_match && bgemm_res.walk_match;
 
   char line[512];
   std::snprintf(
       line, sizeof(line),
       "{\"bench\":\"rank_throughput\",\"op\":\"summary\",\"gemm_speedup_vs_reference\":%.2f,"
       "\"min_ordering_agreement\":%.3f,\"conv_enum_speedup\":%.2f,"
-      "\"min_enum_speedup\":%.2f,\"all_skeleton_match\":%s}\n",
+      "\"min_enum_speedup\":%.2f,\"all_walk_match\":%s}\n",
       gemm_speedup, min_agreement, conv_res.enum_speedup,
       std::min({gemm_res.enum_speedup, conv_res.enum_speedup, bgemm_res.enum_speedup}),
       all_match ? "true" : "false");

@@ -59,7 +59,6 @@ const char* name(Rank r) noexcept {
     case Rank::failpoint_registry: return "failpoint_registry";
     case Rank::pool: return "pool";
     case Rank::cache_shard: return "cache_shard";
-    case Rank::skeleton: return "skeleton";
     case Rank::drift: return "drift";
     case Rank::obslog: return "obslog";
     case Rank::inflight: return "inflight";

@@ -48,7 +48,7 @@ namespace isaac::lock_rank {
 /// descending). Derived from the nestings the runtime actually performs:
 ///
 ///   breaker_map > breaker > model > background > inflight > obslog > drift
-///   > skeleton > cache_shard > pool > failpoint_registry > telemetry_flush
+///   > cache_shard > pool > failpoint_registry > telemetry_flush
 ///   > telemetry_registry > telemetry_trace > logging > leaf
 ///
 /// Load-bearing edges: inflight -> cache_shard (select()'s under-lock cache
@@ -65,7 +65,6 @@ enum class Rank : int {
   failpoint_registry = 15, // failpoint site map
   pool = 20,               // ThreadPool queue
   cache_shard = 30,        // ProfileCache shard (shared)
-  skeleton = 40,           // structural-skeleton single-flight map
   drift = 42,              // DriftDetector windows
   obslog = 44,             // ObservationLog ring
   inflight = 50,           // Context single-flight / refinement bookkeeping

@@ -257,30 +257,6 @@ class ProfileCache {
                          std::memory_order_relaxed);
   }
 
-  // Legacy per-op spellings.
-  std::optional<codegen::GemmTuning> lookup_gemm(const std::string& device,
-                                                 const codegen::GemmShape& shape) const {
-    return lookup<GemmOp>(device, shape);
-  }
-  void store_gemm(const std::string& device, const codegen::GemmShape& shape,
-                  const codegen::GemmTuning& tuning) {
-    store<GemmOp>(device, shape, tuning);
-  }
-  std::optional<codegen::ConvTuning> lookup_conv(const std::string& device,
-                                                 const codegen::ConvShape& shape) const {
-    return lookup<ConvOp>(device, shape);
-  }
-  void store_conv(const std::string& device, const codegen::ConvShape& shape,
-                  const codegen::ConvTuning& tuning) {
-    store<ConvOp>(device, shape, tuning);
-  }
-  static std::string gemm_key(const std::string& device, const codegen::GemmShape& shape) {
-    return key<GemmOp>(device, shape);
-  }
-  static std::string conv_key(const std::string& device, const codegen::ConvShape& shape) {
-    return key<ConvOp>(device, shape);
-  }
-
  private:
   /// The encoded form is authoritative (it is what reaches disk); `decoded`
   /// memoizes the parsed tuning so cached dispatch never re-parses text.

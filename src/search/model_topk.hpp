@@ -16,25 +16,13 @@
 //    into one flat FeatureBatch (no vector-of-vectors), and the model scores
 //    it through thread-local forward workspaces (mlp/regressor.hpp).
 //
-//  * Dense enumeration runs over a *structural skeleton* — a per-process,
-//    per-(op, device, structural shape class, domains) cache of the X̂ points
-//    that pass every shape-independent legality check, computed once with
-//    OperationTraits<Op>::relax_shape and reused by every subsequent ranking.
-//    For the GEMM space ~3% of X̂ survives the structural checks, so a dense
-//    rank touches ~30× fewer points after the first sweep. The skeleton is a
-//    superset of every shape's legal set (relax_shape's contract), each
-//    surviving point is re-validated against the real shape, and flat-index
-//    order equals odometer order — candidate sets and orderings are exactly
-//    those of a full sweep.
-//
-//  * Enumeration itself — the skeleton *build*, the dense fallback for ops
-//    without relax_shape or spaces too large to materialize, and the repair
-//    scans — goes through the constraint-propagating pruned walk
-//    (tuning::walk_legal + the op's prefix_constraints): whole illegal
-//    subtrees are skipped unvisited, so iteration cost scales with the legal
-//    space X, not |X̂|. The walk emits in exactly odometer order and every
-//    survivor still passes the full validate gate, so candidate sets, scores
-//    and orderings stay bit-identical to the generate-and-test sweep.
+//  * Dense enumeration is the constraint-propagating pruned walk
+//    (tuning::walk_legal + the op's prefix_constraints), chunked for the
+//    pool: whole illegal subtrees are skipped unvisited, so iteration cost
+//    scales with the legal space X, not |X̂|. The walk emits in exactly
+//    odometer order and every survivor still passes the full validate gate,
+//    so candidate sets, scores and orderings stay bit-identical to the
+//    generate-and-test sweep.
 //
 // Ranking cost is bounded by SearchConfig::max_candidates: oversized legal
 // spaces are deterministically strided and the op's seed grid re-appended so
@@ -44,14 +32,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <future>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "search/legal_walk.hpp"
 #include "search/random.hpp"  // choice_hash
@@ -112,193 +95,39 @@ void append_seed_grid(const SearchProblem<Op>& problem, std::vector<Choice>& can
   }
 }
 
-/// The device fields legality actually depends on (codegen::validate and the
-/// occupancy rules behind it), folded into the skeleton key so descriptors
-/// that share a name but differ in limits never share a skeleton.
-inline std::string device_limits_signature(const gpusim::DeviceDescriptor& dev) {
-  std::string sig;
-  for (const int v : {dev.max_threads_per_block, dev.warp_size, dev.max_warps_per_sm,
-                      dev.max_blocks_per_sm, dev.registers_per_sm, dev.max_registers_per_thread,
-                      dev.smem_per_sm_bytes, dev.smem_per_block_bytes,
-                      dev.reg_alloc_granularity, dev.smem_alloc_granularity}) {
-    sig += std::to_string(v);
-    sig += ',';
-  }
-  return sig;
-}
-
-/// One stable signature per domain list, so spaces with restricted domains
-/// (subclassed test spaces, future per-device prunes) never share a skeleton
-/// with the full space.
-inline std::string domains_signature(const std::vector<tuning::ParameterDomain>& domains) {
-  std::string sig;
-  for (const auto& d : domains) {
-    sig += d.name;
-    sig += ':';
-    for (int v : d.values) {
-      sig += std::to_string(v);
-      sig += ',';
-    }
-    sig += ';';
-  }
-  return sig;
-}
-
-/// Largest |X̂| a structural skeleton is materialized for. Spaces past it —
-/// and saturated size() sentinels — take the lazy pruned-walk path in
-/// rank_legal_space instead. 64-bit indices make this a memory-policy bound,
-/// not an overflow hazard (the old 32-bit indices silently capped the
-/// representable space at the same 2^32 the guard now enforces explicitly).
-inline constexpr std::size_t kSkeletonMaxPoints = std::size_t{1} << 32;
-
-/// Uncached core of the skeleton build: the constraint-propagating pruned
-/// walk over the relaxed shape's plausible subtrees, gated by the full
-/// validate and chunked for the pool by surviving prefix — ascending flat
-/// indices, exactly the generate-and-test sweep's survivor set. Exposed
-/// separately from the cache so the bench can time it against the sweep it
-/// replaced.
+/// The legal space as ascending flat indices (odometer order): the
+/// constraint-propagating pruned walk over the problem's prefix_constraints,
+/// chunked for the pool by surviving prefix, every emitted point gated by
+/// problem.legal. Chunk concatenation preserves the order and the gate keeps
+/// the result exactly the generate-and-test sweep's survivors — the walk
+/// only skips subtrees validate would reject point by point. Flat indices
+/// (not choice vectors) keep enumeration allocation-free per point, so
+/// callers decode only what they keep; that needs an exact |X̂|, and a
+/// saturated size() throws std::length_error.
 template <typename Op>
-std::vector<std::uint64_t> build_skeleton_points(
-    const SearchProblem<Op>& problem,
-    const typename SearchProblem<Op>::Traits::Shape& relaxed) {
-  using Traits = typename SearchProblem<Op>::Traits;
-  telemetry::Span build_span("rank.skeleton_build");
-  ISAAC_TM_COUNT("rank.skeleton_builds");
-  // RAII rather than a record-before-return: the function has two exits
-  // (direct walk vs. pooled chunks) and both should feed the histogram.
-  struct BuildProbe {
-    std::uint64_t t0;
-    BuildProbe() : t0(telemetry::enabled() ? telemetry::now_us() : 0) {}
-    ~BuildProbe() {
-      if (t0) ISAAC_TM_RECORD("rank.skeleton_build_us", telemetry::now_us() - t0);
-    }
-  } build_probe;
+std::vector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem) {
+  if (problem.space->size() == std::numeric_limits<std::size_t>::max()) {
+    throw std::length_error("dense ranking: search space too large for 64-bit flat indices");
+  }
   const auto& domains = problem.space->domains();
   const tuning::ConstraintSet cs =
-      prefix_constraints_for<Op>(relaxed, *problem.device, *problem.space);
+      prefix_constraints_for<Op>(*problem.shape, *problem.device, *problem.space);
   const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
-  // One worker: the chunk plan buys no parallelism, so walk directly — no
-  // prefix planning, no per-chunk part vectors, no concatenation.
-  if (ThreadPool::global().size() <= 1) {
-    std::vector<std::uint64_t> skeleton;
-    skeleton.reserve(std::size_t{1} << 16);
-    tuning::walk_legal(domains, csp, [&](const Choice& c, std::uint64_t flat) {
-      if (Traits::validate(relaxed, problem.space->decode(c), *problem.device)) {
-        skeleton.push_back(flat);
-      }
-      return true;
-    });
-    ISAAC_TM_COUNT_N("rank.skeleton_points", skeleton.size());
-    return skeleton;
-  }
   const WalkChunkPlan plan = plan_legal_walk(domains, csp);
   std::vector<std::vector<std::uint64_t>> parts(plan.prefixes.size());
   ThreadPool::global().parallel_for_each(plan.prefixes.size(), [&](std::size_t ci) {
     auto& part = parts[ci];
     run_walk_chunk(domains, csp, plan, ci, [&](const Choice& c, std::uint64_t flat) {
-      if (Traits::validate(relaxed, problem.space->decode(c), *problem.device)) {
-        part.push_back(flat);
-      }
+      if (problem.legal(c)) part.push_back(flat);
       return true;
     });
   });
-  std::vector<std::uint64_t> skeleton;
   std::size_t n = 0;
   for (const auto& part : parts) n += part.size();
-  skeleton.reserve(n);
-  for (const auto& part : parts) {
-    skeleton.insert(skeleton.end(), part.begin(), part.end());
-  }
-  ISAAC_TM_COUNT_N("rank.skeleton_points", skeleton.size());
-  return skeleton;
-}
-
-/// The process-wide skeleton cache, shared by every op (keys embed
-/// Traits::kind(), so one map serves all instantiations). Previously a pair
-/// of function-local statics per template instantiation behind an anonymous
-/// std::mutex; naming it gives the lock a capability the thread-safety
-/// analysis can see and a rank the deadlock detector can order — skeleton
-/// (40) sits above cache_shard and pool because a builder thread holds no
-/// other lock, but the single-flight future it publishes is awaited by
-/// rankings that may hold nothing either; the build itself (parallel_for)
-/// runs with the map mutex released.
-struct SkeletonCache {
-  using Skeleton = std::shared_ptr<const std::vector<std::uint64_t>>;
-  sync::Mutex mutex{lock_rank::Rank::skeleton};
-  std::unordered_map<std::string, std::shared_future<Skeleton>> futures
-      ISAAC_GUARDED_BY(mutex);
-};
-
-inline SkeletonCache& skeleton_cache() {
-  static SkeletonCache* c = new SkeletonCache();  // immortal: outlives static dtors
-  return *c;
-}
-
-/// The structural skeleton: ascending flat indices of every X̂ point that
-/// passes validation against the op's relaxed shape (shape-independent
-/// checks only, by relax_shape's contract). Computed once per process per
-/// (op kind, device, structural shape class, domains) and shared read-only;
-/// nullptr when the op has no relax_shape hook or |X̂| exceeds the
-/// materialization bound. Ascending flat order is exactly odometer order, so
-/// consumers produce the same candidate sequences as a full sweep.
-template <typename Op>
-std::shared_ptr<const std::vector<std::uint64_t>> structural_skeleton(
-    const SearchProblem<Op>& problem) {
-  using Traits = typename SearchProblem<Op>::Traits;
-  if constexpr (!requires { Traits::relax_shape(*problem.shape); }) {
-    return nullptr;
-  } else {
-    const auto& domains = problem.space->domains();
-    const std::size_t total = problem.space->size();
-    if (total > kSkeletonMaxPoints) return nullptr;
-
-    const typename Traits::Shape relaxed = Traits::relax_shape(*problem.shape);
-    const std::string key = std::string(Traits::kind()) + '|' + problem.device->name + '|' +
-                            device_limits_signature(*problem.device) + '|' +
-                            Traits::shape_key(relaxed) + '|' + domains_signature(domains);
-
-    using Skeleton = SkeletonCache::Skeleton;
-    SkeletonCache& sk = skeleton_cache();
-    // Single-flight *per key*: the first ranking of a class pays the one
-    // full sweep (which the pre-skeleton code paid on *every* ranking) and
-    // publishes through a future, so concurrent rankings of the same class
-    // wait for it while different classes build or hit independently — the
-    // map mutex is only held for the lookup/insert.
-    std::promise<Skeleton> promise;
-    std::shared_future<Skeleton> fut;
-    bool builder = false;
-    {
-      sync::MutexLock lock(sk.mutex);
-      auto it = sk.futures.find(key);
-      if (it != sk.futures.end()) {
-        fut = it->second;
-      } else {
-        fut = sk.futures.emplace(key, promise.get_future().share()).first->second;
-        builder = true;
-      }
-    }
-    if (!builder) return fut.get();
-
-    auto skeleton = std::make_shared<std::vector<std::uint64_t>>();
-    try {
-      // Constraint-propagating build: walk only the subtrees the relaxed
-      // shape's prefix predicates allow (the validate gate inside keeps the
-      // result exactly the generate-and-test survivor set, in the same
-      // ascending flat order).
-      *skeleton = build_skeleton_points(problem, relaxed);
-    } catch (...) {
-      // Un-publish the failed build so a later ranking can retry, and wake
-      // any waiters with the error instead of leaving them hung.
-      {
-        sync::MutexLock lock(sk.mutex);
-        sk.futures.erase(key);
-      }
-      promise.set_exception(std::current_exception());
-      throw;
-    }
-    promise.set_value(skeleton);
-    return skeleton;
-  }
+  std::vector<std::uint64_t> legal;
+  legal.reserve(n);
+  for (const auto& part : parts) legal.insert(legal.end(), part.begin(), part.end());
+  return legal;
 }
 
 /// Score `out.candidates` with the model and fill `out.order` with the
@@ -343,90 +172,46 @@ void score_and_order(const SearchProblem<Op>& problem, const SearchConfig& confi
 
 }  // namespace detail
 
-/// Dense ranking — the strategy's path: enumerate all of X̂ (through the
-/// structural skeleton when the op supports it), keep the legal points,
-/// stride oversized sets down to config.max_candidates (re-appending the
-/// seed grid), then model-score and order the top k. Requires problem.model.
+/// Dense ranking — the strategy's path: enumerate the legal space through
+/// the pruned walk (detail::enumerate_legal), stride oversized sets down to
+/// config.max_candidates (re-appending the seed grid), then model-score and
+/// order the top k. Requires problem.model.
 template <typename Op>
 RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
                                       const SearchConfig& config, std::size_t top_k) {
   telemetry::Span span("rank.dense");
   ISAAC_TM_COUNT("rank.dense");
   RankedCandidates<Op> out;
-  const auto& domains = problem.space->domains();
 
   // ---- enumerate the legal space ----------------------------------------
-  if (const auto skeleton = detail::structural_skeleton(problem)) {
-    // Only the structural survivors need a real legality check; the result
-    // (and its order) is identical to a full odometer sweep, which
-    // conceptually still visited all of X̂ — keep the stats on that footing.
-    out.visited = problem.space->size();
-    const std::size_t chunk = 1 << 14;
-    const std::size_t chunks = (skeleton->size() + chunk - 1) / chunk;
-    std::vector<std::vector<Choice>> parts(chunks);
-    ThreadPool::global().parallel_for_each(chunks, [&](std::size_t ci) {
-      const std::size_t begin = ci * chunk;
-      const std::size_t end = std::min(skeleton->size(), begin + chunk);
-      auto& part = parts[ci];
-      Choice c;
-      for (std::size_t i = begin; i < end; ++i) {
-        choice_from_flat_into((*skeleton)[i], domains, c);
-        if (problem.legal(c)) part.push_back(c);
-      }
-    });
-    std::size_t n = 0;
-    for (const auto& part : parts) n += part.size();
-    out.candidates.reserve(n);
-    for (auto& part : parts) {
-      std::move(part.begin(), part.end(), std::back_inserter(out.candidates));
-    }
-    out.legal = out.candidates.size();
-  } else {
-    // No skeleton (op without relax_shape, or |X̂| past the materialization
-    // bound — including a saturated size()): rank through the lazy pruned
-    // walk, chunked for the pool without materializing index vectors. The
-    // per-point legality gate keeps the result exactly the legal space, and
-    // chunk concatenation preserves odometer order; the walk conceptually
-    // covers all of X̂, so the stats stay on the skeleton path's footing.
-    const tuning::ConstraintSet cs =
-        prefix_constraints_for<Op>(*problem.shape, *problem.device, *problem.space);
-    const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
-    const WalkChunkPlan plan = plan_legal_walk(domains, csp);
-    std::vector<std::vector<Choice>> parts(plan.prefixes.size());
-    ThreadPool::global().parallel_for_each(plan.prefixes.size(), [&](std::size_t ci) {
-      auto& part = parts[ci];
-      run_walk_chunk(domains, csp, plan, ci, [&](const Choice& c, std::uint64_t) {
-        if (problem.legal(c)) part.push_back(c);
-        return true;
-      });
-    });
-    out.visited = problem.space->size();
-    std::size_t n = 0;
-    for (const auto& part : parts) n += part.size();
-    out.candidates.reserve(n);
-    for (auto& part : parts) {
-      std::move(part.begin(), part.end(), std::back_inserter(out.candidates));
-    }
-    out.legal = out.candidates.size();
-  }
-  if (out.candidates.empty()) return out;
+  // The walk conceptually covers all of X̂ (pruned subtrees are rejected
+  // wholesale), so the stats stay on a full sweep's footing.
+  const std::vector<std::uint64_t> legal = detail::enumerate_legal(problem);
+  out.visited = problem.space->size();
+  out.legal = legal.size();
+  if (legal.empty()) return out;
 
-  // ---- subsample oversized spaces, keeping the seed grid ----------------
+  // ---- decode, striding oversized sets down to the cap ------------------
+  const auto& domains = problem.space->domains();
   const std::size_t cap = config.max_candidates;
-  if (cap > 0 && out.candidates.size() > cap) {
-    std::vector<Choice> kept;
-    kept.reserve(cap + 64);
-    std::unordered_set<std::uint64_t> in_kept;
-    const double step =
-        static_cast<double>(out.candidates.size()) / static_cast<double>(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-      Choice& c = out.candidates[static_cast<std::size_t>(i * step)];
-      if (in_kept.insert(choice_hash(c)).second) kept.push_back(std::move(c));
-    }
-    // Probe uncounted: the enumeration above already accounted every point
-    // of X̂, this only re-selects from it.
-    detail::append_seed_grid(problem, kept, in_kept);
-    out.candidates = std::move(kept);
+  const bool subsample = cap > 0 && legal.size() > cap;
+  const double step =
+      subsample ? static_cast<double>(legal.size()) / static_cast<double>(cap) : 1.0;
+  out.candidates.resize(subsample ? cap : legal.size());
+  ThreadPool::global().parallel_for_each(out.candidates.size(), [&](std::size_t i) {
+    choice_from_flat_into(legal[static_cast<std::size_t>(i * step)], domains,
+                          out.candidates[i]);
+  });
+  if (subsample) {
+    // The seed grid is de-duplicated by choice hash, so the kept points go
+    // through the same hash set (first occurrence wins) before the grid is
+    // re-appended — subsampling can never lose it. Probe uncounted: the
+    // enumeration above already accounted every point of X̂.
+    std::unordered_set<std::uint64_t> present;
+    present.reserve(out.candidates.size() + 64);
+    std::erase_if(out.candidates,
+                  [&](const Choice& c) { return !present.insert(choice_hash(c)).second; });
+    detail::append_seed_grid(problem, out.candidates, present);
   }
 
   detail::score_and_order(problem, config, top_k, out);

@@ -43,36 +43,15 @@ class RandomSearch final : public SearchStrategy<Op> {
     }
     if (out.empty() && max_batch > 0) {
       // Rejection sampling ran dry (sparse legal space): repair through the
-      // constraint-propagating pruned walk — the first unseen legal point
-      // at-or-after a random start in flat order, wrapping around. Covering
-      // the whole (pruned) walk without a hit proves the legal space is
-      // genuinely exhausted, so returning empty is then truthful.
-      const auto& domains = this->problem_.space->domains();
-      const tuning::ConstraintSet& cs = this->constraints();
-      const Choice start = this->random_choice();
-      std::optional<Choice> found;  // first unseen legal at-or-after start
-      std::optional<Choice> wrap;   // first unseen legal overall
-      tuning::WalkStats ws;
-      tuning::walk_legal(
-          domains, cs.empty() ? nullptr : &cs,
-          [&](const Choice& c, std::uint64_t) {
-            if (choice_flat_less(c, start)) {
-              if (!wrap && !seen_.contains(choice_hash(c)) && this->problem_.legal(c)) {
-                wrap = c;
-              }
-              return true;
-            }
-            if (seen_.contains(choice_hash(c)) || !this->problem_.legal(c)) return true;
-            found = c;
-            return false;
-          },
-          &ws);
-      this->stats_.visited += static_cast<std::size_t>(ws.emitted + ws.pruned);
-      if (found || wrap) {
-        ++this->stats_.legal;
-        Choice c = found ? std::move(*found) : std::move(*wrap);
-        seen_.insert(choice_hash(c));
-        out.push_back(this->make_proposal(std::move(c)));
+      // shared wrap-around scan — the first unseen legal point at-or-after a
+      // random start in flat order. Covering the whole (pruned) walk without
+      // a hit proves the legal space is genuinely exhausted, so returning
+      // empty is then truthful.
+      auto unseen = this->scan_for_legal(
+          this->random_choice(), [&](const Choice& c) { return seen_.contains(choice_hash(c)); });
+      if (unseen) {
+        seen_.insert(choice_hash(*unseen));
+        out.push_back(this->make_proposal(std::move(*unseen)));
       }
     }
     return out;

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -223,24 +224,27 @@ class SearchStrategy {
   /// around to the first legal point overall — the same answer the old
   /// point-by-point scan gave, now found through the constraint-propagating
   /// pruned walk so the cost scales with the plausible space, not |X̂|.
-  /// Visited stats account covered subtrees in bulk (a fruitless full wrap
-  /// still counts all of |X̂|, matching the scan it replaced). Returns
-  /// nullopt only when the legal space is truly empty.
-  std::optional<Choice> scan_for_legal(Choice start) {
+  /// Points for which `skip(c)` holds are passed over (random search skips
+  /// what it already proposed). Visited stats account covered subtrees in
+  /// bulk (a fruitless full wrap still counts all of |X̂|, matching the scan
+  /// it replaced). Returns nullopt only when no unskipped legal point exists.
+  std::optional<Choice> scan_for_legal(
+      Choice start, const std::function<bool(const Choice&)>& skip = nullptr) {
     const auto& domains = problem_.space->domains();
     if (start.size() != domains.size()) start.assign(domains.size(), 0);
     const tuning::ConstraintSet& cs = constraints();
     std::optional<Choice> found;  // first legal at-or-after start
     std::optional<Choice> wrap;   // first legal overall (the wrap-around answer)
+    const auto wanted = [&](const Choice& c) { return !(skip && skip(c)) && problem_.legal(c); };
     tuning::WalkStats ws;
     tuning::walk_legal(
         domains, cs.empty() ? nullptr : &cs,
         [&](const Choice& c, std::uint64_t) {
           if (choice_flat_less(c, start)) {
-            if (!wrap && problem_.legal(c)) wrap = c;
+            if (!wrap && wanted(c)) wrap = c;
             return true;  // keep walking: a hit at-or-after start still wins
           }
-          if (!problem_.legal(c)) return true;
+          if (!wanted(c)) return true;
           found = c;
           return false;  // ascending walk: first hit at-or-after start
         },

@@ -1,0 +1,93 @@
+// The generate-and-test reference ranking, shared by tests/test_search.cpp
+// (the bit-for-bit ordering oracle) and bench/bench_inference_throughput.cpp
+// (the rank-throughput baseline and the enumeration head-to-head).
+//
+// It is the pipeline rank_legal_space ran before the pruned walk and the
+// FeatureBatch rewrite: a sweep of every point of X̂ gated by validate, a
+// stride subsample with seed re-append, vector-of-vectors featurization
+// through the legacy chunked scorer, and a partial sort with the shared
+// tie-break. The sweep reads no prefix constraints, so it stays an oracle
+// independent of the walk it checks.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
+
+#include "common/thread_pool.hpp"
+#include "search/model_topk.hpp"
+
+namespace isaac::reference {
+
+/// Flat indices of every legal point of X̂ in ascending order, by
+/// generate-and-test: flat-range chunks of X̂ swept on the pool, each point
+/// checked with problem.legal, concatenated in chunk order. Requires an
+/// exact (unsaturated) |X̂|.
+template <typename Op>
+std::vector<std::uint64_t> sweep_legal(const search::SearchProblem<Op>& problem) {
+  const auto& domains = problem.space->domains();
+  const std::size_t total = problem.space->size();
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  const std::size_t nchunks = (total + kChunk - 1) / kChunk;
+  std::vector<std::vector<std::uint64_t>> parts(nchunks);
+  ThreadPool::global().parallel_for_each(nchunks, [&](std::size_t ci) {
+    const std::size_t begin = ci * kChunk;
+    const std::size_t end = std::min(total, begin + kChunk);
+    search::Choice c = search::choice_from_flat(begin, domains);
+    auto& part = parts[ci];
+    for (std::size_t flat = begin; flat < end; ++flat) {
+      if (problem.legal(c)) part.push_back(flat);
+      search::advance_choice(c, domains);
+    }
+  });
+  std::vector<std::uint64_t> legal;
+  for (const auto& part : parts) legal.insert(legal.end(), part.begin(), part.end());
+  return legal;
+}
+
+/// The reference ranking: must match search::rank_legal_space exactly —
+/// candidates, scores, best-first order and X̂ accounting.
+template <typename Op>
+search::RankedCandidates<Op> reference_rank(const search::SearchProblem<Op>& problem,
+                                            const search::SearchConfig& config,
+                                            std::size_t top_k) {
+  search::RankedCandidates<Op> out;
+  for (const std::uint64_t flat : sweep_legal(problem)) {
+    out.candidates.push_back(search::choice_from_flat(flat, problem.space->domains()));
+  }
+  out.visited = problem.space->size();
+  out.legal = out.candidates.size();
+  if (out.candidates.empty()) return out;
+
+  const std::size_t cap = config.max_candidates;
+  if (cap > 0 && out.candidates.size() > cap) {
+    std::vector<search::Choice> kept;
+    std::unordered_set<std::uint64_t> in_kept;
+    const double step = static_cast<double>(out.candidates.size()) / static_cast<double>(cap);
+    for (std::size_t i = 0; i < cap; ++i) {
+      search::Choice& c = out.candidates[static_cast<std::size_t>(i * step)];
+      if (in_kept.insert(search::choice_hash(c)).second) kept.push_back(std::move(c));
+    }
+    search::detail::append_seed_grid(problem, kept, in_kept);
+    out.candidates = std::move(kept);
+  }
+
+  std::vector<std::vector<double>> rows(out.candidates.size());
+  ThreadPool::global().parallel_for_each(out.candidates.size(), [&](std::size_t i) {
+    rows[i] = problem.featurize(problem.space->decode(out.candidates[i]));
+  });
+  out.scores = problem.model->predict_gflops_chunked(rows, config.batch);
+  out.order.resize(out.candidates.size());
+  for (std::size_t i = 0; i < out.order.size(); ++i) out.order[i] = i;
+  const std::size_t k = std::min(std::max<std::size_t>(top_k, 1), out.order.size());
+  std::partial_sort(out.order.begin(), out.order.begin() + static_cast<std::ptrdiff_t>(k),
+                    out.order.end(), [&](std::size_t a, std::size_t b) {
+                      if (out.scores[a] != out.scores[b]) return out.scores[a] > out.scores[b];
+                      return out.candidates[a] < out.candidates[b];
+                    });
+  out.order.resize(k);
+  return out;
+}
+
+}  // namespace isaac::reference

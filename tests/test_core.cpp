@@ -129,17 +129,17 @@ TEST(ProfileCache, InMemoryRoundTrip) {
   ProfileCache cache;
   codegen::GemmShape shape;
   shape.m = shape.n = shape.k = 512;
-  EXPECT_FALSE(cache.lookup_gemm("p100", shape).has_value());
+  EXPECT_FALSE(cache.lookup<GemmOp>("p100", shape).has_value());
   codegen::GemmTuning t;
   t.ml = 32;
-  cache.store_gemm("p100", shape, t);
-  const auto got = cache.lookup_gemm("p100", shape);
+  cache.store<GemmOp>("p100", shape, t);
+  const auto got = cache.lookup<GemmOp>("p100", shape);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->ml, 32);
   // Different device or shape: miss.
-  EXPECT_FALSE(cache.lookup_gemm("gtx980ti", shape).has_value());
+  EXPECT_FALSE(cache.lookup<GemmOp>("gtx980ti", shape).has_value());
   shape.trans_a = true;
-  EXPECT_FALSE(cache.lookup_gemm("p100", shape).has_value());
+  EXPECT_FALSE(cache.lookup<GemmOp>("p100", shape).has_value());
 }
 
 TEST(ProfileCache, PersistsAcrossInstances) {
@@ -155,17 +155,17 @@ TEST(ProfileCache, PersistsAcrossInstances) {
     codegen::GemmTuning t;
     t.nl = 16;
     t.kg = 4;
-    cache.store_gemm("p100", shape, t);
+    cache.store<GemmOp>("p100", shape, t);
     codegen::ConvTuning ct;
     ct.bk = 64;
-    cache.store_conv("p100", cshape, ct);
+    cache.store<ConvOp>("p100", cshape, ct);
   }
   ProfileCache reloaded(dir);
-  const auto got = reloaded.lookup_gemm("p100", shape);
+  const auto got = reloaded.lookup<GemmOp>("p100", shape);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->nl, 16);
   EXPECT_EQ(got->kg, 4);
-  const auto cgot = reloaded.lookup_conv("p100", cshape);
+  const auto cgot = reloaded.lookup<ConvOp>("p100", cshape);
   ASSERT_TRUE(cgot.has_value());
   EXPECT_EQ(cgot->bk, 64);
   std::filesystem::remove_all(dir);
@@ -175,10 +175,10 @@ TEST(ProfileCache, KeysDistinguishDtypeAndLayout) {
   codegen::GemmShape a, b;
   a.m = b.m = a.n = b.n = a.k = b.k = 128;
   b.dtype = gpusim::DataType::F16;
-  EXPECT_NE(ProfileCache::gemm_key("d", a), ProfileCache::gemm_key("d", b));
+  EXPECT_NE(ProfileCache::key<GemmOp>("d", a), ProfileCache::key<GemmOp>("d", b));
   b = a;
   b.trans_b = true;
-  EXPECT_NE(ProfileCache::gemm_key("d", a), ProfileCache::gemm_key("d", b));
+  EXPECT_NE(ProfileCache::key<GemmOp>("d", a), ProfileCache::key<GemmOp>("d", b));
 }
 
 TEST(ProfileCache, KeysDistinguishOperations) {

@@ -4,6 +4,7 @@
 // strategy-driven adaptive offline collection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -17,6 +18,7 @@
 #include "mlp/regressor.hpp"
 #include "search/driver.hpp"
 #include "search/factory.hpp"
+#include "support/reference_rank.hpp"
 #include "tuning/collector.hpp"
 
 namespace isaac {
@@ -331,6 +333,46 @@ TEST(SearchStrategies, UnlimitedBudgetTerminatesAtSpaceSize) {
   }
 }
 
+TEST(SearchStrategies, RandomProposesEverySparseLegalPointOnce) {
+  // Unlimited random search over a small space whose legal set is sparse
+  // (15 of 144 points at K = 8). Once rejection sampling runs dry, the
+  // wrap-around repair scan must skip everything already proposed: every
+  // legal point is proposed exactly once, then the strategy reports the
+  // space exhausted instead of re-proposing.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const auto shape = gemm_shape(512, 512, 8);
+  const SeedCoreGemmSpace space;
+  search::SearchProblem<core::GemmOp> problem;
+  problem.shape = &shape;
+  problem.device = &dev;
+  problem.space = &space;
+
+  std::vector<codegen::GemmTuning> legal;
+  space.for_each_legal(shape, dev, [&](const codegen::GemmTuning& t) {
+    legal.push_back(t);
+    return true;
+  });
+  ASSERT_FALSE(legal.empty());
+  ASSERT_LT(legal.size() * 4, space.size());  // sparse: under a quarter of X̂
+
+  search::RandomSearch<core::GemmOp> random(problem, strategy_config("random", kUnlimited));
+  std::vector<codegen::GemmTuning> proposed;
+  const std::size_t measured = search::drive(
+      random, kUnlimited, [](const codegen::GemmTuning&) { return 1.0; },
+      [&](const auto& proposal, double) { proposed.push_back(proposal.tuning); });
+  EXPECT_EQ(measured, legal.size());
+  EXPECT_TRUE(random.propose(8).empty());  // exhausted, not merely paused
+  EXPECT_EQ(random.stats().legal, legal.size());
+
+  const auto by_encoding = [](const codegen::GemmTuning& a, const codegen::GemmTuning& b) {
+    return core::OperationTraits<core::GemmOp>::encode_tuning(a) <
+           core::OperationTraits<core::GemmOp>::encode_tuning(b);
+  };
+  std::sort(proposed.begin(), proposed.end(), by_encoding);
+  std::sort(legal.begin(), legal.end(), by_encoding);
+  EXPECT_EQ(proposed, legal);
+}
+
 TEST(SearchStrategies, AnnealingCoolsUnderClampedBudgets) {
   // The cooling schedule must track the *effective* budget the driver will
   // spend (the raw request clamped to |X̂|). Scheduling against a raw
@@ -492,66 +534,14 @@ TEST(ModelGuidedTopK, MatchesExhaustiveOnSeedShapeGrid) {
 
 // ----------------------------------------- ranking-rewrite determinism ----
 
-/// Pre-rewrite reference ranking: the exact candidate pipeline
-/// rank_legal_space ran before the structural-skeleton and FeatureBatch
-/// rewrite — serial odometer sweep, stride subsample with seed re-append,
-/// vector-of-vectors featurization through the legacy chunked scorer, full
-/// partial sort with the shared tie-break. A sibling replica lives in
-/// bench/bench_inference_throughput.cpp (legacy_rank) as the bench's
-/// before/after baseline — keep the two in sync.
-template <typename Op>
-search::RankedCandidates<Op> reference_rank(const search::SearchProblem<Op>& problem,
-                                            const search::SearchConfig& config,
-                                            std::size_t top_k) {
-  search::RankedCandidates<Op> out;
-  const auto& domains = problem.space->domains();
-  search::Choice odometer(domains.size(), 0);
-  do {
-    ++out.visited;
-    if (problem.legal(odometer)) {
-      ++out.legal;
-      out.candidates.push_back(odometer);
-    }
-  } while (search::advance_choice(odometer, domains));
-  if (out.candidates.empty()) return out;
-
-  const std::size_t cap = config.max_candidates;
-  if (cap > 0 && out.candidates.size() > cap) {
-    std::vector<search::Choice> kept;
-    std::unordered_set<std::uint64_t> in_kept;
-    const double step = static_cast<double>(out.candidates.size()) / static_cast<double>(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-      search::Choice& c = out.candidates[static_cast<std::size_t>(i * step)];
-      if (in_kept.insert(search::choice_hash(c)).second) kept.push_back(std::move(c));
-    }
-    search::detail::append_seed_grid(problem, kept, in_kept);
-    out.candidates = std::move(kept);
-  }
-
-  std::vector<std::vector<double>> rows(out.candidates.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    rows[i] = problem.featurize(problem.space->decode(out.candidates[i]));
-  }
-  out.scores = problem.model->predict_gflops_chunked(rows, config.batch);
-  out.order.resize(out.candidates.size());
-  for (std::size_t i = 0; i < out.order.size(); ++i) out.order[i] = i;
-  const std::size_t k = std::min(std::max<std::size_t>(top_k, 1), out.order.size());
-  std::partial_sort(out.order.begin(), out.order.begin() + static_cast<std::ptrdiff_t>(k),
-                    out.order.end(), [&](std::size_t a, std::size_t b) {
-                      if (out.scores[a] != out.scores[b]) return out.scores[a] > out.scores[b];
-                      return out.candidates[a] < out.candidates[b];
-                    });
-  out.order.resize(k);
-  return out;
-}
-
 TEST(RankLegalSpace, OrderingUnchangedByAllocationFreeRewrite) {
   // Acceptance criterion for both the scoring-pipeline rewrite and the
   // constraint-propagating enumeration: over the agreement test's shape grid
   // plus a batched-GEMM panel (20 shapes across all three op classes), the
-  // skeleton-backed, pruned-walk, FeatureBatch-scored rank_legal_space must
-  // reproduce the generate-and-test pipeline bit-for-bit — same candidate
-  // sequences, same scores, same best-first order, same X̂ accounting.
+  // pruned-walk, FeatureBatch-scored rank_legal_space must reproduce the
+  // generate-and-test reference (tests/support/reference_rank.hpp)
+  // bit-for-bit — same candidate sequences, same scores, same best-first
+  // order, same X̂ accounting.
   const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
   const tuning::GemmSearchSpace gemm_space;
   const tuning::ConvSearchSpace conv_space;
@@ -568,7 +558,7 @@ TEST(RankLegalSpace, OrderingUnchangedByAllocationFreeRewrite) {
     search::SearchConfig cfg;
     cfg.max_candidates = 20000;
     const auto fast = search::rank_legal_space(problem, cfg, kTopK);
-    const auto truth = reference_rank(problem, cfg, kTopK);
+    const auto truth = reference::reference_rank(problem, cfg, kTopK);
     ASSERT_EQ(fast.candidates, truth.candidates) << shape.to_string();
     ASSERT_EQ(fast.scores.size(), truth.scores.size()) << shape.to_string();
     for (std::size_t i = 0; i < truth.scores.size(); ++i) {
@@ -642,9 +632,77 @@ TEST(PrunedWalk, ForEachLegalMatchesGenerateAndTest) {
   }
 }
 
-TEST(PrunedWalk, SkeletonKeyIsolatedAcrossDeviceLimits) {
+/// Concatenating run_walk_chunk over every prefix of plan_legal_walk must
+/// reproduce the serial walk_legal exactly — same points, same flat indices,
+/// same order. Chunks run serially here: the property is about the split,
+/// and the pool only changes who runs each chunk.
+void expect_chunks_reproduce_walk(const std::vector<tuning::ParameterDomain>& domains,
+                                  const tuning::ConstraintSet& cs, const std::string& label) {
+  const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
+  std::vector<search::Choice> choices;
+  std::vector<std::uint64_t> flats;
+  tuning::walk_legal(domains, csp, [&](const search::Choice& c, std::uint64_t flat) {
+    choices.push_back(c);
+    flats.push_back(flat);
+    return true;
+  });
+  const search::WalkChunkPlan plan = search::plan_legal_walk(domains, csp);
+  std::size_t next = 0;
+  std::size_t first_mismatch = std::numeric_limits<std::size_t>::max();
+  for (std::size_t ci = 0; ci < plan.prefixes.size(); ++ci) {
+    search::run_walk_chunk(domains, csp, plan, ci,
+                           [&](const search::Choice& c, std::uint64_t flat) {
+                             if (first_mismatch == std::numeric_limits<std::size_t>::max() &&
+                                 (next >= choices.size() || choices[next] != c ||
+                                  flats[next] != flat)) {
+                               first_mismatch = next;
+                             }
+                             ++next;
+                             return true;
+                           });
+  }
+  EXPECT_EQ(first_mismatch, std::numeric_limits<std::size_t>::max()) << label;
+  EXPECT_EQ(next, choices.size()) << label;
+}
+
+TEST(PrunedWalk, ChunkPlanReproducesSerialWalk) {
+  // plan_legal_walk + run_walk_chunk is the only dense enumeration engine
+  // behind rank_legal_space; its output must be the serial walk, verbatim.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const tuning::GemmSearchSpace gemm_space;
+  const tuning::ConvSearchSpace conv_space;
+  const tuning::BatchedGemmSearchSpace batched_space;
+  for (const auto& shape : {gemm_shape(2560, 32, 2560), gemm_shape(512, 512, 512),
+                            gemm_shape(64, 64, 2) /* empty legal space */}) {
+    expect_chunks_reproduce_walk(gemm_space.domains(), gemm_space.prefix_constraints(shape, dev),
+                                 "gemm " + shape.to_string());
+  }
+  for (const auto& shape : {conv_grid()[0], conv_grid()[3]}) {
+    expect_chunks_reproduce_walk(conv_space.domains(), conv_space.prefix_constraints(shape, dev),
+                                 "conv " + shape.to_string());
+  }
+  for (const auto& shape : {batched_grid()[0], batched_shape(0, 64, 64, 64) /* empty */}) {
+    expect_chunks_reproduce_walk(
+        batched_space.domains(),
+        core::OperationTraits<core::BatchedGemmOp>::prefix_constraints(shape, dev, batched_space),
+        "bgemm " + shape.to_string());
+  }
+
+  // Degenerate domain lists: one dimension (with and without a predicate),
+  // and a domain with no values (X̂ itself is empty).
+  const std::vector<tuning::ParameterDomain> one_dim = {{"x", {1, 2, 3, 4, 5}}};
+  expect_chunks_reproduce_walk(one_dim, {}, "one dimension, unconstrained");
+  tuning::ConstraintSet odd;
+  odd.add_unary("odd", 0, [](const int* v) { return v[0] % 2 == 1; });
+  expect_chunks_reproduce_walk(one_dim, odd, "one dimension, odd values");
+  const std::vector<tuning::ParameterDomain> hollow = {{"a", {1, 2}}, {"b", {}}, {"c", {3}}};
+  expect_chunks_reproduce_walk(hollow, {}, "domain with no values");
+  EXPECT_TRUE(search::plan_legal_walk(hollow, nullptr).prefixes.empty());
+}
+
+TEST(PrunedWalk, PerDeviceRankingsFollowEachDevicesLimits) {
   // Two descriptors sharing a name but differing in a legality-relevant
-  // limit must never share a structural skeleton: each device's ranking has
+  // limit must each rank against their own limits: each device's ranking has
   // to agree with a reference sweep performed against that same device.
   const gpusim::DeviceDescriptor small = [] {
     gpusim::DeviceDescriptor d = gpusim::tesla_p100();
@@ -667,22 +725,22 @@ TEST(PrunedWalk, SkeletonKeyIsolatedAcrossDeviceLimits) {
     problem.space = &space;
     problem.model = &shared_model();
     const auto fast = search::rank_legal_space(problem, cfg, 64);
-    const auto truth = reference_rank(problem, cfg, 64);
+    const auto truth = reference::reference_rank(problem, cfg, 64);
     ASSERT_EQ(fast.candidates, truth.candidates) << dev->smem_per_block_bytes;
     ASSERT_EQ(fast.order, truth.order) << dev->smem_per_block_bytes;
     EXPECT_EQ(fast.legal, truth.legal);
     legal_counts.push_back(fast.legal);
   }
   // The cut-down device must actually lose candidates — otherwise this test
-  // could pass with the two devices silently sharing one skeleton.
+  // could pass with the two devices silently sharing one ranking.
   ASSERT_EQ(legal_counts.size(), 2u);
   EXPECT_LT(legal_counts[1], legal_counts[0]);
 }
 
 /// A GEMM space inflated past 2^32 points with junk values that can never be
 /// legal for a modest shape (KG far beyond K, NL blowing out shared memory).
-/// Every flat index above 2^32 would have wrapped the old 32-bit skeleton
-/// indices; the space must instead take the lazy pruned-walk ranking path.
+/// Flat indices above 2^32 must neither wrap nor be materialized: the pruned
+/// walk skips the junk subtrees and ranks exactly the clean space's points.
 struct OversizedGemmSpace : tuning::GemmSearchSpace {
   OversizedGemmSpace() {
     for (auto& d : domains_) {
@@ -735,7 +793,17 @@ TEST(SearchSpaceSize, SaturatesInsteadOfWrapping) {
       for (auto& d : domains_) d.values.assign(512, 2);  // 512^9 = 2^81
     }
   };
-  EXPECT_EQ(HugeSpace().size(), std::numeric_limits<std::size_t>::max());
+  const HugeSpace huge;
+  EXPECT_EQ(huge.size(), std::numeric_limits<std::size_t>::max());
+  // Dense ranking enumerates flat indices, which such a space cannot have:
+  // it refuses loudly instead of ranking wrapped indices.
+  const auto shape = gemm_shape(512, 512, 512);
+  search::SearchProblem<core::GemmOp> problem;
+  problem.shape = &shape;
+  problem.device = &gpusim::tesla_p100();
+  problem.space = &huge;
+  problem.model = &shared_model();
+  EXPECT_THROW(search::rank_legal_space(problem, search::SearchConfig{}, 8), std::length_error);
   // Ordinary spaces stay exact.
   EXPECT_LT(tuning::GemmSearchSpace().size(), std::numeric_limits<std::size_t>::max());
   EXPECT_LT(tuning::ConvSearchSpace().size(), std::numeric_limits<std::size_t>::max());
