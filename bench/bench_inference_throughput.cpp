@@ -26,7 +26,8 @@
 // enumeration engines, cold `select()` p50/p99, per-chunk scoring-time
 // flatness (an allocations-per-candidate proxy: chunks after the first cost
 // the same when nothing allocates), and the blocked GEMM's speedup over
-// gemm_reference on the MLP-shaped case.
+// gemm_reference on the MLP-shaped case with the micro-kernel variant
+// (`gemm_kernel`: sse2, avx2 or avx512) this CPU ran it on.
 // One JSON line per op plus a summary line, for cross-PR trajectory diffing.
 //
 // Online-learning mode: `--online_learning` replays a cold shape stream
@@ -1041,10 +1042,11 @@ int run_rank_throughput() {
       line, sizeof(line),
       "{\"bench\":\"rank_throughput\",\"op\":\"summary\",\"gemm_speedup_vs_reference\":%.2f,"
       "\"min_ordering_agreement\":%.3f,\"conv_enum_speedup\":%.2f,"
-      "\"min_enum_speedup\":%.2f,\"all_walk_match\":%s}\n",
+      "\"min_enum_speedup\":%.2f,\"all_walk_match\":%s,\"gemm_kernel\":\"%s\"}\n",
       gemm_speedup, min_agreement, conv_res.enum_speedup,
       std::min({gemm_res.enum_speedup, conv_res.enum_speedup, bgemm_res.enum_speedup}),
-      all_match ? "true" : "false");
+      all_match ? "true" : "false",
+      linalg::detail::gemm_kernel_name(linalg::detail::active_gemm_kernel()));
   std::fputs(line, stdout);
   std::fflush(stdout);
   json.append(line);

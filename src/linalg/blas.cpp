@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -29,25 +31,34 @@ GemmDims check_gemm_shapes(Trans trans_a, Trans trans_b, const Matrix& a, const 
 // ---- register-blocked panel kernel ----------------------------------------
 //
 // op(A) is packed into kMR-interleaved row panels (k × kMR, column r of the
-// panel is row r of the block), op(B) into kNR-wide column panels (k × kNR).
-// The micro-kernel keeps a kMR×kNR accumulator tile in registers across the
-// whole K loop: per K step it streams kMR+kNR floats and performs kMR·kNR
-// FMAs, with no C traffic and no per-element branches (a zero in A multiplies
-// through, so 0·Inf correctly propagates NaN exactly like gemm_reference).
-// Partial edge panels are zero-padded by the packers; the padding lanes
-// accumulate zeros and are simply not written back, so the blocking factors
-// never change the per-element accumulation order — results are identical
-// for every (kMR, kNR, block size, thread count) within a build.
+// panel is row r of the block), op(B) into nr-wide column panels (k × nr).
+// The micro-kernel keeps a kMR×nr accumulator tile in registers across the
+// whole K loop: per K step it streams kMR+nr floats and performs kMR·nr
+// multiplies and kMR·nr separate adds, with no C traffic and no per-element
+// branches (a zero in A multiplies through, so 0·Inf correctly propagates NaN
+// exactly like gemm_reference). Partial edge panels are zero-padded by the
+// packers; the padding lanes accumulate zeros and are simply not written
+// back.
+//
+// The panel width nr is picked once per process from the CPU: 8 (SSE2, or
+// the portable vector extension off x86), 16 (AVX2) or 32 (AVX-512F). Each
+// width is the same body over two explicit vectors per tile row. Every C
+// element sees the same operations in the same order in every variant — k
+// ascending, one rounded multiply then one rounded add — so the result does
+// not depend on nr, block size, thread count or ISA. That only holds while
+// the compiler never fuses a multiply and an add into an FMA (AVX-512F
+// implies FMA, and GCC contracts by default), hence contraction is off for
+// this whole file.
+
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
 
 constexpr std::size_t kMR = 4;
-#if defined(__AVX512F__) || defined(__AVX2__)
-constexpr std::size_t kNR = 16;  // 4×16 tile: 8 YMM accumulators
-#else
-constexpr std::size_t kNR = 8;  // 4×8 tile: 8 XMM accumulators, no spills
-#endif
 constexpr std::size_t kMC = 128;         // rows per packed A block
 constexpr std::size_t kNC = 256;         // columns per parallel task group
-static_assert(kNC % kNR == 0, "column groups must split at panel boundaries");
 constexpr std::size_t kSmallN = 4;       // ≤ this many columns: dot-product path
 constexpr std::size_t kTinyM = 4;        // ≤ this many rows: no-packing path
 
@@ -81,70 +92,112 @@ void pack_a_block(Trans trans_a, const Matrix& a, std::size_t r0, std::size_t r1
   }
 }
 
-/// Pack all column panels of op(B): panel j holds columns [j·kNR, …), k-major
-/// (kNR consecutive floats per K step), zero-padded past n.
-void pack_b_panels(Trans trans_b, const Matrix& b, std::size_t n, std::size_t k, float* dst) {
-  for (std::size_t c0 = 0; c0 < n; c0 += kNR) {
-    const std::size_t cols = std::min(kNR, n - c0);
+/// Pack all column panels of op(B): panel j holds columns [j·nr, …), k-major
+/// (nr consecutive floats per K step), zero-padded past n.
+void pack_b_panels(Trans trans_b, const Matrix& b, std::size_t n, std::size_t k,
+                   std::size_t nr, float* dst) {
+  for (std::size_t c0 = 0; c0 < n; c0 += nr) {
+    const std::size_t cols = std::min(nr, n - c0);
     if (trans_b == Trans::No) {
       const std::size_t ldb = b.cols();
       for (std::size_t x = 0; x < k; ++x) {
         const float* src = b.data() + x * ldb + c0;
-        for (std::size_t j = 0; j < kNR; ++j) *dst++ = (j < cols) ? src[j] : 0.0f;
+        for (std::size_t j = 0; j < nr; ++j) *dst++ = (j < cols) ? src[j] : 0.0f;
       }
     } else {
       // op(B)(x, c) = b(c, x) over the stored n × k matrix.
       const std::size_t ldb = b.cols();
       const float* base = b.data() + c0 * ldb;
       for (std::size_t x = 0; x < k; ++x) {
-        for (std::size_t j = 0; j < kNR; ++j) *dst++ = (j < cols) ? base[j * ldb + x] : 0.0f;
+        for (std::size_t j = 0; j < nr; ++j) *dst++ = (j < cols) ? base[j * ldb + x] : 0.0f;
       }
     }
   }
 }
 
-/// One kMR×kNR tile of C: accumulate over the packed panels, then write back
-/// alpha/beta-scaled, clipped to the real (rows × cols) extent.
-void tile_kernel(std::size_t k, const float* __restrict__ ap, const float* __restrict__ bp,
-                 float alpha, float beta, float* __restrict__ c, std::size_t ldc,
-                 std::size_t rows, std::size_t cols) {
-  float acc[kMR][kNR] = {};
-  for (std::size_t p = 0; p < k; ++p) {
+/// Everything a packed block of C needs: panels, extents, scaling.
+struct BlockArgs {
+  const float* pa;  // packed A block, rows [r0, r1)
+  const float* pb;  // all packed B panels
+  std::size_t k, n, r0, r1, j0, j1;
+  float alpha, beta;
+  float* c;  // C, row stride n
+};
+
+/// C rows [r0, r1) × columns [j0, j1) over nr-wide tiles: each nr×k B panel
+/// stays cache-hot across the block's row panels. Forced inline into one
+/// wrapper per instruction set, which compiles it for that target.
+template <std::size_t NR>
+[[gnu::always_inline]] inline void block_tiles(const BlockArgs& g) {
+  static_assert(NR % 2 == 0 && kNC % NR == 0, "column groups must split at panel boundaries");
+  constexpr std::size_t kW = NR / 2;  // floats per vector; two vectors per tile row
+  typedef float V __attribute__((vector_size(kW * sizeof(float))));
+  for (std::size_t c0 = g.j0; c0 < g.j1; c0 += NR) {
+    const float* bpanel = g.pb + (c0 / NR) * NR * g.k;
+    const std::size_t cols = std::min(NR, g.n - c0);
+    for (std::size_t p0 = g.r0; p0 < g.r1; p0 += kMR) {
+      const float* ap = g.pa + (p0 - g.r0) * g.k;
+      const float* bp = bpanel;
+      V acc[kMR][2] = {};
+      for (std::size_t p = 0; p < g.k; ++p) {
+        V b0, b1;
+        std::memcpy(&b0, bp, sizeof(V));
+        std::memcpy(&b1, bp + kW, sizeof(V));
 #pragma GCC unroll 4
-    for (std::size_t r = 0; r < kMR; ++r) {
-      const float av = ap[r];
-#pragma GCC unroll 16
-      for (std::size_t j = 0; j < kNR; ++j) acc[r][j] += av * bp[j];
-    }
-    ap += kMR;
-    bp += kNR;
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* crow = c + r * ldc;
-    if (beta == 0.0f) {
-      for (std::size_t j = 0; j < cols; ++j) crow[j] = alpha * acc[r][j];
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) crow[j] = alpha * acc[r][j] + beta * crow[j];
+        for (std::size_t r = 0; r < kMR; ++r) {
+          acc[r][0] += ap[r] * b0;
+          acc[r][1] += ap[r] * b1;
+        }
+        ap += kMR;
+        bp += NR;
+      }
+      float tile[kMR][NR];
+      std::memcpy(tile, acc, sizeof(tile));
+      const std::size_t rows = std::min(kMR, g.r1 - p0);
+      for (std::size_t r = 0; r < rows; ++r) {
+        float* crow = g.c + (p0 + r) * g.n + c0;
+        if (g.beta == 0.0f) {
+          for (std::size_t j = 0; j < cols; ++j) crow[j] = g.alpha * tile[r][j];
+        } else {
+          for (std::size_t j = 0; j < cols; ++j) crow[j] = g.alpha * tile[r][j] + g.beta * crow[j];
+        }
+      }
     }
   }
 }
 
-/// C rows [r0, r1) × columns [j0, j1): pack the A block once, then walk its
-/// row panels under each column panel so the kNR×k B panel stays cache-hot
-/// across the whole block.
-void run_block(Trans trans_a, float alpha, const Matrix& a, float beta, Matrix& c,
-               std::size_t k, std::size_t n, std::size_t r0, std::size_t r1, std::size_t j0,
-               std::size_t j1, const float* pb, std::vector<float>& pa) {
+void block_tiles_sse2(const BlockArgs& g) { block_tiles<8>(g); }
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2")]] void block_tiles_avx2(const BlockArgs& g) { block_tiles<16>(g); }
+[[gnu::target("avx512f")]] void block_tiles_avx512(const BlockArgs& g) { block_tiles<32>(g); }
+#endif
+
+struct MicroKernel {
+  std::size_t nr;
+  void (*block)(const BlockArgs&);
+};
+
+MicroKernel micro_kernel(detail::GemmKernel which) {
+  switch (which) {
+#if defined(__x86_64__) || defined(__i386__)
+    case detail::GemmKernel::avx512:
+      return {32, block_tiles_avx512};
+    case detail::GemmKernel::avx2:
+      return {16, block_tiles_avx2};
+#endif
+    default:
+      return {8, block_tiles_sse2};
+  }
+}
+
+/// C rows [r0, r1) × columns [j0, j1): pack the A block once, then run the
+/// micro-kernel over it.
+void run_block(const MicroKernel& mk, Trans trans_a, float alpha, const Matrix& a, float beta,
+               Matrix& c, std::size_t k, std::size_t n, std::size_t r0, std::size_t r1,
+               std::size_t j0, std::size_t j1, const float* pb, std::vector<float>& pa) {
   pa.resize(round_up(r1 - r0, kMR) * k);
   pack_a_block(trans_a, a, r0, r1, k, pa.data());
-  for (std::size_t c0 = j0; c0 < j1; c0 += kNR) {
-    const float* bp = pb + (c0 / kNR) * kNR * k;
-    const std::size_t cols = std::min(kNR, n - c0);
-    for (std::size_t p0 = r0; p0 < r1; p0 += kMR) {
-      tile_kernel(k, pa.data() + (p0 - r0) * k, bp, alpha, beta,
-                  c.data() + p0 * n + c0, n, std::min(kMR, r1 - p0), cols);
-    }
-  }
+  mk.block({pa.data(), pb, k, n, r0, r1, j0, j1, alpha, beta, c.data()});
 }
 
 /// Deterministic 4-lane dot product (fixed reduction tree, vectorizable
@@ -165,8 +218,8 @@ float dot_k(const float* __restrict__ x, const float* __restrict__ y, std::size_
 
 /// Narrow-output fast path (n ≤ kSmallN — the MLP's scalar prediction head,
 /// and gemv): per-row dot products against k-contiguous B columns. Skips the
-/// panel machinery entirely; the packed-to-NR tile kernel would spend
-/// kNR/n of its work multiplying padding.
+/// panel machinery entirely; the packed tile kernel would spend nr/n of its
+/// work multiplying padding.
 void gemm_small_n(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
                   float beta, Matrix& c, const GemmDims& d, bool threaded) {
   const auto [m, n, k] = d;
@@ -230,8 +283,8 @@ void gemm_tiny_m(float alpha, const Matrix& a, const Matrix& b, float beta, Matr
   }
 }
 
-void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
-                  float beta, Matrix& c, bool threaded) {
+void gemm_blocked(const MicroKernel& mk, Trans trans_a, Trans trans_b, float alpha,
+                  const Matrix& a, const Matrix& b, float beta, Matrix& c, bool threaded) {
   const GemmDims d = check_gemm_shapes(trans_a, trans_b, a, b, c);
   const auto [m, n, k] = d;
   if (m == 0 || n == 0) return;
@@ -250,8 +303,8 @@ void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, co
     return;
   }
 
-  tl_pack_b.resize(round_up(n, kNR) * k);
-  pack_b_panels(trans_b, b, n, k, tl_pack_b.data());
+  tl_pack_b.resize(round_up(n, mk.nr) * k);
+  pack_b_panels(trans_b, b, n, k, mk.nr, tl_pack_b.data());
   const float* pb = tl_pack_b.data();
 
   const std::size_t row_blocks = (m + kMC - 1) / kMC;
@@ -260,7 +313,7 @@ void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, co
   if (!threaded || tasks == 1) {
     for (std::size_t rb = 0; rb < row_blocks; ++rb) {
       const std::size_t r0 = rb * kMC;
-      run_block(trans_a, alpha, a, beta, c, k, n, r0, std::min(m, r0 + kMC), 0, n, pb,
+      run_block(mk, trans_a, alpha, a, beta, c, k, n, r0, std::min(m, r0 + kMC), 0, n, pb,
                 tl_pack_a);
     }
     return;
@@ -272,21 +325,76 @@ void gemm_blocked(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, co
       tasks, [&, m = m, n = n, k = k, col_groups](std::size_t t) {
         const std::size_t r0 = (t / col_groups) * kMC;
         const std::size_t j0 = (t % col_groups) * kNC;
-        run_block(trans_a, alpha, a, beta, c, k, n, r0, std::min(m, r0 + kMC), j0,
+        run_block(mk, trans_a, alpha, a, beta, c, k, n, r0, std::min(m, r0 + kMC), j0,
                   std::min(n, j0 + kNC), pb, tl_pack_a);
       });
 }
 
 }  // namespace
 
+namespace detail {
+
+bool gemm_kernel_supported(GemmKernel kernel) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  switch (kernel) {
+    case GemmKernel::avx512:
+      return __builtin_cpu_supports("avx512f");
+    case GemmKernel::avx2:
+      return __builtin_cpu_supports("avx2");
+    case GemmKernel::sse2:
+      return true;
+  }
+  return false;
+#else
+  return kernel == GemmKernel::sse2;
+#endif
+}
+
+GemmKernel active_gemm_kernel() {
+  static const GemmKernel active = [] {
+    for (const GemmKernel k : {GemmKernel::avx512, GemmKernel::avx2}) {
+      if (gemm_kernel_supported(k)) return k;
+    }
+    return GemmKernel::sse2;
+  }();
+  return active;
+}
+
+const char* gemm_kernel_name(GemmKernel kernel) {
+  switch (kernel) {
+    case GemmKernel::avx512:
+      return "avx512";
+    case GemmKernel::avx2:
+      return "avx2";
+    case GemmKernel::sse2:
+      return "sse2";
+  }
+  return "unknown";
+}
+
+void gemm_serial_with(GemmKernel kernel, Trans trans_a, Trans trans_b, float alpha,
+                      const Matrix& a, const Matrix& b, float beta, Matrix& c) {
+  if (!gemm_kernel_supported(kernel)) {
+    throw std::invalid_argument(std::string("gemm_serial_with: CPU lacks ") +
+                                gemm_kernel_name(kernel));
+  }
+  gemm_blocked(micro_kernel(kernel), trans_a, trans_b, alpha, a, b, beta, c,
+               /*threaded=*/false);
+}
+
+}  // namespace detail
+
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
           float beta, Matrix& c) {
-  gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c, /*threaded=*/true);
+  gemm_blocked(micro_kernel(detail::active_gemm_kernel()), trans_a, trans_b, alpha, a, b, beta,
+               c, /*threaded=*/true);
 }
 
 void gemm_serial(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
                  float beta, Matrix& c) {
-  gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c, /*threaded=*/false);
+  gemm_blocked(micro_kernel(detail::active_gemm_kernel()), trans_a, trans_b, alpha, a, b, beta,
+               c, /*threaded=*/false);
 }
 
 void gemm_reference(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,

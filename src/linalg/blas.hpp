@@ -6,9 +6,11 @@
 // The GEMM is a register-blocked panel kernel (see blas.cpp): op(A) is packed
 // into MR-interleaved row panels, op(B) into NR-wide column panels, and an
 // MR×NR accumulator tile lives in registers across the whole K loop — no
-// per-element branches, no C traffic inside the inner loop. The same tile
-// code backs both entry points below, so `gemm` and `gemm_serial` produce
-// bit-identical results for equal inputs regardless of thread count.
+// per-element branches, no C traffic inside the inner loop. NR is picked once
+// per process from the CPU (8 on SSE2, 16 on AVX2, 32 on AVX-512F). Every
+// variant performs each C element's multiplies and adds in the same order,
+// separately rounded (never fused into FMAs), so results are bit-identical
+// across thread counts, entry points, instruction sets and build flags.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -51,5 +53,23 @@ Matrix col_sums(const Matrix& a);
 
 /// Broadcast-add a 1 x cols row vector onto every row of a.
 void add_row_vector(Matrix& a, const Matrix& row);
+
+namespace detail {
+
+/// GEMM micro-kernel variants by panel width. The library runs the widest
+/// one the CPU supports; tests and benches use these to name and compare
+/// them.
+enum class GemmKernel { sse2, avx2, avx512 };
+
+bool gemm_kernel_supported(GemmKernel kernel);
+GemmKernel active_gemm_kernel();
+const char* gemm_kernel_name(GemmKernel kernel);
+
+/// gemm_serial on the given variant; throws std::invalid_argument when the
+/// CPU does not support it.
+void gemm_serial_with(GemmKernel kernel, Trans trans_a, Trans trans_b, float alpha,
+                      const Matrix& a, const Matrix& b, float beta, Matrix& c);
+
+}  // namespace detail
 
 }  // namespace isaac::linalg

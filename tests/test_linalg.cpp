@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -95,12 +97,16 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{128, 96, 64, Trans::No, Trans::No, 1.0f, 0.0f},
         GemmCase{100, 100, 1, Trans::No, Trans::No, 1.0f, 0.0f}));
 
+// Odd, even and panel-straddling extents, and the alpha/beta corner values.
+constexpr std::size_t kGridExtents[] = {1, 3, 8, 17, 64, 129};
+constexpr float kGridCoeffs[] = {0.0f, 1.0f, 0.5f};
+
 // Exhaustive parity grid for the register-blocked kernel: every combination
-// of odd/even/panel-straddling extents, both transposes, and the alpha/beta
-// corner values, against the double-accumulating reference within 1e-4.
+// of extents, both transposes, and the alpha/beta corners, against the
+// double-accumulating reference within 1e-4.
 TEST(Gemm, ParityGridAgainstReference) {
-  const std::size_t extents[] = {1, 3, 8, 17, 64, 129};
-  const float coeffs[] = {0.0f, 1.0f, 0.5f};
+  const auto& extents = kGridExtents;
+  const auto& coeffs = kGridCoeffs;
   Rng rng(2024);
   for (const std::size_t m : extents) {
     for (const std::size_t n : extents) {
@@ -190,6 +196,125 @@ TEST(Gemm, NonFiniteOperandsPropagateLikeReference) {
   EXPECT_TRUE(std::isnan(c_blocked(2, 7)));
   EXPECT_TRUE(std::isnan(c_blocked(2, n - 1)));
   EXPECT_GE(nan_cells, 3u * 1u);
+}
+
+// ------------------------------------------------- micro-kernel variants --
+// Every panel width the CPU picks from must give the SSE2 variant's exact
+// bits: same per-element operation order, no fused multiply-adds. A variant
+// this CPU lacks skips by name instead of passing.
+::testing::AssertionResult SameBits(const Matrix& x, const Matrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    std::uint32_t bx = 0, by = 0;
+    std::memcpy(&bx, x.data() + i, sizeof bx);
+    std::memcpy(&by, y.data() + i, sizeof by);
+    if (bx != by) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << x.data()[i] << " vs " << y.data()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class GemmKernelVariant : public ::testing::TestWithParam<detail::GemmKernel> {
+ protected:
+  void SetUp() override {
+    if (!detail::gemm_kernel_supported(GetParam())) {
+      GTEST_SKIP() << "CPU does not support the " << detail::gemm_kernel_name(GetParam())
+                   << " GEMM kernel";
+    }
+  }
+
+  // The variant and the SSE2 kernel on copies of c0; returns whether the
+  // bits agree.
+  ::testing::AssertionResult MatchesSse2(Trans ta, Trans tb, float alpha, const Matrix& a,
+                                         const Matrix& b, float beta, const Matrix& c0) const {
+    Matrix c_variant = c0, c_sse2 = c0;
+    detail::gemm_serial_with(GetParam(), ta, tb, alpha, a, b, beta, c_variant);
+    detail::gemm_serial_with(detail::GemmKernel::sse2, ta, tb, alpha, a, b, beta, c_sse2);
+    return SameBits(c_variant, c_sse2);
+  }
+};
+
+TEST_P(GemmKernelVariant, ParityGridBitIdenticalToSse2) {
+  Rng rng(2024);
+  for (const std::size_t m : kGridExtents) {
+    for (const std::size_t n : kGridExtents) {
+      for (const std::size_t k : kGridExtents) {
+        for (const Trans ta : {Trans::No, Trans::Yes}) {
+          for (const Trans tb : {Trans::No, Trans::Yes}) {
+            Matrix a(ta == Trans::No ? m : k, ta == Trans::No ? k : m);
+            Matrix b(tb == Trans::No ? k : n, tb == Trans::No ? n : k);
+            a.randomize_uniform(rng, -1.0f, 1.0f);
+            b.randomize_uniform(rng, -1.0f, 1.0f);
+            Matrix c0(m, n);
+            c0.randomize_uniform(rng, -1.0f, 1.0f);
+            for (const float alpha : kGridCoeffs) {
+              for (const float beta : kGridCoeffs) {
+                ASSERT_TRUE(MatchesSse2(ta, tb, alpha, a, b, beta, c0))
+                    << "m=" << m << " n=" << n << " k=" << k << " ta=" << (ta == Trans::Yes)
+                    << " tb=" << (tb == Trans::Yes) << " alpha=" << alpha << " beta=" << beta;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The layer shapes of a chunked MLP scoring pass: 2048 candidates through
+// 15→64, 64→128 and 128→64.
+TEST_P(GemmKernelVariant, MlpLayerShapesBitIdenticalToSse2) {
+  struct Layer {
+    std::size_t in, out;
+  };
+  Rng rng(15);
+  for (const Layer l : {Layer{15, 64}, Layer{64, 128}, Layer{128, 64}}) {
+    Matrix a(2048, l.in), w(l.in, l.out), c0(2048, l.out, 0.0f);
+    a.randomize_uniform(rng, -2.0f, 2.0f);
+    w.randomize_normal(rng, 0.0f, 0.3f);
+    EXPECT_TRUE(MatchesSse2(Trans::No, Trans::No, 1.0f, a, w, 0.0f, c0))
+        << l.in << "→" << l.out;
+  }
+}
+
+TEST_P(GemmKernelVariant, NonFiniteOperandsBitIdenticalToSse2) {
+  const std::size_t m = 9, n = 41, k = 6;
+  Rng rng(77);
+  Matrix a(m, k), b(k, n);
+  a.randomize_uniform(rng, -1.0f, 1.0f);
+  b.randomize_uniform(rng, -1.0f, 1.0f);
+  for (std::size_t x = 0; x < k; ++x) a(2, x) = 0.0f;
+  b(1, 5) = std::numeric_limits<float>::infinity();
+  b(4, 7) = std::numeric_limits<float>::quiet_NaN();
+  b(1, n - 1) = -std::numeric_limits<float>::infinity();
+  a(5, 3) = std::numeric_limits<float>::max();
+  EXPECT_TRUE(MatchesSse2(Trans::No, Trans::No, 1.0f, a, b, 0.0f, Matrix(m, n, 0.0f)));
+  EXPECT_TRUE(MatchesSse2(Trans::No, Trans::No, 2.0f, a, b, 0.5f, Matrix(m, n, 1.0f)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Wider, GemmKernelVariant,
+    ::testing::Values(detail::GemmKernel::avx2, detail::GemmKernel::avx512),
+    [](const ::testing::TestParamInfo<detail::GemmKernel>& info) {
+      return std::string(detail::gemm_kernel_name(info.param));
+    });
+
+// The public entry points run the active variant, which is one the CPU has.
+TEST(Gemm, ActiveKernelIsSupportedAndServesGemmSerial) {
+  const detail::GemmKernel active = detail::active_gemm_kernel();
+  ASSERT_TRUE(detail::gemm_kernel_supported(active)) << detail::gemm_kernel_name(active);
+  Rng rng(3);
+  Matrix a(70, 33), b(33, 90);
+  a.randomize_uniform(rng, -1.0f, 1.0f);
+  b.randomize_uniform(rng, -1.0f, 1.0f);
+  Matrix c_public(70, 90, 0.0f), c_active(70, 90, 0.0f);
+  gemm_serial(Trans::No, Trans::No, 1.0f, a, b, 0.0f, c_public);
+  detail::gemm_serial_with(active, Trans::No, Trans::No, 1.0f, a, b, 0.0f, c_active);
+  EXPECT_TRUE(SameBits(c_public, c_active));
 }
 
 TEST(Matrix, ReshapeKeepsCapacityAndRedimensions) {

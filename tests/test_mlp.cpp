@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "mlp/net.hpp"
@@ -242,6 +244,33 @@ TEST(Mlp, ForwardIntoMatchesForwardBitExact) {
       }
     }
   }
+}
+
+// Contraction canary: the exact output bits of the default network on a
+// fixed input, as produced by a portable (SSE2, no FMA) build. Any build
+// flag or GEMM variant that fuses a multiply and an add into an FMA moves
+// these bits, and with them every score and ranking.
+TEST(Mlp, ForwardIntoBitsPinnedAcrossBuildsAndIsas) {
+  const Mlp net{MlpConfig{}};
+  Mlp::Workspace ws;
+  ws.x = Matrix(2048, 15);
+  Rng rng(2026);
+  ws.x.randomize_uniform(rng, -2.0f, 2.0f);
+  const Matrix& y = net.forward_into(ws);
+  ASSERT_EQ(y.rows(), 2048u);
+  ASSERT_EQ(y.cols(), 1u);
+  const auto bits = [&](std::size_t i) {
+    std::uint32_t b = 0;
+    std::memcpy(&b, y.data() + i, sizeof b);
+    return b;
+  };
+  std::uint64_t fnv1a = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < y.size(); ++i) fnv1a = (fnv1a ^ bits(i)) * 0x100000001b3ULL;
+  EXPECT_EQ(bits(0), 0xbdd45e58u);
+  EXPECT_EQ(bits(1), 0x3c0a8e30u);
+  EXPECT_EQ(bits(1000), 0x3fa3a5a4u);
+  EXPECT_EQ(bits(2047), 0xc006f0d0u);
+  EXPECT_EQ(fnv1a, 0xa783bf8ad74e1987ULL);
 }
 
 TEST(Mlp, ForwardIntoRejectsArityMismatch) {
