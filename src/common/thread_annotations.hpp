@@ -68,6 +68,13 @@ namespace isaac::sync {
 
 /// Annotated std::mutex carrying a lock rank. Declare with the rank from the
 /// DESIGN.md table: `sync::Mutex mu{lock_rank::Rank::inflight};`.
+///
+/// Release rule, for this wrapper and SharedMutex alike: an unlock touches
+/// nothing of `*this` after the native release. The moment the mutex is
+/// free, a waiter may take it and destroy the object that holds it — a
+/// background task's last act is to unlock its Context's mutex, and
+/// ~Context may then finish and a new Context be built at the same address.
+/// So the rank is copied into a local before the release, never read after.
 class ISAAC_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -84,9 +91,12 @@ class ISAAC_CAPABILITY("mutex") Mutex {
   }
 
   void unlock() ISAAC_RELEASE() {
+#if ISAAC_LOCK_RANK_CHECKS
+    const lock_rank::Rank rank = rank_;  // read before the release (see above)
+#endif
     mu_.unlock();
 #if ISAAC_LOCK_RANK_CHECKS
-    lock_rank::on_release(rank_);
+    lock_rank::on_release(rank);
 #endif
   }
 
@@ -125,9 +135,12 @@ class ISAAC_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void unlock() ISAAC_RELEASE() {
+#if ISAAC_LOCK_RANK_CHECKS
+    const lock_rank::Rank rank = rank_;  // read before the release (see Mutex)
+#endif
     mu_.unlock();
 #if ISAAC_LOCK_RANK_CHECKS
-    lock_rank::on_release(rank_);
+    lock_rank::on_release(rank);
 #endif
   }
 
@@ -139,9 +152,12 @@ class ISAAC_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void unlock_shared() ISAAC_RELEASE_SHARED() {
+#if ISAAC_LOCK_RANK_CHECKS
+    const lock_rank::Rank rank = rank_;  // read before the release (see Mutex)
+#endif
     mu_.unlock_shared();
 #if ISAAC_LOCK_RANK_CHECKS
-    lock_rank::on_release(rank_);
+    lock_rank::on_release(rank);
 #endif
   }
 

@@ -117,8 +117,17 @@ std::vector<double> Regressor::predict_gflops_chunked(
   return out;
 }
 
-void Regressor::predict_gflops_range(const tuning::FeatureBatch& batch, std::size_t begin,
-                                     std::size_t end, Mlp::Workspace& ws, double* out) const {
+void Regressor::predict_gflops_rows(const tuning::FeatureBatch& batch, std::size_t begin,
+                                    std::size_t end, double* out) const {
+  if (batch.arity() != feature_scaler_.mean.size()) {
+    throw std::invalid_argument(
+        strings::format("Regressor: batch arity %zu does not match the model's %zu features",
+                        batch.arity(), feature_scaler_.mean.size()));
+  }
+  if (begin == end) return;
+  // One forward-pass arena per thread, reused across calls: after the first
+  // block at a given size the pipeline performs no transient allocations.
+  thread_local Mlp::Workspace ws;
   const std::size_t arity = feature_scaler_.mean.size();
   const double* mean = feature_scaler_.mean.data();
   const double* stddev = feature_scaler_.stddev.data();
@@ -126,7 +135,7 @@ void Regressor::predict_gflops_range(const tuning::FeatureBatch& batch, std::siz
   // Fused §5.2 pipeline: log transform, standardize, float cast — one loop,
   // written straight into the workspace's input matrix. Same operation order
   // as preprocess() + Scaler::apply(), so the encodes stay bit-identical to
-  // the legacy path; arity was validated once at the batch boundary.
+  // the legacy path; arity was validated above, once per call.
   //
   // Enumerated candidate batches repeat values heavily down each column (the
   // shape features are constant, and adjacent candidates differ only in the
@@ -167,22 +176,15 @@ void Regressor::predict_gflops_range(const tuning::FeatureBatch& batch, std::siz
 std::vector<double> Regressor::predict_gflops_chunked(const tuning::FeatureBatch& batch,
                                                       std::size_t chunk) const {
   if (batch.empty()) return {};
-  if (batch.arity() != feature_scaler_.mean.size()) {
-    throw std::invalid_argument(strings::format(
-        "predict_gflops_chunked: batch arity %zu does not match the model's %zu features",
-        batch.arity(), feature_scaler_.mean.size()));
-  }
   std::vector<double> out(batch.rows());
   if (chunk == 0) chunk = batch.rows();
   const std::size_t num_chunks = (batch.rows() + chunk - 1) / chunk;
+  // An arity error thrown by a chunk reaches the caller through the pool,
+  // which rethrows the first chunk's exception.
   ThreadPool::global().parallel_for_each(num_chunks, [&](std::size_t ci) {
-    // One forward-pass arena per worker thread, reused across chunks and
-    // across scoring passes: after the first pass at a given chunk size the
-    // pipeline performs no transient allocations.
-    thread_local Mlp::Workspace ws;
     const std::size_t begin = ci * chunk;
     const std::size_t end = std::min(batch.rows(), begin + chunk);
-    predict_gflops_range(batch, begin, end, ws, out.data() + begin);
+    predict_gflops_rows(batch, begin, end, out.data() + begin);
   });
   return out;
 }

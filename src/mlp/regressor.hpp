@@ -61,14 +61,21 @@ class Regressor {
   std::vector<double> predict_gflops_chunked(const std::vector<std::vector<double>>& rows,
                                              std::size_t batch) const;
 
-  /// Allocation-free whole-space scoring — the ranking hot path
-  /// (search/model_topk.hpp). Chunks the flat batch across the global pool;
-  /// each worker fuses the §5.2 log transform and the scaler into one encode
+  /// Allocation-free serial scoring — the ranking hot path
+  /// (search/model_topk.hpp), whose walk chunks each score their own blocks.
+  /// Scores batch rows [begin, end) into out[0, end - begin) on the calling
+  /// thread: the §5.2 log transform and the scaler are fused into one encode
   /// loop that writes straight into a thread-local, capacity-recycling
-  /// forward workspace (Mlp::Workspace), so after warmup a pass performs no
-  /// transient allocations. Feature arity is validated once per batch, not
-  /// per candidate. Scores are bit-identical to the legacy overload above,
-  /// independent of chunk size and thread count.
+  /// forward workspace (Mlp::Workspace), so after warmup a call performs no
+  /// transient allocations. Feature arity is validated once per call, not
+  /// per candidate (std::invalid_argument). A row's score depends only on
+  /// that row: it is bit-identical whichever rows share its block.
+  void predict_gflops_rows(const tuning::FeatureBatch& batch, std::size_t begin,
+                           std::size_t end, double* out) const;
+
+  /// Whole-batch scoring: predict_gflops_rows over `chunk`-row slices on the
+  /// global pool (chunk == 0: one slice). Scores are bit-identical to the
+  /// legacy overload above, independent of chunk size and thread count.
   std::vector<double> predict_gflops_chunked(const tuning::FeatureBatch& batch,
                                              std::size_t chunk) const;
 
@@ -100,11 +107,6 @@ class Regressor {
                               std::size_t end) const;
   void predict_gflops_range(const std::vector<std::vector<double>>& rows, std::size_t begin,
                             std::size_t end, double* out) const;
-  /// Fused log-transform + standardize + float cast for batch rows
-  /// [begin, end), written straight into ws.x; then one forward_into pass,
-  /// decoded into out[0, end - begin).
-  void predict_gflops_range(const tuning::FeatureBatch& batch, std::size_t begin,
-                            std::size_t end, Mlp::Workspace& ws, double* out) const;
 
   Mlp net_;
   Scaler feature_scaler_;

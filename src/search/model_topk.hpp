@@ -10,19 +10,27 @@
 // `rank_strided_probe` (bounded-work, what the zero-measurement dispatch
 // fast path in core::predict<Op>() takes on cold shapes).
 //
-// Two properties keep ranking cheap enough to sit on the dispatch path:
+// Dense ranking is one streaming pass that never materializes the legal
+// space:
 //
-//  * The scoring pipeline is allocation-free: candidates featurize in place
-//    into one flat FeatureBatch (no vector-of-vectors), and the model scores
-//    it through thread-local forward workspaces (mlp/regressor.hpp).
-//
-//  * Dense enumeration is the constraint-propagating pruned walk
+//  * Enumeration is the constraint-propagating pruned walk
 //    (tuning::walk_legal + the op's prefix_constraints), chunked for the
 //    pool: whole illegal subtrees are skipped unvisited, so iteration cost
-//    scales with the legal space X, not |X̂|. The walk emits in exactly
-//    odometer order and every survivor still passes the full validate gate,
-//    so candidate sets, scores and orderings stay bit-identical to the
-//    generate-and-test sweep.
+//    scales with the legal space X, not |X̂|. Every survivor still passes the
+//    full validate gate, so the scored set is exactly the generate-and-test
+//    sweep's.
+//
+//  * Each pool chunk decodes a walked point once, validates and featurizes
+//    that same Tuning into a per-thread block of config.batch rows
+//    (tuning::FeatureBatch), scores each full block on its own thread
+//    (Regressor::predict_gflops_rows, thread-local forward workspaces), and
+//    keeps a bounded top-k. The chunks' survivors are merged with one
+//    partial sort, and only the k winners are ever built as choice vectors.
+//
+//  * A row's score never depends on which rows share its block, and the
+//    order — score descending, then choice ascending — is a strict total
+//    order, so winners, scores and order are bit-identical to scoring the
+//    whole legal space and sorting it, whatever the chunking or thread count.
 //
 // Ranking cost is bounded by SearchConfig::max_candidates: oversized legal
 // spaces are deterministically strided and the op's seed grid re-appended so
@@ -30,6 +38,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -47,14 +56,19 @@ namespace isaac::search {
 /// A model-ranked slice of the legal space. `order` indexes `candidates`/
 /// `scores` best-first and is truncated to the requested k; `visited`/`legal`
 /// account the X̂ traffic the ranking spent so callers can merge it into
-/// their own stats.
+/// their own stats, and `scored` counts the points the model scored.
+///
+/// rank_legal_space keeps only the ≤ k winners: `candidates`/`scores` are
+/// already best-first and `order` is 0..k-1. rank_strided_probe keeps every
+/// scored point (its probed legal points plus the seed grid).
 template <typename Op>
 struct RankedCandidates {
-  std::vector<Choice> candidates;  // legal (possibly subsampled), seed grid kept
+  std::vector<Choice> candidates;
   std::vector<double> scores;      // predicted GFLOPS, aligned with candidates
   std::vector<std::size_t> order;  // best-first indices into candidates, ≤ k
   std::size_t visited = 0;         // X̂ points legality-checked
   std::size_t legal = 0;           // subset that passed validation
+  std::size_t scored = 0;          // points the model scored
 };
 
 /// Decode a flat lexicographic index into an existing choice vector
@@ -95,20 +109,26 @@ void append_seed_grid(const SearchProblem<Op>& problem, std::vector<Choice>& can
   }
 }
 
+/// Dense ranking needs exact 64-bit flat indices (and choice keys); a
+/// saturated size() has none.
+template <typename Op>
+void require_exact_size(const SearchProblem<Op>& problem) {
+  if (problem.space->size() == std::numeric_limits<std::size_t>::max()) {
+    throw std::length_error("dense ranking: search space too large for 64-bit flat indices");
+  }
+}
+
 /// The legal space as ascending flat indices (odometer order): the
 /// constraint-propagating pruned walk over the problem's prefix_constraints,
 /// chunked for the pool by surviving prefix, every emitted point gated by
 /// problem.legal. Chunk concatenation preserves the order and the gate keeps
 /// the result exactly the generate-and-test sweep's survivors — the walk
-/// only skips subtrees validate would reject point by point. Flat indices
-/// (not choice vectors) keep enumeration allocation-free per point, so
-/// callers decode only what they keep; that needs an exact |X̂|, and a
-/// saturated size() throws std::length_error.
+/// only skips subtrees validate would reject point by point. Capped dense
+/// ranking strides this list, which needs the legal count up front. Needs
+/// an exact |X̂|: a saturated size() throws std::length_error.
 template <typename Op>
 std::vector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem) {
-  if (problem.space->size() == std::numeric_limits<std::size_t>::max()) {
-    throw std::length_error("dense ranking: search space too large for 64-bit flat indices");
-  }
+  require_exact_size(problem);
   const auto& domains = problem.space->domains();
   const tuning::ConstraintSet cs =
       prefix_constraints_for<Op>(*problem.shape, *problem.device, *problem.space);
@@ -131,7 +151,8 @@ std::vector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem) {
 }
 
 /// Score `out.candidates` with the model and fill `out.order` with the
-/// best-first top k (predicted GFLOPS, deterministic choice tie-break).
+/// best-first top k (predicted GFLOPS, deterministic choice tie-break) —
+/// the strided probe's scorer, which keeps every scored candidate.
 /// Featurization writes in place into one flat batch; scoring reuses
 /// per-thread forward workspaces — no per-candidate allocations.
 /// problem.model is read for the whole pass, so under hot-swappable models
@@ -155,6 +176,7 @@ void score_and_order(const SearchProblem<Op>& problem, const SearchConfig& confi
   });
   const std::size_t chunk = config.batch > 0 ? config.batch : 8192;
   out.scores = problem.model->predict_gflops_chunked(batch, chunk);
+  out.scored = out.candidates.size();
 
   // Only the first k ranks are ever consumed, so a partial sort suffices —
   // O(n log k) on the latency-critical dispatch path.
@@ -170,51 +192,275 @@ void score_and_order(const SearchProblem<Op>& problem, const SearchConfig& confi
   out.order.resize(k);
 }
 
+/// A choice as one integer whose order is Choice's (std::vector's
+/// lexicographic, dimension 0 most significant): the mixed-radix number with
+/// digit d weighted by Π_{e>d} |D_e|. Exact whenever |X̂| fits 64 bits, so a
+/// scored point carries 8 bytes instead of a heap-allocated choice vector.
+class ChoiceKeys {
+ public:
+  explicit ChoiceKeys(const std::vector<tuning::ParameterDomain>& domains)
+      : weights_(domains.size()) {
+    std::uint64_t w = 1;
+    for (std::size_t d = domains.size(); d-- > 0;) {
+      weights_[d] = w;
+      w *= domains[d].values.size();
+    }
+  }
+
+  std::uint64_t key(const Choice& c) const {
+    std::uint64_t k = 0;
+    for (std::size_t d = 0; d < c.size(); ++d) k += c[d] * weights_[d];
+    return k;
+  }
+
+  Choice choice(std::uint64_t key) const {
+    Choice c(weights_.size());
+    for (std::size_t d = 0; d < c.size(); ++d) {
+      c[d] = key / weights_[d];
+      key %= weights_[d];
+    }
+    return c;
+  }
+
+ private:
+  std::vector<std::uint64_t> weights_;
+};
+
+/// A scored point of the legal space: predicted GFLOPS and its choice key.
+struct ScoredPoint {
+  double score = 0.0;
+  std::uint64_t key = 0;
+};
+
+/// The ranking order: score descending, then choice ascending — a strict
+/// total order over distinct points (for non-NaN scores).
+inline bool ranks_before(const ScoredPoint& a, const ScoredPoint& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.key < b.key;
+}
+
+/// The k best points offered so far. The first k are kept as they come;
+/// from then on they form a heap whose front is the worst kept point, so a
+/// point that cannot make the cut costs one comparison.
+class TopK {
+ public:
+  explicit TopK(std::size_t k) : k_(k) {}
+
+  void offer(const ScoredPoint& p) {
+    if (heap_.size() < k_) {
+      heap_.push_back(p);
+      if (heap_.size() == k_) std::make_heap(heap_.begin(), heap_.end(), ranks_before);
+    } else if (ranks_before(p, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), ranks_before);
+      heap_.back() = p;
+      std::push_heap(heap_.begin(), heap_.end(), ranks_before);
+    }
+  }
+
+  std::vector<ScoredPoint> take() { return std::move(heap_); }
+
+ private:
+  std::size_t k_;
+  std::vector<ScoredPoint> heap_;
+};
+
+/// One thread's staging block: featurized rows awaiting one model call, with
+/// their choice keys. Thread-local, so a ranking pass allocates only when a
+/// block outgrows every earlier one on that thread.
+struct ScoreStage {
+  tuning::FeatureBatch rows;
+  std::vector<std::uint64_t> keys;
+  std::vector<double> scores;
+  std::size_t staged = 0;
+};
+
+/// Streams legal points through the calling thread's staging block into a
+/// bounded top-k: stage rows until the block is full, score it with one
+/// serial model call, offer every row to the top-k. One instance per pool
+/// chunk, never shared across threads; finish() scores the partial block.
+template <typename Op>
+class BlockRanker {
+ public:
+  using Tuning = typename SearchProblem<Op>::Tuning;
+
+  BlockRanker(const SearchProblem<Op>& problem, const ChoiceKeys& keys, std::size_t arity,
+              std::size_t block, std::size_t k)
+      : problem_(problem), keys_(keys), stage_(thread_stage()), top_(k) {
+    stage_.rows.reset(arity, block);
+    stage_.keys.resize(block);
+    stage_.scores.resize(block);
+    stage_.staged = 0;
+  }
+
+  /// Stage one legal point; `t` must be the decode of `c`.
+  void add(const Tuning& t, const Choice& c) {
+    problem_.featurize_into(t, stage_.rows.row(stage_.staged));
+    stage_.keys[stage_.staged] = keys_.key(c);
+    if (++stage_.staged == stage_.rows.rows()) flush();
+  }
+
+  std::vector<ScoredPoint> finish() {
+    flush();
+    return top_.take();
+  }
+
+ private:
+  static ScoreStage& thread_stage() {
+    thread_local ScoreStage stage;
+    return stage;
+  }
+
+  void flush() {
+    if (stage_.staged == 0) return;
+    problem_.model->predict_gflops_rows(stage_.rows, 0, stage_.staged, stage_.scores.data());
+    for (std::size_t i = 0; i < stage_.staged; ++i) {
+      top_.offer({stage_.scores[i], stage_.keys[i]});
+    }
+    stage_.staged = 0;
+  }
+
+  const SearchProblem<Op>& problem_;
+  const ChoiceKeys& keys_;
+  ScoreStage& stage_;
+  TopK top_;
+};
+
+/// Run `rank_slice(begin, end)` — which returns that range's top-k
+/// survivors — over [0, n) cut into contiguous slices, one pool task each
+/// (four per worker, the pool's own oversubscription for uneven chunks).
+template <typename Fn>
+std::vector<std::vector<ScoredPoint>> rank_slices(std::size_t n, const Fn& rank_slice) {
+  const std::size_t slices = std::min(n, 4 * ThreadPool::global().size());
+  std::vector<std::vector<ScoredPoint>> parts(slices);
+  ThreadPool::global().parallel_for_each(slices, [&](std::size_t s) {
+    parts[s] = rank_slice(s * n / slices, (s + 1) * n / slices);
+  });
+  return parts;
+}
+
 }  // namespace detail
 
-/// Dense ranking — the strategy's path: enumerate the legal space through
-/// the pruned walk (detail::enumerate_legal), stride oversized sets down to
-/// config.max_candidates (re-appending the seed grid), then model-score and
-/// order the top k. Requires problem.model.
+/// Dense ranking — the strategy's path, one streaming pass: the pool-chunked
+/// pruned walk decodes, validates, featurizes and scores every legal point
+/// in config.batch-row blocks, each chunk keeping a bounded top k, and the
+/// chunk survivors merge into the best-first k winners (see the file
+/// comment). With config.max_candidates set and exceeded, the legal flat
+/// indices are enumerated first, strided down to the cap, and the picks plus
+/// the seed grid streamed through the same blocks. Requires problem.model,
+/// pinned for the whole pass (see score_and_order).
 template <typename Op>
 RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
                                       const SearchConfig& config, std::size_t top_k) {
   telemetry::Span span("rank.dense");
   ISAAC_TM_COUNT("rank.dense");
+  using Traits = typename SearchProblem<Op>::Traits;
+  detail::require_exact_size(problem);
   RankedCandidates<Op> out;
-
-  // ---- enumerate the legal space ----------------------------------------
   // The walk conceptually covers all of X̂ (pruned subtrees are rejected
   // wholesale), so the stats stay on a full sweep's footing.
-  const std::vector<std::uint64_t> legal = detail::enumerate_legal(problem);
   out.visited = problem.space->size();
-  out.legal = legal.size();
-  if (legal.empty()) return out;
 
-  // ---- decode, striding oversized sets down to the cap ------------------
   const auto& domains = problem.space->domains();
+  const detail::ChoiceKeys keys(domains);
+  const std::size_t block = config.batch > 0 ? config.batch : 8192;
+  const std::size_t k = std::max<std::size_t>(top_k, 1);
+  // Rows are sized by the *op's* feature arity, probed on any point of X̂
+  // (featurization is pure arithmetic), not the model's: a model trained
+  // with a different feature set must surface as the scorer's clean arity
+  // throw, not as out-of-row writes.
+  const auto feature_arity = [&](const Choice& any) {
+    return problem.featurize(problem.decode(any)).size();
+  };
+  std::vector<std::vector<detail::ScoredPoint>> parts;
+
   const std::size_t cap = config.max_candidates;
-  const bool subsample = cap > 0 && legal.size() > cap;
-  const double step =
-      subsample ? static_cast<double>(legal.size()) / static_cast<double>(cap) : 1.0;
-  out.candidates.resize(subsample ? cap : legal.size());
-  ThreadPool::global().parallel_for_each(out.candidates.size(), [&](std::size_t i) {
-    choice_from_flat_into(legal[static_cast<std::size_t>(i * step)], domains,
-                          out.candidates[i]);
-  });
-  if (subsample) {
-    // The seed grid is de-duplicated by choice hash, so the kept points go
-    // through the same hash set (first occurrence wins) before the grid is
-    // re-appended — subsampling can never lose it. Probe uncounted: the
-    // enumeration above already accounted every point of X̂.
-    std::unordered_set<std::uint64_t> present;
-    present.reserve(out.candidates.size() + 64);
-    std::erase_if(out.candidates,
-                  [&](const Choice& c) { return !present.insert(choice_hash(c)).second; });
-    detail::append_seed_grid(problem, out.candidates, present);
+  if (cap == 0) {
+    const tuning::ConstraintSet cs =
+        prefix_constraints_for<Op>(*problem.shape, *problem.device, *problem.space);
+    const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
+    const WalkChunkPlan plan = plan_legal_walk(domains, csp);
+    if (plan.prefixes.empty()) return out;
+    const std::size_t arity = feature_arity(plan.prefixes.front());
+    std::atomic<std::size_t> legal{0};
+    parts = detail::rank_slices(plan.prefixes.size(), [&](std::size_t begin, std::size_t end) {
+      detail::BlockRanker<Op> ranker(problem, keys, arity, block, k);
+      std::size_t kept = 0;
+      for (std::size_t ci = begin; ci < end; ++ci) {
+        run_walk_chunk(domains, csp, plan, ci, [&](const Choice& c, std::uint64_t) {
+          const auto t = problem.decode(c);
+          if (problem.legal(t)) {
+            ++kept;
+            ranker.add(t, c);
+          }
+          return true;
+        });
+      }
+      legal.fetch_add(kept, std::memory_order_relaxed);
+      return ranker.finish();
+    });
+    out.legal = legal.load();
+    out.scored = out.legal;
+  } else {
+    const std::vector<std::uint64_t> legal = detail::enumerate_legal(problem);
+    out.legal = legal.size();
+    if (legal.empty()) return out;
+    const std::size_t arity = feature_arity(choice_from_flat(legal.front(), domains));
+    // Stride oversized sets down to the cap: ascending, distinct picks.
+    std::vector<std::uint64_t> picks;
+    const bool subsample = legal.size() > cap;
+    if (subsample) {
+      const double step = static_cast<double>(legal.size()) / static_cast<double>(cap);
+      picks.resize(cap);
+      for (std::size_t i = 0; i < cap; ++i) picks[i] = legal[static_cast<std::size_t>(i * step)];
+    }
+    const std::vector<std::uint64_t>& kept = subsample ? picks : legal;
+    parts = detail::rank_slices(kept.size(), [&](std::size_t begin, std::size_t end) {
+      detail::BlockRanker<Op> ranker(problem, keys, arity, block, k);
+      Choice c;
+      for (std::size_t i = begin; i < end; ++i) {
+        choice_from_flat_into(kept[i], domains, c);
+        ranker.add(problem.decode(c), c);
+      }
+      return ranker.finish();
+    });
+    out.scored = kept.size();
+    if (subsample) {
+      // Re-append the seed grid so subsampling can never lose it: every
+      // legal seed point not already picked, each once.
+      detail::BlockRanker<Op> ranker(problem, keys, arity, block, k);
+      std::vector<std::uint64_t> seeds;
+      Choice c;
+      for (const auto& t : Traits::seed_grid()) {
+        if (!problem.space->encode(t, c)) continue;  // value outside this space's domains
+        if (!problem.legal(c)) continue;
+        std::uint64_t flat = 0;
+        for (std::size_t d = domains.size(); d-- > 0;) {
+          flat = flat * domains[d].values.size() + c[d];
+        }
+        if (std::binary_search(picks.begin(), picks.end(), flat)) continue;
+        if (std::find(seeds.begin(), seeds.end(), flat) != seeds.end()) continue;
+        seeds.push_back(flat);
+        ranker.add(problem.decode(c), c);
+      }
+      parts.push_back(ranker.finish());
+      out.scored += seeds.size();
+    }
   }
 
-  detail::score_and_order(problem, config, top_k, out);
+  // ---- merge the chunks' survivors into the k winners ---------------------
+  std::vector<detail::ScoredPoint> merged;
+  for (auto& part : parts) merged.insert(merged.end(), part.begin(), part.end());
+  const std::size_t n = std::min(k, merged.size());
+  std::partial_sort(merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(n),
+                    merged.end(), detail::ranks_before);
+  out.candidates.reserve(n);
+  out.scores.reserve(n);
+  out.order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.candidates.push_back(keys.choice(merged[i].key));
+    out.scores.push_back(merged[i].score);
+    out.order.push_back(i);
+  }
   return out;
 }
 

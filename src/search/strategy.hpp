@@ -98,9 +98,10 @@ struct SearchProblem {
   const mlp::Regressor* model = nullptr;
 
   Tuning decode(const Choice& c) const { return space->decode(c); }
-  bool legal(const Choice& c) const {
-    return Traits::validate(*shape, space->decode(c), *device);
-  }
+  bool legal(const Choice& c) const { return legal(space->decode(c)); }
+  /// Legality of an already-decoded point, for callers that reuse the one
+  /// decode for featurization too.
+  bool legal(const Tuning& t) const { return Traits::validate(*shape, t, *device); }
   std::vector<double> featurize(const Tuning& t) const { return Traits::featurize(*shape, t); }
 
   /// In-place featurization for the allocation-free ranking pipeline. Ops

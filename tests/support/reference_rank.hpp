@@ -46,14 +46,17 @@ std::vector<std::uint64_t> sweep_legal(const search::SearchProblem<Op>& problem)
   return legal;
 }
 
-/// The reference ranking: must match search::rank_legal_space exactly —
-/// candidates, scores, best-first order and X̂ accounting.
+/// The reference ranking over a precomputed sweep_legal(problem), so one
+/// sweep can serve several configs. It keeps every scored candidate: its
+/// best-first sequence (candidates[order[i]], scores[order[i]]) must match
+/// search::rank_legal_space's winners exactly, as must the X̂ accounting.
 template <typename Op>
 search::RankedCandidates<Op> reference_rank(const search::SearchProblem<Op>& problem,
                                             const search::SearchConfig& config,
-                                            std::size_t top_k) {
+                                            std::size_t top_k,
+                                            const std::vector<std::uint64_t>& legal) {
   search::RankedCandidates<Op> out;
-  for (const std::uint64_t flat : sweep_legal(problem)) {
+  for (const std::uint64_t flat : legal) {
     out.candidates.push_back(search::choice_from_flat(flat, problem.space->domains()));
   }
   out.visited = problem.space->size();
@@ -78,6 +81,7 @@ search::RankedCandidates<Op> reference_rank(const search::SearchProblem<Op>& pro
     rows[i] = problem.featurize(problem.space->decode(out.candidates[i]));
   });
   out.scores = problem.model->predict_gflops_chunked(rows, config.batch);
+  out.scored = out.candidates.size();
   out.order.resize(out.candidates.size());
   for (std::size_t i = 0; i < out.order.size(); ++i) out.order[i] = i;
   const std::size_t k = std::min(std::max<std::size_t>(top_k, 1), out.order.size());
@@ -88,6 +92,14 @@ search::RankedCandidates<Op> reference_rank(const search::SearchProblem<Op>& pro
                     });
   out.order.resize(k);
   return out;
+}
+
+/// The reference ranking, sweeping X̂ itself.
+template <typename Op>
+search::RankedCandidates<Op> reference_rank(const search::SearchProblem<Op>& problem,
+                                            const search::SearchConfig& config,
+                                            std::size_t top_k) {
+  return reference_rank(problem, config, top_k, sweep_legal(problem));
 }
 
 }  // namespace isaac::reference

@@ -279,6 +279,26 @@ TEST(ConcurrentDispatch, AbandonedWarmupFutureIsSafe) {
   SUCCEED();
 }
 
+TEST(ConcurrentDispatch, TeardownWithPendingRefinementTouchesNoFreedMutex) {
+  // A background refinement's last act is to unlock its Context's
+  // background mutex; ~Context may resume the instant that mutex is free,
+  // and the next Context is then built at the same stack address. Each
+  // iteration here tears a Context down with its refinement still pending.
+  // An unlock that reads its mutex after the release (the lock rank, in
+  // builds with lock-rank checks) races with the next constructor, which
+  // ThreadSanitizer reports; sync::Mutex's release rule forbids it.
+  for (int i = 0; i < 16; ++i) {
+    Context ctx(gpusim::tesla_p100(), fast_options());
+    ctx.set_model(shared_model());
+    codegen::GemmShape shape;
+    shape.m = 32 + 8 * i;
+    shape.n = 24;
+    shape.k = 64;
+    ctx.select<GemmOp>(shape);  // cold: provisional answer, refinement enqueued
+    EXPECT_EQ(ctx.predictions(), 1u);
+  }  // ~Context cancels and drains the refinement at every iteration
+}
+
 TEST(ConcurrentDispatch, BatchedGemmSingleFlight) {
   Context ctx(gpusim::tesla_p100(), fast_options());
   ctx.set_model(shared_model());

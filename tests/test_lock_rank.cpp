@@ -186,16 +186,21 @@ TEST(LockRankWrappers, CompiledOutBuildsAreCompletelySilent) {
 TEST(LockRankWrappers, MutexLockInversionIsDetected) {
   if (!lock_rank::checks_compiled_in()) GTEST_SKIP() << "rank checks compiled out";
   RecordingHandler guard;
+  // The seeded inversion locks its own pair of mutexes: ranks, not objects,
+  // are what the detector checks, and locking one pair in both orders would
+  // be a real potential deadlock that ThreadSanitizer reports.
   sync::Mutex inner{Rank::cache_shard};
   sync::Mutex outer{Rank::inflight};
+  sync::Mutex seeded_inner{Rank::cache_shard};
+  sync::Mutex seeded_outer{Rank::inflight};
   {
     sync::MutexLock a(outer);
     sync::MutexLock b(inner);  // correct order: outer (50) then inner (30)
   }
   EXPECT_EQ(g_violations.load(), 0);
   {
-    sync::MutexLock a(inner);
-    sync::MutexLock b(outer);  // seeded inversion
+    sync::MutexLock a(seeded_inner);
+    sync::MutexLock b(seeded_outer);  // seeded inversion
   }
   EXPECT_EQ(g_violations.load(), 1);
   EXPECT_NE(g_last_message.find("inflight"), std::string::npos) << g_last_message;
@@ -208,11 +213,14 @@ TEST(LockRankWrappers, SharedMutexReadersParticipate) {
   // Shared (reader) holds can block on writers, so they join deadlock
   // cycles and must obey the same ordering as exclusive holds.
   RecordingHandler guard;
+  // Separate pairs for the violation and the correct order, as above.
+  sync::SharedMutex seeded_shard{Rank::cache_shard};
+  sync::Mutex seeded_inflight{Rank::inflight};
   sync::SharedMutex shard{Rank::cache_shard};
   sync::Mutex inflight{Rank::inflight};
   {
-    sync::ReaderMutexLock r(shard);
-    sync::MutexLock m(inflight);  // 50 while holding shared 30: violation
+    sync::ReaderMutexLock r(seeded_shard);
+    sync::MutexLock m(seeded_inflight);  // 50 while holding shared 30: violation
   }
   EXPECT_EQ(g_violations.load(), 1);
   {

@@ -4,10 +4,13 @@
 // §5.2 rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mlp/net.hpp"
 #include "mlp/regressor.hpp"
@@ -322,6 +325,55 @@ TEST(Regressor, FlatBatchArityValidatedOnceAtBoundary) {
     for (std::size_t c = 0; c < wrong.arity(); ++c) wrong.row(r)[c] = 2.0;
   }
   EXPECT_THROW(model.predict_gflops_chunked(wrong, 4), std::invalid_argument);
+}
+
+TEST(Regressor, SerialRowsMatchChunkedBitExact) {
+  // predict_gflops_rows is the one scoring body: predict_gflops_chunked is a
+  // pool loop over it, and dense ranking calls it per block. Scoring any row
+  // range on the calling thread must give the chunked pass's bits, and a
+  // wrong arity must throw the same error from both.
+  auto data = synthetic_dataset(2200, 0.05, 23);
+  TrainConfig cfg;
+  cfg.net.hidden = {16, 8};
+  cfg.epochs = 3;
+  const Regressor model = train(data, cfg);
+
+  for (const std::size_t rows : {std::size_t{1}, std::size_t{7}, std::size_t{2048},
+                                 std::size_t{2049}}) {
+    tuning::FeatureBatch batch(tuning::kNumFeatures);
+    for (std::size_t i = 0; i < rows; ++i) {
+      std::copy(data[i].x.begin(), data[i].x.end(), batch.append_row());
+    }
+    const auto chunked = model.predict_gflops_chunked(batch, 128);
+    std::vector<double> whole(rows), split(rows);
+    model.predict_gflops_rows(batch, 0, rows, whole.data());
+    // Two uneven blocks: a row's score must not depend on its block mates.
+    const std::size_t mid = rows / 3;
+    model.predict_gflops_rows(batch, 0, mid, split.data());
+    model.predict_gflops_rows(batch, mid, rows, split.data() + mid);
+    ASSERT_EQ(chunked.size(), rows);
+    EXPECT_EQ(std::memcmp(whole.data(), chunked.data(), rows * sizeof(double)), 0) << rows;
+    EXPECT_EQ(std::memcmp(split.data(), chunked.data(), rows * sizeof(double)), 0) << rows;
+  }
+
+  tuning::FeatureBatch wrong(tuning::kNumFeatures - 1, 10);
+  for (std::size_t r = 0; r < wrong.rows(); ++r) {
+    for (std::size_t c = 0; c < wrong.arity(); ++c) wrong.row(r)[c] = 2.0;
+  }
+  std::vector<double> out(wrong.rows());
+  std::string serial_error, chunked_error;
+  try {
+    model.predict_gflops_rows(wrong, 0, wrong.rows(), out.data());
+  } catch (const std::invalid_argument& e) {
+    serial_error = e.what();
+  }
+  try {
+    model.predict_gflops_chunked(wrong, 4);
+  } catch (const std::invalid_argument& e) {
+    chunked_error = e.what();
+  }
+  EXPECT_FALSE(serial_error.empty());
+  EXPECT_EQ(serial_error, chunked_error);
 }
 
 TEST(Regressor, PredictBatchMatchesScalar) {

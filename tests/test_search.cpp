@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -534,45 +536,199 @@ TEST(ModelGuidedTopK, MatchesExhaustiveOnSeedShapeGrid) {
 
 // ----------------------------------------- ranking-rewrite determinism ----
 
+/// A ranking's best-first sequence, each choice paired with its score's bit
+/// pattern: sequences compare exactly, not within ASSERT_DOUBLE_EQ's 4 ULPs.
+using RankedSequence = std::vector<std::pair<search::Choice, std::uint64_t>>;
+
+template <typename Op>
+RankedSequence best_first(const search::RankedCandidates<Op>& r) {
+  RankedSequence seq;
+  for (const std::size_t at : r.order) {
+    seq.emplace_back(r.candidates[at], std::bit_cast<std::uint64_t>(r.scores[at]));
+  }
+  return seq;
+}
+
+/// Index of the first rank where `got` departs from `expected`'s prefix
+/// (got.size() when it is a prefix).
+std::size_t first_difference(const RankedSequence& got, const RankedSequence& expected) {
+  std::size_t i = 0;
+  while (i < got.size() && i < expected.size() && got[i] == expected[i]) ++i;
+  return i;
+}
+
+/// rank_legal_space's contract against a reference that ranked every point
+/// it scored: at k = 64 the winners are the reference's best-first prefix, at
+/// k = all its whole sequence — bit for bit, with `candidates`/`scores`
+/// already best-first (`order` = 0..k-1) and the same X̂ accounting.
+template <typename Op>
+void expect_ranking_matches(const search::SearchProblem<Op>& problem,
+                            const search::SearchConfig& cfg,
+                            const search::RankedCandidates<Op>& truth, const std::string& label) {
+  ASSERT_EQ(truth.order.size(), truth.candidates.size()) << label;  // reference ranked all
+  const RankedSequence expected = best_first(truth);
+  for (const std::size_t k : {std::size_t{64}, kUnlimited}) {
+    const auto fast = search::rank_legal_space(problem, cfg, k);
+    const std::string at = label + " k=" + (k == kUnlimited ? "all" : std::to_string(k));
+    const std::size_t n = std::min(k, expected.size());
+    ASSERT_EQ(fast.candidates.size(), n) << at;
+    ASSERT_EQ(fast.scores.size(), n) << at;
+    ASSERT_EQ(fast.order.size(), n) << at;
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(fast.order[i], i) << at;
+    const RankedSequence got = best_first(fast);
+    ASSERT_EQ(first_difference(got, expected), n) << at;
+    EXPECT_EQ(fast.visited, truth.visited) << at;
+    EXPECT_EQ(fast.legal, truth.legal) << at;
+    EXPECT_EQ(fast.scored, truth.candidates.size()) << at;
+  }
+}
+
 TEST(RankLegalSpace, OrderingUnchangedByAllocationFreeRewrite) {
-  // Acceptance criterion for both the scoring-pipeline rewrite and the
-  // constraint-propagating enumeration: over the agreement test's shape grid
+  // Acceptance criterion for the scoring pipeline, the constraint-propagating
+  // enumeration and the streaming top-k: over the agreement test's shape grid
   // plus a batched-GEMM panel (20 shapes across all three op classes), the
-  // pruned-walk, FeatureBatch-scored rank_legal_space must reproduce the
-  // generate-and-test reference (tests/support/reference_rank.hpp)
-  // bit-for-bit — same candidate sequences, same scores, same best-first
-  // order, same X̂ accounting.
+  // rank_legal_space winners must be the generate-and-test reference's
+  // (tests/support/reference_rank.hpp) best-first sequence bit for bit —
+  // its prefix at k = 64 and all of it at k = all, which covers every legal
+  // point and every seed-grid point scored. Each shape ranks capped
+  // (max_candidates = 20000: strided, seed grid re-appended where the legal
+  // space exceeds it); the batched shapes, whose legal spaces are ~7·10^4
+  // points, also rank dense (max_candidates = 0: the fused walk),
+  // reusing the sweep.
   const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
   const tuning::GemmSearchSpace gemm_space;
   const tuning::ConvSearchSpace conv_space;
   const tuning::BatchedGemmSearchSpace batched_space;
-  constexpr std::size_t kTopK = 64;
 
-  const auto compare = [&](auto op_tag, const auto& space, const auto& shape) {
+  const auto compare = [&](auto op_tag, const auto& space, const auto& shape, bool dense) {
     using Op = std::decay_t<decltype(op_tag)>;
     search::SearchProblem<Op> problem;
     problem.shape = &shape;
     problem.device = &dev;
     problem.space = &space;
     problem.model = &shared_model();
-    search::SearchConfig cfg;
-    cfg.max_candidates = 20000;
-    const auto fast = search::rank_legal_space(problem, cfg, kTopK);
-    const auto truth = reference::reference_rank(problem, cfg, kTopK);
-    ASSERT_EQ(fast.candidates, truth.candidates) << shape.to_string();
-    ASSERT_EQ(fast.scores.size(), truth.scores.size()) << shape.to_string();
-    for (std::size_t i = 0; i < truth.scores.size(); ++i) {
-      ASSERT_DOUBLE_EQ(fast.scores[i], truth.scores[i]) << shape.to_string() << " row " << i;
+    const std::vector<std::uint64_t> legal = reference::sweep_legal(problem);
+    for (const std::size_t cap : {std::size_t{20000}, std::size_t{0}}) {
+      if (cap == 0 && !dense) continue;
+      search::SearchConfig cfg;
+      cfg.max_candidates = cap;
+      const auto truth = reference::reference_rank(problem, cfg, kUnlimited, legal);
+      expect_ranking_matches(problem, cfg, truth,
+                             shape.to_string() + " cap " + std::to_string(cap));
     }
-    ASSERT_EQ(fast.order, truth.order) << shape.to_string();
-    EXPECT_EQ(fast.visited, truth.visited) << shape.to_string();
-    EXPECT_EQ(fast.legal, truth.legal) << shape.to_string();
   };
 
-  for (const auto& shape : gemm_grid()) compare(core::GemmOp{}, gemm_space, shape);
-  for (const auto& shape : conv_grid()) compare(core::ConvOp{}, conv_space, shape);
+  for (const auto& shape : gemm_grid()) compare(core::GemmOp{}, gemm_space, shape, false);
+  for (const auto& shape : conv_grid()) compare(core::ConvOp{}, conv_space, shape, false);
   for (const auto& shape : batched_grid()) {
-    compare(core::BatchedGemmOp{}, batched_space, shape);
+    compare(core::BatchedGemmOp{}, batched_space, shape, true);
+  }
+}
+
+// ------------------------------------------------------- streaming top-k ----
+
+/// A GEMM space of a few thousand points: enough walk chunks and scoring
+/// blocks to cross every boundary, small enough to sweep under sanitizers.
+struct MidGemmSpace : tuning::GemmSearchSpace {
+  MidGemmSpace() {
+    domains_ = {{"ms", {2, 4, 8}}, {"ns", {2, 4, 8}}, {"ml", {16, 32, 64}},
+                {"nl", {16, 32, 64}}, {"u", {4, 8}},   {"ks", {1, 2}},
+                {"kl", {1, 2, 4}},   {"kg", {1, 4, 16}}, {"vec", {1, 2, 4}}};
+  }
+};
+
+/// A conv space of ~31k points holding every value of the op's seed grid.
+struct MidConvSpace : tuning::ConvSearchSpace {
+  MidConvSpace() {
+    domains_ = {{"tk", {4, 8}},     {"tp", {1, 2}},    {"tq", {1, 2, 4}}, {"tn", {2, 4}},
+                {"bk", {16, 32, 64, 128}}, {"bp", {1, 2, 4}}, {"bq", {1, 2, 4}},
+                {"bn", {4, 8, 16}}, {"u", {4, 8}},     {"cl", {1, 4}},    {"cg", {1, 4, 16}}};
+  }
+};
+
+/// An untrained network, so these tests need no training run. `constant`
+/// zeroes every weight and bias: all candidates then score the same, and
+/// the order falls entirely to the choice tie-break.
+mlp::Regressor untrained_model(bool constant) {
+  mlp::MlpConfig net;
+  net.inputs = static_cast<int>(tuning::kNumFeatures);
+  net.hidden = {16, 8};
+  net.seed = 7;
+  mlp::Mlp mlp(net);
+  if (constant) {
+    for (auto& w : mlp.weights()) w.set_zero();
+    for (auto& b : mlp.biases()) b.set_zero();
+  }
+  mlp::Scaler scaler;
+  scaler.mean.assign(tuning::kNumFeatures, 0.0);
+  scaler.stddev.assign(tuning::kNumFeatures, 1.0);
+  return mlp::Regressor(std::move(mlp), std::move(scaler), 3.0, 1.0, /*log_features=*/true);
+}
+
+TEST(StreamingRank, ConstantScoreTiesFollowChoiceOrderAcrossChunks) {
+  // The fused walk keeps a bounded top-k per pool chunk and merges them.
+  // With every score tied, each decision — inside a block, across 7-row
+  // blocks, across walk chunks and in the merge — is the choice tie-break,
+  // so the winners must be exactly the smallest legal choices in order.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const MidGemmSpace space;
+  const auto shape = gemm_shape(512, 512, 512);
+  ASSERT_GT(search::plan_legal_walk(space.domains(), nullptr).prefixes.size(), 1u);
+  for (const bool constant : {true, false}) {
+    const mlp::Regressor model = untrained_model(constant);
+    search::SearchProblem<core::GemmOp> problem;
+    problem.shape = &shape;
+    problem.device = &dev;
+    problem.space = &space;
+    problem.model = &model;
+    search::SearchConfig cfg;
+    cfg.batch = 7;
+    const auto truth = reference::reference_rank(problem, cfg, kUnlimited);
+    ASSERT_GT(truth.candidates.size(), 100u);
+    if (constant) {
+      const RankedSequence seq = best_first(truth);
+      for (std::size_t i = 1; i < seq.size(); ++i) {
+        ASSERT_EQ(seq[i].second, seq[0].second) << i;  // every score tied
+        ASSERT_LT(seq[i - 1].first, seq[i].first) << i;  // choice order decides
+      }
+    }
+    expect_ranking_matches(problem, cfg, truth, constant ? "constant" : "untrained");
+  }
+}
+
+TEST(StreamingRank, CappedConvKeepsSeedGridWinners) {
+  // A capped ranking strides the legal space down to max_candidates and
+  // re-appends the seed grid, de-duplicated against the picks. With 5 picks
+  // and k = 8, at least 3 winners must come from the seed grid, and the
+  // whole sequence must match the reference's hash-de-duplicated one.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const MidConvSpace space;
+  const auto& shape = conv_grid()[0];
+  std::set<search::Choice> seeds;
+  for (const auto& t : core::OperationTraits<core::ConvOp>::seed_grid()) {
+    search::Choice c;
+    if (space.encode(t, c)) seeds.insert(c);
+  }
+  for (const bool constant : {true, false}) {
+    const mlp::Regressor model = untrained_model(constant);
+    search::SearchProblem<core::ConvOp> problem;
+    problem.shape = &shape;
+    problem.device = &dev;
+    problem.space = &space;
+    problem.model = &model;
+    search::SearchConfig cfg;
+    cfg.max_candidates = 5;
+    cfg.batch = 3;
+    const auto truth = reference::reference_rank(problem, cfg, kUnlimited);
+    ASSERT_GT(truth.legal, cfg.max_candidates);
+    ASSERT_GT(truth.candidates.size(), 8u);
+    expect_ranking_matches(problem, cfg, truth, constant ? "constant" : "untrained");
+
+    const auto top = search::rank_legal_space(problem, cfg, 8);
+    ASSERT_EQ(top.candidates.size(), 8u);
+    const auto from_seeds = std::count_if(top.candidates.begin(), top.candidates.end(),
+                                          [&](const search::Choice& c) { return seeds.contains(c); });
+    EXPECT_GE(from_seeds, 3);
   }
 }
 
@@ -601,15 +757,20 @@ TEST(PrunedWalk, ForEachLegalMatchesGenerateAndTest) {
     EXPECT_EQ(pruned, sweep) << shape.to_string();
   }
 
-  // One full-space GEMM shape: the production domains, ~20M points swept.
+  // One full-space GEMM shape: the production domains, ~20M points swept by
+  // the pool-parallel generate-and-test sweep (reference::sweep_legal, in
+  // for_each order; the spaces above check for_each itself).
   {
     const tuning::GemmSearchSpace full;
     const auto shape = gemm_shape(2560, 32, 2560);
+    search::SearchProblem<core::GemmOp> problem;
+    problem.shape = &shape;
+    problem.device = &dev;
+    problem.space = &full;
     std::vector<codegen::GemmTuning> sweep, pruned;
-    full.for_each([&](const codegen::GemmTuning& t) {
-      if (codegen::validate(shape, t, dev)) sweep.push_back(t);
-      return true;
-    });
+    for (const std::uint64_t flat : reference::sweep_legal(problem)) {
+      sweep.push_back(full.decode(search::choice_from_flat(flat, full.domains())));
+    }
     full.for_each_legal(shape, dev, [&](const codegen::GemmTuning& t) {
       pruned.push_back(t);
       return true;
@@ -724,12 +885,10 @@ TEST(PrunedWalk, PerDeviceRankingsFollowEachDevicesLimits) {
     problem.device = dev;
     problem.space = &space;
     problem.model = &shared_model();
-    const auto fast = search::rank_legal_space(problem, cfg, 64);
-    const auto truth = reference::reference_rank(problem, cfg, 64);
-    ASSERT_EQ(fast.candidates, truth.candidates) << dev->smem_per_block_bytes;
-    ASSERT_EQ(fast.order, truth.order) << dev->smem_per_block_bytes;
-    EXPECT_EQ(fast.legal, truth.legal);
-    legal_counts.push_back(fast.legal);
+    const auto truth = reference::reference_rank(problem, cfg, kUnlimited);
+    expect_ranking_matches(problem, cfg, truth,
+                           "smem " + std::to_string(dev->smem_per_block_bytes));
+    legal_counts.push_back(truth.legal);
   }
   // The cut-down device must actually lose candidates — otherwise this test
   // could pass with the two devices silently sharing one ranking.
@@ -760,30 +919,35 @@ TEST(PrunedWalk, OversizedSpaceRanksThroughLazyWalk) {
   const auto shape = gemm_shape(2560, 32, 2560);
   search::SearchConfig cfg;
   cfg.max_candidates = 20000;
-  const auto rank = [&](const tuning::GemmSearchSpace& space) {
+  const auto rank = [&](const tuning::GemmSearchSpace& space, std::size_t k) {
     search::SearchProblem<core::GemmOp> problem;
     problem.shape = &shape;
     problem.device = &dev;
     problem.space = &space;
     problem.model = &shared_model();
-    return search::rank_legal_space(problem, cfg, 64);
+    return search::rank_legal_space(problem, cfg, k);
   };
-  const auto a = rank(clean);
-  const auto b = rank(oversized);
+  const auto a = rank(clean, kUnlimited);
+  ASSERT_EQ(a.scored, a.candidates.size());
 
-  // The junk values are all illegal, so the decoded candidate sequences,
-  // scores and orderings must match the clean space exactly — and the
-  // oversized ranking must account the whole inflated X̂ as visited.
-  EXPECT_EQ(b.visited, oversized.size());
-  ASSERT_EQ(a.candidates.size(), b.candidates.size());
-  for (std::size_t i = 0; i < a.candidates.size(); ++i) {
-    ASSERT_EQ(clean.decode(a.candidates[i]), oversized.decode(b.candidates[i])) << i;
+  // The junk values are all illegal, so the oversized winners must be the
+  // clean space's best-first sequence — decoded tunings and score bits — at
+  // k = 64 (a prefix) and at k = all, and the oversized ranking must account
+  // the whole inflated X̂ as visited.
+  for (const std::size_t k : {std::size_t{64}, kUnlimited}) {
+    const auto b = rank(oversized, k);
+    EXPECT_EQ(b.visited, oversized.size());
+    EXPECT_EQ(b.legal, a.legal);
+    EXPECT_EQ(b.scored, a.scored);
+    ASSERT_EQ(b.candidates.size(), std::min(k, a.candidates.size()));
+    for (std::size_t i = 0; i < b.candidates.size(); ++i) {
+      ASSERT_EQ(b.order[i], i);
+      ASSERT_EQ(clean.decode(a.candidates[a.order[i]]), oversized.decode(b.candidates[i])) << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.scores[a.order[i]]),
+                std::bit_cast<std::uint64_t>(b.scores[i]))
+          << i;
+    }
   }
-  ASSERT_EQ(a.scores.size(), b.scores.size());
-  for (std::size_t i = 0; i < a.scores.size(); ++i) {
-    ASSERT_DOUBLE_EQ(a.scores[i], b.scores[i]) << i;
-  }
-  ASSERT_EQ(a.order, b.order);
 }
 
 TEST(SearchSpaceSize, SaturatesInsteadOfWrapping) {
