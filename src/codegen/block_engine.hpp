@@ -2,24 +2,33 @@
 // conv). Internal to codegen; callers use the *_executor.hpp entry points.
 //
 // Runs the tile template the PTX generator emits on the CPU pool: a grid of
-// batch × KG × ⌈M/ML⌉ × ⌈N/NL⌉ blocks, each staging k-major [U·KL][ML] and
-// [U·KL][NL] tiles round by round into per-thread scratch, accumulating an
-// ML×NL tile, and storing it through predicated edges. Conv reaches it via
-// its implicit-GEMM lowering (§3.3). Staging, the micro-kernel and the
-// epilogue are bounded by each block's valid extent (mv rows, nv columns, dv
-// reduction steps per round), so predicated-off lanes are skipped rather than
-// staged as zeros; the arithmetic on valid lanes is the same.
+// batch × KG × ⌈M/ML⌉ × ⌈N/NL⌉ blocks, each walking its reduction slice in
+// U·KL-deep rounds, accumulating an ML×NL tile, and storing it through
+// predicated edges. Conv reaches it via its implicit-GEMM lowering (§3.3).
+// Each round the op's stager hands the micro-kernel its operand tiles as
+// pointers and strides: operands whose rows are contiguous are read where
+// they lie, and only the rest (a k-contiguous A, conv's im2col gather) is
+// staged into per-thread scratch. The micro-kernel and the epilogue are
+// bounded by each block's valid extent (mv rows, nv columns, dv reduction
+// steps per round), so predicated-off lanes are skipped rather than computed
+// on zeros.
 //
-// With KG = 1 a call is one pool pass: each block owns its C tile and its
-// epilogue writes C = alpha·acc + beta·C, or alpha·acc when beta = 0 (C is
-// then never read). With KG > 1 a scale pass runs first and the KG slices of
-// a tile accumulate into C under a stripe lock, the functional analogue of
-// the kernel's global atomics.
+// Every C element is the d-ascending sum of its products, one rounded
+// multiply then one rounded add per step, followed by the epilogue, whatever
+// the tile shape, layout, staging or thread count. With KG = 1 a call is one
+// pool pass: each block owns its C tile and its epilogue writes
+// C = alpha·acc + beta·C, or alpha·acc when beta = 0 (C is then never read).
+// With KG > 1 a scale pass runs first and the KG slices of a tile accumulate
+// into C under a stripe lock, the functional analogue of the kernel's global
+// atomics. A grid with less work than kMinChunkFlops per pool chunk runs on
+// the calling thread.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <vector>
 
@@ -60,6 +69,18 @@ struct Block {
 /// Stripe locks serializing KG-split accumulation into one C tile.
 constexpr int kNumLocks = 64;
 
+/// The least work, in FLOPs, worth one pool chunk. The engine hands
+/// parallel_for a grain of ⌈kMinChunkFlops / block FLOPs⌉ blocks, so a grid
+/// under kMinChunkFlops runs on the calling thread with no queue hop. Set
+/// from inline-against-pooled latency and throughput of hot-set-sized grids,
+/// with one client and with four (DESIGN.md, "Functional executors").
+constexpr double kMinChunkFlops = 4e6;
+
+/// Items of `work` FLOPs each that make one chunk of at least kMinChunkFlops.
+inline std::size_t grain_for(double work) {
+  return static_cast<std::size_t>(std::max(1.0, std::ceil(kMinChunkFlops / work)));
+}
+
 /// Per-thread scratch, grown on demand and reused across blocks and calls.
 /// A block never yields its thread, so one buffer per thread suffices.
 template <typename T>
@@ -69,37 +90,63 @@ T* scratch(std::size_t n) {
   return buf.data();
 }
 
-/// acc[j·ml + i] += Σ_d sa[d·ml + i] · sb[d·nl + j] over the valid extent.
-/// The micro-kernel holds a 4-column × kRows accumulator block in registers
-/// across the staged depth. Leftover rows of a 4-column group sum one
-/// element at a time; leftover columns take one axpy per staged row.
+/// One round's operand tiles: op(A)(m0 + i, k0 + d) is a[d·a_d + i] and
+/// op(B)(k0 + d, n0 + j) is b[d·b_d + j·b_j]. A is read along i, so its rows
+/// must be contiguous; B takes any strides.
 template <typename T>
-void multiply_tiles(int mv, int nv, int dv, const T* sa, int ml, const T* sb, int nl, T* acc) {
+struct Tiles {
+  const T* a;
+  std::ptrdiff_t a_d;
+  const T* b;
+  std::ptrdiff_t b_d, b_j;
+};
+
+/// acc[j·ml + i] += Σ_d op(A)(i, d) · op(B)(d, j) over the valid extent, d
+/// ascending. The micro-kernel holds a 4-column × 32-byte accumulator block
+/// in registers across the round, as two 16-byte vectors per column, so the
+/// portable build vectorizes it whatever the operand strides. Leftover rows
+/// of a 4-column group sum one element at a time; leftover columns take one
+/// axpy per reduction step.
+template <typename T>
+void multiply_tiles(int mv, int nv, int dv, const Tiles<T>& t, int ml, T* __restrict acc) {
+  typedef T V __attribute__((vector_size(16)));
+  constexpr int kW = static_cast<int>(16 / sizeof(T));  // lanes per vector
+  constexpr int kRows = 2 * kW;
   constexpr int kCols = 4;
-  constexpr int kRows = static_cast<int>(32 / sizeof(T));
+  const T* __restrict a = t.a;
+  const T* __restrict b = t.b;
+  const std::ptrdiff_t a_d = t.a_d, b_d = t.b_d, b_j = t.b_j;
   int j = 0;
   for (; j + kCols <= nv; j += kCols) {
+    const T* __restrict bj = b + j * b_j;
     int i = 0;
     for (; i + kRows <= mv; i += kRows) {
-      T r[kCols][kRows];
+      V r[kCols][2];
       for (int c = 0; c < kCols; ++c) {
-        for (int ii = 0; ii < kRows; ++ii) r[c][ii] = acc[(j + c) * ml + i + ii];
+        std::memcpy(&r[c][0], acc + (j + c) * ml + i, sizeof(V));
+        std::memcpy(&r[c][1], acc + (j + c) * ml + i + kW, sizeof(V));
       }
+      const T* __restrict ai = a + i;
       for (int d = 0; d < dv; ++d) {
-        const T* a = sa + static_cast<std::ptrdiff_t>(d) * ml + i;
-        const T* b = sb + static_cast<std::ptrdiff_t>(d) * nl + j;
+        V a0, a1;
+        std::memcpy(&a0, ai + d * a_d, sizeof(V));
+        std::memcpy(&a1, ai + d * a_d + kW, sizeof(V));
+        const T* __restrict bd = bj + d * b_d;
         for (int c = 0; c < kCols; ++c) {
-          for (int ii = 0; ii < kRows; ++ii) r[c][ii] += a[ii] * b[c];
+          const T bc = bd[c * b_j];
+          r[c][0] += a0 * bc;
+          r[c][1] += a1 * bc;
         }
       }
       for (int c = 0; c < kCols; ++c) {
-        for (int ii = 0; ii < kRows; ++ii) acc[(j + c) * ml + i + ii] = r[c][ii];
+        std::memcpy(acc + (j + c) * ml + i, &r[c][0], sizeof(V));
+        std::memcpy(acc + (j + c) * ml + i + kW, &r[c][1], sizeof(V));
       }
     }
     for (; i < mv; ++i) {
       for (int c = 0; c < kCols; ++c) {
         T sum = acc[(j + c) * ml + i];
-        for (int d = 0; d < dv; ++d) sum += sa[d * ml + i] * sb[d * nl + j + c];
+        for (int d = 0; d < dv; ++d) sum += a[d * a_d + i] * bj[d * b_d + c * b_j];
         acc[(j + c) * ml + i] = sum;
       }
     }
@@ -107,9 +154,9 @@ void multiply_tiles(int mv, int nv, int dv, const T* sa, int ml, const T* sb, in
   for (; j < nv; ++j) {
     T* __restrict c0 = acc + static_cast<std::ptrdiff_t>(j) * ml;
     for (int d = 0; d < dv; ++d) {
-      const T* __restrict a = sa + static_cast<std::ptrdiff_t>(d) * ml;
-      const T b0 = sb[static_cast<std::ptrdiff_t>(d) * nl + j];
-      for (int i = 0; i < mv; ++i) c0[i] += a[i] * b0;
+      const T* __restrict ad = a + d * a_d;
+      const T b0 = b[d * b_d + j * b_j];
+      for (int i = 0; i < mv; ++i) c0[i] += ad[i] * b0;
     }
   }
 }
@@ -132,9 +179,10 @@ void store_tile(const Output<T>& out, const Block& blk, const T* acc, int ml, bo
 }
 
 /// Run every block of `g`. make_stager(const Block&) is called once per
-/// block and returns stage(k0, dv, sa, sb), which fills the A tile
-/// sa[d·ML + i] for d < dv, i < mv with op(A)(m0 + i, k0 + d) and the B tile
-/// sb[d·NL + j] for j < nv with op(B)(k0 + d, n0 + j).
+/// block and returns stage(k0, dv, sa), which returns the Tiles of the
+/// reduction steps [k0, k0 + dv) for rows m0 + i, i < mv, and columns
+/// n0 + j, j < nv. A stager that cannot point A at memory laid out that way
+/// fills sa[d·ML + i] and returns it with a_d = ML.
 template <typename T, typename MakeStager>
 void run(const Grid& g, const Output<T>& out, const MakeStager& make_stager) {
   ThreadPool& pool = ThreadPool::global();
@@ -148,58 +196,64 @@ void run(const Grid& g, const Output<T>& out, const MakeStager& make_stager) {
   std::vector<std::mutex> locks(split ? kNumLocks : 0);
   if (split) {
     // The zero-init / scale kernel that precedes split-K accumulation.
-    pool.parallel_for_each(static_cast<std::size_t>(g.batch * g.n), [&](std::size_t col) {
-      const auto b = static_cast<std::int64_t>(col) / g.n;
-      const auto j = static_cast<std::int64_t>(col) % g.n;
-      T* p = out.c + b * out.stride_c + j * out.ldc;
-      if (out.beta == T(0)) {
-        std::fill_n(p, g.m, T(0));
-      } else if (out.beta != T(1)) {
-        for (std::int64_t i = 0; i < g.m; ++i) p[i] *= out.beta;
-      }
-    });
+    pool.parallel_for(
+        static_cast<std::size_t>(g.batch * g.n),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t col = lo; col < hi; ++col) {
+            const auto b = static_cast<std::int64_t>(col) / g.n;
+            const auto j = static_cast<std::int64_t>(col) % g.n;
+            T* p = out.c + b * out.stride_c + j * out.ldc;
+            if (out.beta == T(0)) {
+              std::fill_n(p, g.m, T(0));
+            } else if (out.beta != T(1)) {
+              for (std::int64_t i = 0; i < g.m; ++i) p[i] *= out.beta;
+            }
+          }
+        },
+        grain_for(static_cast<double>(g.m)));
   }
 
   const std::size_t a_elems = static_cast<std::size_t>(g.depth) * g.ml;
-  const std::size_t b_elems = static_cast<std::size_t>(g.depth) * g.nl;
   const std::size_t acc_elems = static_cast<std::size_t>(g.ml) * g.nl;
+  const double block_flops = 2.0 * g.ml * g.nl * static_cast<double>(k_slice);
 
-  pool.parallel_for(static_cast<std::size_t>(blocks), [&](std::size_t lo, std::size_t hi) {
-    T* sa = scratch<T>(a_elems + b_elems + acc_elems);
-    T* sb = sa + a_elems;
-    T* acc = sb + b_elems;
-    for (std::size_t bi = lo; bi < hi; ++bi) {
-      // n fastest, then m, then the KG slice, then the batch member (the
-      // scheduling order the analyzer assumes for its reuse hints).
-      const auto idx = static_cast<std::int64_t>(bi);
-      const std::int64_t tn = idx % grid_n;
-      const std::int64_t tm = (idx / grid_n) % grid_m;
-      const std::int64_t slice = (idx / tiles) % g.kg;
-      const std::int64_t member = idx / (tiles * g.kg);
-      const std::int64_t k0 = slice * k_slice;
-      const std::int64_t k1 = std::min(g.k, k0 + k_slice);
-      if (k0 >= k1) continue;  // empty slice (K not divisible by KG)
+  pool.parallel_for(
+      static_cast<std::size_t>(blocks),
+      [&](std::size_t lo, std::size_t hi) {
+        T* sa = scratch<T>(a_elems + acc_elems);
+        T* acc = sa + a_elems;
+        for (std::size_t bi = lo; bi < hi; ++bi) {
+          // n fastest, then m, then the KG slice, then the batch member (the
+          // scheduling order the analyzer assumes for its reuse hints).
+          const auto idx = static_cast<std::int64_t>(bi);
+          const std::int64_t tn = idx % grid_n;
+          const std::int64_t tm = (idx / grid_n) % grid_m;
+          const std::int64_t slice = (idx / tiles) % g.kg;
+          const std::int64_t member = idx / (tiles * g.kg);
+          const std::int64_t k0 = slice * k_slice;
+          const std::int64_t k1 = std::min(g.k, k0 + k_slice);
+          if (k0 >= k1) continue;  // empty slice (K not divisible by KG)
 
-      const Block blk{member, tm * g.ml, tn * g.nl,
-                      static_cast<int>(std::min<std::int64_t>(g.ml, g.m - tm * g.ml)),
-                      static_cast<int>(std::min<std::int64_t>(g.nl, g.n - tn * g.nl))};
-      const auto stage = make_stager(blk);
-      std::fill_n(acc, static_cast<std::size_t>(blk.nv) * g.ml, T(0));
-      for (std::int64_t kk = k0; kk < k1; kk += g.depth) {
-        const int dv = static_cast<int>(std::min<std::int64_t>(g.depth, k1 - kk));
-        stage(kk, dv, sa, sb);
-        multiply_tiles(blk.mv, blk.nv, dv, sa, g.ml, sb, g.nl, acc);
-      }
+          const Block blk{member, tm * g.ml, tn * g.nl,
+                          static_cast<int>(std::min<std::int64_t>(g.ml, g.m - tm * g.ml)),
+                          static_cast<int>(std::min<std::int64_t>(g.nl, g.n - tn * g.nl))};
+          const auto stage = make_stager(blk);
+          std::fill_n(acc, static_cast<std::size_t>(blk.nv) * g.ml, T(0));
+          for (std::int64_t kk = k0; kk < k1; kk += g.depth) {
+            const int dv = static_cast<int>(std::min<std::int64_t>(g.depth, k1 - kk));
+            multiply_tiles(blk.mv, blk.nv, dv, stage(kk, dv, sa), g.ml, acc);
+          }
 
-      if (split) {
-        const std::int64_t tile = member * tiles + tm * grid_n + tn;
-        std::lock_guard<std::mutex> guard(locks[static_cast<std::size_t>(tile % kNumLocks)]);
-        store_tile(out, blk, acc, g.ml, true);
-      } else {
-        store_tile(out, blk, acc, g.ml, false);
-      }
-    }
-  });
+          if (split) {
+            const std::int64_t tile = member * tiles + tm * grid_n + tn;
+            std::lock_guard<std::mutex> guard(locks[static_cast<std::size_t>(tile % kNumLocks)]);
+            store_tile(out, blk, acc, g.ml, true);
+          } else {
+            store_tile(out, blk, acc, g.ml, false);
+          }
+        }
+      },
+      grain_for(block_flops));
 }
 
 /// The GEMM executor over `batch` operand slices at constant element strides

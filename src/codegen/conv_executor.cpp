@@ -1,8 +1,17 @@
+// Contraction is off for the whole file, the block engine's templates
+// included: every C element must round each multiply and each add on its
+// own, so it is the same ordered sum in every build (see block_engine.hpp).
+// The pragma precedes the includes because it applies only to functions
+// defined after it.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "codegen/conv_executor.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 #include "codegen/block_engine.hpp"
 #include "common/failpoint.hpp"
@@ -39,12 +48,15 @@ void execute_conv(const ConvShape& shape, const ConvTuning& tuning, float alpha,
 
   const std::int64_t wn = shape.w * shape.n;
   const std::int64_t hwn = shape.h * wn;
-  std::vector<RedEntry> red(static_cast<std::size_t>(crs));
+  // The reduction table lives in the calling thread's scratch. Pool workers
+  // only read it, and the call blocks until every block has finished, so no
+  // other use of this thread's buffer can overlap it.
+  RedEntry* red = engine::scratch<RedEntry>(static_cast<std::size_t>(crs));
   for (std::int64_t i = 0; i < crs; ++i) {
     const std::int64_t sx = i % shape.s;
     const std::int64_t r = (i / shape.s) % shape.r;
     const std::int64_t c = i / (shape.s * shape.r);
-    red[static_cast<std::size_t>(i)] = {r, sx, c * hwn + r * wn + sx * shape.n};
+    red[i] = {r, sx, c * hwn + r * wn + sx * shape.n};
   }
 
   // O[k, p, q, n] = O[k·NPQ + row]: the output is column-major m×K.
@@ -62,9 +74,9 @@ void execute_conv(const ConvShape& shape, const ConvTuning& tuning, float alpha,
       const std::int64_t w0 = q * shape.stride_w - shape.pad_w;
       rows[i] = {h0, w0, h0 * wn + w0 * shape.n + n};
     }
-    return [&, rows, blk](std::int64_t k0, int dv, float* sa, float* sb) {
+    return [&, rows, blk](std::int64_t k0, int dv, float* sa) {
       for (int d = 0; d < dv; ++d) {
-        const RedEntry& e = red[static_cast<std::size_t>(k0 + d)];
+        const RedEntry& e = red[k0 + d];
         float* dst = sa + static_cast<std::ptrdiff_t>(d) * grid.ml;
         for (int i = 0; i < blk.mv; ++i) {
           const std::int64_t hh = rows[i].h0 + e.r;
@@ -73,10 +85,9 @@ void execute_conv(const ConvShape& shape, const ConvTuning& tuning, float alpha,
                        ? input[e.offset + rows[i].base]
                        : 0.0f;  // padding
         }
-        // F[c, r, s, k] = F[red·K + k]: k contiguous.
-        std::copy_n(filters + (k0 + d) * nk + blk.n0, blk.nv,
-                    sb + static_cast<std::ptrdiff_t>(d) * grid.nl);
       }
+      // F[c, r, s, k] = F[red·K + k]: k contiguous, read in place.
+      return engine::Tiles<float>{sa, grid.ml, filters + k0 * nk + blk.n0, nk, 1};
     };
   });
 }

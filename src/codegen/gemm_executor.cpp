@@ -1,6 +1,16 @@
+// Contraction is off for the whole file, the block engine's templates
+// included: every C element must round each multiply and each add on its
+// own, so it is the same ordered sum in every build (see block_engine.hpp).
+// The pragma precedes the includes because it applies only to functions
+// defined after it.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "codegen/gemm_executor.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "codegen/block_engine.hpp"
@@ -10,32 +20,35 @@ namespace isaac::codegen {
 
 namespace {
 
-/// Stage op(A) and op(B) tiles reading along each operand's contiguous
-/// dimension; the layout branch is taken once per round, not per element.
+/// One round's operand tiles. Only a transposed A (k contiguous) is staged,
+/// column by column into sa; a non-transposed A and B in either layout are
+/// read in place.
 template <typename T>
-void stage_gemm(const GemmShape& s, const engine::Block& blk, const T* a, std::int64_t lda,
-                const T* b, std::int64_t ldb, int ml, int nl, std::int64_t k0, int dv, T* sa,
-                T* sb) {
+engine::Tiles<T> stage_gemm(const GemmShape& s, const engine::Block& blk, const T* a,
+                            std::int64_t lda, const T* b, std::int64_t ldb, int ml,
+                            std::int64_t k0, int dv, T* sa) {
+  engine::Tiles<T> t{};
   if (!s.trans_a) {  // A is M×K: m contiguous
-    for (int d = 0; d < dv; ++d) {
-      std::copy_n(a + blk.m0 + (k0 + d) * lda, blk.mv, sa + static_cast<std::ptrdiff_t>(d) * ml);
-    }
+    t.a = a + blk.m0 + k0 * lda;
+    t.a_d = lda;
   } else {  // A stored K×M: k contiguous
     for (int i = 0; i < blk.mv; ++i) {
       const T* src = a + k0 + (blk.m0 + i) * lda;
       for (int d = 0; d < dv; ++d) sa[static_cast<std::ptrdiff_t>(d) * ml + i] = src[d];
     }
+    t.a = sa;
+    t.a_d = ml;
   }
   if (!s.trans_b) {  // B is K×N: k contiguous
-    for (int j = 0; j < blk.nv; ++j) {
-      const T* src = b + k0 + (blk.n0 + j) * ldb;
-      for (int d = 0; d < dv; ++d) sb[static_cast<std::ptrdiff_t>(d) * nl + j] = src[d];
-    }
+    t.b = b + k0 + blk.n0 * ldb;
+    t.b_d = 1;
+    t.b_j = ldb;
   } else {  // B stored N×K: n contiguous
-    for (int d = 0; d < dv; ++d) {
-      std::copy_n(b + blk.n0 + (k0 + d) * ldb, blk.nv, sb + static_cast<std::ptrdiff_t>(d) * nl);
-    }
+    t.b = b + blk.n0 + k0 * ldb;
+    t.b_d = ldb;
+    t.b_j = 1;
   }
+  return t;
 }
 
 template <typename T>
@@ -62,8 +75,8 @@ void run_gemm_impl(const GemmShape& shape, std::int64_t batch, const GemmTuning&
   engine::run(grid, out, [&](const engine::Block& blk) {
     const T* ab = a + blk.batch * stride_a;
     const T* bb = b + blk.batch * stride_b;
-    return [&shape, &grid, blk, ab, bb, lda, ldb](std::int64_t k0, int dv, T* sa, T* sb) {
-      stage_gemm(shape, blk, ab, lda, bb, ldb, grid.ml, grid.nl, k0, dv, sa, sb);
+    return [&shape, &grid, blk, ab, bb, lda, ldb](std::int64_t k0, int dv, T* sa) {
+      return stage_gemm(shape, blk, ab, lda, bb, ldb, grid.ml, k0, dv, sa);
     };
   });
 }

@@ -119,13 +119,16 @@ struct ParallelForState {
 }  // namespace
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t, std::size_t)>& fn) {
+                              const std::function<void(std::size_t, std::size_t)>& fn,
+                              std::size_t grain) {
   if (n == 0) return;
   ISAAC_TM_COUNT("pool.parallel_for");
   // Oversubscribe chunks 4x so uneven work (e.g. predicated edge blocks in the
-  // functional executors) balances across workers.
+  // functional executors) balances across workers, but never below the
+  // caller's grain: a chunk too small to pay for its queue hop runs inline.
   const std::size_t want_chunks = std::max<std::size_t>(1, size() * 4);
-  const std::size_t chunk = std::max<std::size_t>(1, (n + want_chunks - 1) / want_chunks);
+  const std::size_t chunk =
+      std::max({std::size_t{1}, grain, (n + want_chunks - 1) / want_chunks});
   const std::size_t chunks = (n + chunk - 1) / chunk;
 
   if (chunks == 1) {

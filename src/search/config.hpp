@@ -44,10 +44,12 @@ struct SearchConfig {
   int reeval_reps = 5;
 
   /// MLP scoring batch for model-guided strategies. Sized so one chunk's
-  /// activations (batch × widest layer floats) stay L2-resident during the
-  /// forward pass; scores are bit-identical for any chunking, so this is a
-  /// pure throughput knob.
-  std::size_t batch = 2048;
+  /// activations (batch × widest layer floats, 512 × 128 × 4 B = 256 KB) stay
+  /// L2-resident during the forward pass. Every pool thread that ranks keeps
+  /// a block this size for the life of the process, so it is kept small.
+  /// Scores are bit-identical for any chunking, so this is a pure throughput
+  /// and memory knob.
+  std::size_t batch = 512;
 
   /// Cap on the legal candidates a model-guided strategy ranks (0 = the op's
   /// default; for ops whose default is 0, the ranking is dense). Applied by

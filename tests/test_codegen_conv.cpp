@@ -1,9 +1,20 @@
 // Tests for the CONV parameterization: implicit-GEMM lowering, validity,
 // analysis, and the functional executor against the naive direct reference,
-// on hand-picked cases and a seeded sample of the legal space.
+// on hand-picked cases and a seeded sample of the legal space. CG = 1 outputs
+// are also compared bit for bit with an ordered-sum oracle.
+
+// The oracle must round each multiply and each add on its own, as the
+// executor does, in every build (see conv_executor.cpp).
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -302,6 +313,65 @@ TEST(ConvExecutor, OnePoolPassPerCallWithoutSplit) {
     EXPECT_EQ(passes.value() - before, static_cast<std::uint64_t>(cg)) << "cg=" << cg;
   }
   telemetry::set_enabled(false);
+}
+
+/// The implicit GEMM as the executor sums it with CG = 1: each output is the
+/// ascending sum over red = (c·R + r)·S + s from zero, a padded tap
+/// contributing 0·F, one rounded multiply and one rounded add per step, then
+/// alpha·sum, plus beta·O unless beta = 0.
+void ordered_sum_conv(const ConvShape& s, float alpha, const float* input, const float* filters,
+                      float beta, float* output) {
+  const std::int64_t P = s.p(), Q = s.q();
+  for (std::int64_t k = 0; k < s.k; ++k) {
+    for (std::int64_t p = 0; p < P; ++p) {
+      for (std::int64_t q = 0; q < Q; ++q) {
+        for (std::int64_t n = 0; n < s.n; ++n) {
+          float sum = 0.0f;
+          for (std::int64_t red = 0; red < s.crs(); ++red) {
+            const std::int64_t sx = red % s.s;
+            const std::int64_t r = (red / s.s) % s.r;
+            const std::int64_t c = red / (s.s * s.r);
+            const std::int64_t hh = p * s.stride_h + r - s.pad_h;
+            const std::int64_t ww = q * s.stride_w + sx - s.pad_w;
+            const bool inside = hh >= 0 && hh < s.h && ww >= 0 && ww < s.w;
+            const float iv = inside ? input[((c * s.h + hh) * s.w + ww) * s.n + n] : 0.0f;
+            sum += iv * filters[red * s.k + k];
+          }
+          float& out = output[((k * P + p) * Q + q) * s.n + n];
+          out = beta == 0.0f ? alpha * sum : alpha * sum + beta * out;
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvExecutor, BitIdenticalToOrderedSum) {
+  // The im2col gather is staged and the filters are read in place. Ragged
+  // and padded-strided shapes, CL = 1 and 2; the last shape (19 MFLOP) is
+  // over the engine's inline threshold, so its blocks spread across the pool.
+  const ConvShape shapes[] = {ConvShape::from_npq(4, 8, 8, 8, 4, 3, 3),
+                              ConvShape::from_npq(3, 7, 5, 6, 5, 3, 3), strided_padded(),
+                              ConvShape::from_npq(8, 16, 16, 32, 16, 3, 3)};
+  for (const ConvShape& s : shapes) {
+    Rng rng(static_cast<std::uint64_t>(s.npq() + s.k));
+    std::vector<float> input(static_cast<std::size_t>(s.c * s.h * s.w * s.n));
+    std::vector<float> filters(static_cast<std::size_t>(s.crs() * s.k));
+    std::vector<float> init(static_cast<std::size_t>(s.k * s.npq()));
+    for (std::vector<float>* v : {&input, &filters, &init}) {
+      for (float& x : *v) x = static_cast<float>(rng.uniform(-1, 1));
+    }
+    for (const int cl : {1, 2}) {
+      for (const float beta : {0.0f, 0.5f}) {
+        auto t = tiny_tuning();
+        t.cl = cl;
+        std::vector<float> got = init, want = init;
+        execute_conv(s, t, 1.5f, input.data(), filters.data(), beta, got.data());
+        ordered_sum_conv(s, 1.5f, input.data(), filters.data(), beta, want.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+            << s.to_string() << " cl=" << cl << " beta=" << beta;
+      }
+    }
+  }
 }
 
 TEST(ConvExecutor, SampledLegalTuningsMatchReference) {

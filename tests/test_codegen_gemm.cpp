@@ -1,11 +1,24 @@
 // Tests for the GEMM parameterization: validity (legal space X), static
 // analysis (KernelProfile), and the single and batched functional executors
 // against the naive references across shapes, layouts, reduction splits,
-// strides, and a seeded sample of the legal space.
+// strides, and a seeded sample of the legal space. KG = 1 outputs are also
+// compared bit for bit with an ordered-sum oracle.
+
+// The oracle must round each multiply and each add on its own, as the
+// executors do, in every build (see gemm_executor.cpp).
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "codegen/batched_gemm.hpp"
@@ -349,6 +362,141 @@ TEST(GemmExecutor, OnePoolPassPerCallWithoutSplit) {
             }),
             1u);
   telemetry::set_enabled(false);
+}
+
+// ------------------------------------------------------- bit-exact oracle --
+/// C = alpha·op(A)·op(B) + beta·C as the engine computes it with KG = 1:
+/// each element is the d-ascending sum from zero, one rounded multiply and
+/// one rounded add per step, then alpha·sum, plus beta·C unless beta = 0.
+template <typename T>
+void ordered_sum_gemm(const GemmShape& s, T alpha, const T* a, std::int64_t lda, const T* b,
+                      std::int64_t ldb, T beta, T* c, std::int64_t ldc) {
+  for (std::int64_t j = 0; j < s.n; ++j) {
+    for (std::int64_t i = 0; i < s.m; ++i) {
+      T sum = 0;
+      for (std::int64_t d = 0; d < s.k; ++d) {
+        const T av = s.trans_a ? a[d + i * lda] : a[i + d * lda];
+        const T bv = s.trans_b ? b[j + d * ldb] : b[d + j * ldb];
+        sum += av * bv;
+      }
+      T& out = c[i + j * ldc];
+      out = beta == T(0) ? alpha * sum : alpha * sum + beta * out;
+    }
+  }
+}
+
+/// Seeded operands of one GEMM, leading dimensions `pad` past minimal.
+template <typename T>
+struct GemmOperands {
+  std::int64_t lda, ldb, ldc;
+  std::vector<T> a, b, c;
+};
+
+template <typename T>
+GemmOperands<T> make_operands(const GemmShape& s, std::int64_t pad, std::uint64_t seed) {
+  Rng rng(seed);
+  GemmOperands<T> o;
+  o.lda = (s.trans_a ? s.k : s.m) + pad;
+  o.ldb = (s.trans_b ? s.n : s.k) + pad;
+  o.ldc = s.m + pad;
+  o.a.resize(static_cast<std::size_t>(o.lda * (s.trans_a ? s.m : s.k)));
+  o.b.resize(static_cast<std::size_t>(o.ldb * (s.trans_b ? s.k : s.n)));
+  o.c.resize(static_cast<std::size_t>(o.ldc * s.n));
+  for (std::vector<T>* v : {&o.a, &o.b, &o.c}) {
+    for (T& x : *v) x = static_cast<T>(rng.uniform(-1, 1));
+  }
+  return o;
+}
+
+template <typename T>
+bool bit_identical(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+template <typename T>
+void expect_ordered_sum(const GemmShape& s, const GemmTuning& t, T beta, std::int64_t pad,
+                        std::uint64_t seed) {
+  GemmOperands<T> o = make_operands<T>(s, pad, seed);
+  std::vector<T> want = o.c;
+  execute_gemm(s, t, T(1.5), o.a.data(), o.lda, o.b.data(), o.ldb, beta, o.c.data(), o.ldc);
+  ordered_sum_gemm(s, T(1.5), o.a.data(), o.lda, o.b.data(), o.ldb, beta, want.data(), o.ldc);
+  EXPECT_TRUE(bit_identical(o.c, want))
+      << s.to_string() << " tuning " << t.to_string() << " beta " << beta << " pad " << pad
+      << " " << (sizeof(T) == 4 ? "float" : "double");
+}
+
+TEST(GemmExecutor, BitIdenticalToOrderedSum) {
+  // Ragged M, N and K against every tile, KL = 1 and 4, in all four layouts,
+  // with minimal and padded leading dimensions. The last shape (10 MFLOP) is
+  // over the engine's inline threshold, so its blocks spread across the pool.
+  struct Case {
+    std::int64_t m, n, k;
+    GemmTuning tuning;
+  };
+  const Case cases[] = {{61, 67, 53, make_tuning(4, 4, 32, 32, 8)},
+                        {33, 31, 17, make_tuning(2, 2, 16, 8, 4, 4)},
+                        {7, 100, 129, make_tuning(2, 4, 16, 32, 4)},
+                        {130, 70, 300, make_tuning(4, 4, 64, 16, 2, 4)},
+                        {190, 210, 131, make_tuning(4, 4, 32, 32, 8)}};
+  std::uint64_t seed = 30;
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      for (const Case& c : cases) {
+        for (const std::int64_t pad : {0, 3}) {
+          expect_ordered_sum(make_shape(c.m, c.n, c.k, DataType::F32, ta, tb), c.tuning, 0.5f,
+                             pad, ++seed);
+          expect_ordered_sum(make_shape(c.m, c.n, c.k, DataType::F32, ta, tb), c.tuning, 0.0f,
+                             pad, ++seed);
+          expect_ordered_sum(make_shape(c.m, c.n, c.k, DataType::F64, ta, tb), c.tuning, 0.5,
+                             pad, ++seed);
+          expect_ordered_sum(make_shape(c.m, c.n, c.k, DataType::F64, ta, tb), c.tuning, 0.0,
+                             pad, ++seed);
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmExecutor, SmallCallRunsOnCallingThread) {
+  // A hot-set-sized GEMM (0.5 MFLOP) is under the inline threshold: it runs
+  // on the caller and queues nothing. A Table 4-sized grid still spreads.
+  telemetry::set_enabled(true);
+  telemetry::Counter& submitted = telemetry::counter("pool.submitted");
+  const auto submissions = [&](std::int64_t size) {
+    const GemmShape shape = make_shape(size, size, size);
+    GemmOperands<float> o = make_operands<float>(shape, 0, 40);
+    const std::uint64_t before = submitted.value();
+    execute_gemm(shape, make_tuning(4, 4, 32, 32, 8), 1.0f, o.a.data(), o.lda, o.b.data(), o.ldb,
+                 0.5f, o.c.data(), o.ldc);
+    return submitted.value() - before;
+  };
+  EXPECT_EQ(submissions(64), 0u);
+  EXPECT_GT(submissions(256), 0u);
+  telemetry::set_enabled(false);
+}
+
+TEST(GemmExecutor, ConcurrentSmallCallsMatchOrderedSum) {
+  // Four clients serve small GEMMs at once, each on its own thread, over
+  // shared A and B and private C.
+  const GemmShape shape = make_shape(48, 40, 96, DataType::F32, false, true);
+  const GemmTuning tuning = make_tuning(4, 4, 16, 16, 4);
+  const GemmOperands<float> o = make_operands<float>(shape, 1, 41);
+  std::vector<float> want = o.c;
+  ordered_sum_gemm(shape, 1.5f, o.a.data(), o.lda, o.b.data(), o.ldb, 0.5f, want.data(), o.ldc);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&] {
+      for (int call = 0; call < 25; ++call) {
+        std::vector<float> c = o.c;
+        execute_gemm(shape, tuning, 1.5f, o.a.data(), o.lda, o.b.data(), o.ldb, 0.5f, c.data(),
+                     o.ldc);
+        if (!bit_identical(c, want)) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ------------------------------------------------------- batched executor --

@@ -1,10 +1,14 @@
 // Unit tests for src/common: strings, stats, rng, thread pool, table, cli.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <utility>
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -12,6 +16,7 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace isaac {
 namespace {
@@ -201,6 +206,73 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     ThreadPool::global().parallel_for_each(8, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 32);
+}
+
+TEST(ThreadPool, GrainBoundsEveryChunkButTheLast) {
+  ThreadPool pool(4);
+  for (const std::size_t grain : {std::size_t{1}, std::size_t{64}, std::size_t{300}}) {
+    std::mutex mutex;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    pool.parallel_for(
+        1000,
+        [&](std::size_t begin, std::size_t end) {
+          std::lock_guard<std::mutex> lock(mutex);
+          chunks.emplace_back(begin, end);
+        },
+        grain);
+    std::sort(chunks.begin(), chunks.end());
+    std::size_t next = 0;
+    for (const auto& [begin, end] : chunks) {
+      EXPECT_EQ(begin, next) << "grain " << grain;
+      if (end != 1000) {
+        EXPECT_GE(end - begin, grain) << "grain " << grain;
+      }
+      next = end;
+    }
+    EXPECT_EQ(next, 1000u) << "grain " << grain;
+  }
+}
+
+TEST(ThreadPool, SingleChunkRunsOnCallingThread) {
+  // A grain that leaves one chunk runs it inline: nothing is queued.
+  ThreadPool pool(4);
+  telemetry::set_enabled(true);
+  telemetry::Counter& submitted = telemetry::counter("pool.submitted");
+  const std::uint64_t before = submitted.value();
+  std::thread::id ran_on;
+  std::size_t calls = 0;
+  pool.parallel_for(
+      100,
+      [&](std::size_t begin, std::size_t end) {
+        ran_on = std::this_thread::get_id();
+        ++calls;
+        EXPECT_EQ(begin, 0u);
+        EXPECT_EQ(end, 100u);
+      },
+      100);
+  EXPECT_EQ(submitted.value(), before);
+  telemetry::set_enabled(false);
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, GrainKeepsLowestIndexError) {
+  ThreadPool pool(4);
+  for (const std::size_t grain : {std::size_t{100}, std::size_t{2000}}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      try {
+        pool.parallel_for(
+            1024,
+            [](std::size_t begin, std::size_t) -> void {
+              throw std::runtime_error("chunk@" + std::to_string(begin));
+            },
+            grain);
+        FAIL() << "parallel_for swallowed the exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "chunk@0") << "grain " << grain;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------ table --
