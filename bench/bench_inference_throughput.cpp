@@ -7,12 +7,6 @@
 // users" runtime: queries/sec through the shared Context's cached dispatch
 // path (shared-locked cache lookup + kernel execution) at 1, 4 and 8 threads.
 //
-// Search-subsystem sweep mode: `bench_inference_throughput --search_sweep`
-// skips google-benchmark and instead runs every registered search strategy
-// across an evaluation-budget ladder on a fixed shape set, emitting one JSON
-// line per (strategy, budget, shape) so the tuning-quality/cost trajectory
-// can be tracked and diffed across PRs.
-//
 // Dispatch-latency mode: `--dispatch_latency` times cold `select()` calls
 // under two-tier dispatch vs blocking tuning (p50/p99 per mode, speedup,
 // refined-entry agreement) — the headline number for the tier-1 fast path.
@@ -45,7 +39,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -65,7 +58,6 @@
 #include "gpusim/simulator.hpp"
 #include "linalg/blas.hpp"
 #include "mlp/regressor.hpp"
-#include "search/factory.hpp"
 #include "search/model_topk.hpp"
 #include "support/reference_rank.hpp"
 #include "telemetry/telemetry.hpp"
@@ -157,14 +149,16 @@ void BM_ModelScoring(benchmark::State& state) {
   const auto shape = bench_shape();
   const tuning::GemmSearchSpace space;
   Rng rng(7);
-  std::vector<std::vector<double>> rows;
-  rows.reserve(batch);
+  tuning::FeatureBatch rows(tuning::kNumFeatures);
   for (std::size_t i = 0; i < batch; ++i) {
-    rows.push_back(tuning::features(shape, space.sample_uniform(rng)));
+    tuning::features_into(shape, space.sample_uniform(rng), rows.append_row());
   }
   const auto& m = model();
+  std::vector<double> scores(batch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(m.predict_gflops_batch(rows));
+    m.predict_gflops_rows(rows, 0, batch, scores.data());
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
 }
@@ -211,7 +205,7 @@ void BM_DispatchThroughput(benchmark::State& state) {
   auto& ctx = dispatch_context();
   const auto shapes = dispatch_shapes();
   if (state.thread_index() == 0) {
-    ctx.warmup(shapes).wait();  // all shapes hot before timing starts
+    ctx.warmup<core::GemmOp>(shapes).wait();  // all shapes hot before timing starts
     ctx.drain_background();     // …and fully refined: no tuning noise in-loop
   }
 
@@ -220,7 +214,7 @@ void BM_DispatchThroughput(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& shape = shapes[i++ % shapes.size()];
-    const auto info = ctx.gemm(shape, 1.0f, a.data(), shape.m, b.data(), shape.k, 0.0f,
+    const auto info = ctx.run<core::GemmOp>(shape, 1.0f, a.data(), shape.m, b.data(), shape.k, 0.0f,
                                c.data(), shape.m);
     benchmark::DoNotOptimize(info.gflops);
   }
@@ -234,7 +228,7 @@ void BM_DispatchSelectOnly(benchmark::State& state) {
   auto& ctx = dispatch_context();
   const auto shapes = dispatch_shapes();
   if (state.thread_index() == 0) {
-    ctx.warmup(shapes).wait();
+    ctx.warmup<core::GemmOp>(shapes).wait();
     ctx.drain_background();
   }
   std::size_t i = 0;
@@ -315,7 +309,7 @@ RetrainLatency measure_select_under_retrain() {
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(model());
   const auto shapes = dispatch_shapes();
-  ctx.warmup(shapes).wait();
+  ctx.warmup<core::GemmOp>(shapes).wait();
   ctx.drain_background();
 
   using Clock = std::chrono::steady_clock;
@@ -1075,62 +1069,6 @@ int run_rank_throughput() {
   return 0;
 }
 
-// ------------------------------------------------------------ search sweep --
-
-/// Strategy × budget sweep over a fixed shape set; one JSON object per line
-/// on stdout (everything else goes to stderr via the logger), so downstream
-/// tooling can `jq` the perf trajectory across PRs.
-int run_search_sweep() {
-  const gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 9);
-  const auto& m = model();
-
-  std::vector<codegen::GemmShape> shapes;
-  for (const auto& [mm, nn, kk] :
-       {std::array<std::int64_t, 3>{512, 512, 512}, std::array<std::int64_t, 3>{2560, 32, 2560},
-        std::array<std::int64_t, 3>{64, 64, 8192}}) {
-    codegen::GemmShape s;
-    s.m = mm;
-    s.n = nn;
-    s.k = kk;
-    shapes.push_back(s);
-  }
-
-  for (const auto& strategy : search::strategy_names()) {
-    for (const std::size_t budget : {16, 64, 256}) {
-      for (const auto& shape : shapes) {
-        search::SearchConfig cfg;
-        cfg.strategy = strategy;
-        cfg.budget = budget;
-        cfg.reeval_reps = 3;
-        cfg.max_candidates = 20000;
-        const auto t0 = std::chrono::steady_clock::now();
-        core::GemmTuneResult result;
-        try {
-          result = core::tune_gemm(shape, m, sim, cfg);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "[sweep] %s budget=%zu %s failed: %s\n", strategy.c_str(),
-                       budget, shape.to_string().c_str(), e.what());
-          continue;
-        }
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                .count();
-        std::printf(
-            "{\"bench\":\"search_sweep\",\"op\":\"gemm\",\"strategy\":\"%s\","
-            "\"budget\":%zu,\"shape\":\"%s\",\"best_gflops\":%.3f,"
-            "\"predicted_gflops\":%.3f,\"kernel\":\"%s\",\"measured\":%zu,"
-            "\"legal\":%zu,\"enumerated\":%zu,\"wall_ms\":%.3f}\n",
-            strategy.c_str(), budget, shape.to_string().c_str(),
-            result.best.measured_gflops, result.best.predicted_gflops,
-            result.best.tuning.to_string().c_str(), result.measured, result.legal,
-            result.enumerated, wall_ms);
-        std::fflush(stdout);
-      }
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1163,7 +1101,6 @@ int main(int argc, char** argv) {
     return rc;
   };
   for (std::size_t i = 1; i < args.size(); ++i) {
-    if (std::string(args[i]) == "--search_sweep") return finish(run_search_sweep());
     if (std::string(args[i]) == "--dispatch_latency") return finish(run_dispatch_latency());
     if (std::string(args[i]) == "--rank_throughput") return finish(run_rank_throughput());
     if (std::string(args[i]) == "--online_learning") return finish(run_online_learning());

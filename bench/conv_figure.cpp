@@ -45,7 +45,7 @@ int run_conv_figure(const ConvFigureOptions& options) {
   for (const auto& task : options.tasks) {
     core::ConvTuneResult isaac_result;
     try {
-      isaac_result = core::tune_conv(task.shape, model, sim, inference);
+      isaac_result = core::tune<core::ConvOp>(task.shape, model, sim, inference);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "[bench] %s: tuning failed: %s\n", task.label.c_str(), e.what());
       continue;

@@ -48,11 +48,13 @@ int main() {
     for (auto& v : w) v = static_cast<float>(rng.uniform(-0.1, 0.1));
     for (auto& v : x) v = static_cast<float>(rng.uniform(-1, 1));
 
-    const auto f = ctx.gemm(fwd, 1.0f, w.data(), layer, x.data(), layer, 0.0f, y.data(), layer);
+    const auto f = ctx.run<core::GemmOp>(fwd, 1.0f, w.data(), layer, x.data(), layer, 0.0f,
+                                         y.data(), layer);
     table.add_row({"forward", std::to_string(batch), f.tuning.to_string(),
                    Table::fmt_double(f.gflops / 1000.0, 2)});
 
-    const auto b = ctx.gemm(bwd, 1.0f, w.data(), layer, x.data(), layer, 0.0f, y.data(), layer);
+    const auto b = ctx.run<core::GemmOp>(bwd, 1.0f, w.data(), layer, x.data(), layer, 0.0f,
+                                         y.data(), layer);
     table.add_row({"backward", std::to_string(batch), b.tuning.to_string(),
                    Table::fmt_double(b.gflops / 1000.0, 2)});
   }

@@ -48,8 +48,8 @@ int main() {
   shape.trans_b = true;
 
   std::vector<float> cov(static_cast<std::size_t>(channels * channels), 0.0f);
-  const auto info = ctx.gemm(shape, 1.0f / static_cast<float>(samples), x.data(), channels,
-                             x.data(), channels, 0.0f, cov.data(), channels);
+  const auto info = ctx.run<core::GemmOp>(shape, 1.0f / static_cast<float>(samples), x.data(),
+                                          channels, x.data(), channels, 0.0f, cov.data(), channels);
 
   std::printf("\ncovariance GEMM (%lldx%lld over K=%lld):\n", static_cast<long long>(channels),
               static_cast<long long>(channels), static_cast<long long>(samples));

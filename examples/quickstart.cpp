@@ -40,8 +40,8 @@ int main() {
   std::vector<float> b(static_cast<std::size_t>(shape.k * shape.n), 0.25f);
   std::vector<float> c(static_cast<std::size_t>(shape.m * shape.n), 0.0f);
 
-  const auto info =
-      ctx.gemm(shape, 1.0f, a.data(), shape.m, b.data(), shape.k, 0.0f, c.data(), shape.m);
+  const auto info = ctx.run<core::GemmOp>(shape, 1.0f, a.data(), shape.m, b.data(), shape.k, 0.0f,
+                                          c.data(), shape.m);
 
   std::printf("\nselected kernel : %s\n", info.tuning.to_string().c_str());
   std::printf("simulated time  : %.1f us\n", info.simulated_seconds * 1e6);
@@ -51,8 +51,8 @@ int main() {
               static_cast<long long>(shape.k), 0.5 * 0.25 * static_cast<double>(shape.k));
 
   // A second call with the same shape hits the kernel cache: no re-tuning.
-  const auto again =
-      ctx.gemm(shape, 1.0f, a.data(), shape.m, b.data(), shape.k, 0.0f, c.data(), shape.m);
+  const auto again = ctx.run<core::GemmOp>(shape, 1.0f, a.data(), shape.m, b.data(), shape.k, 0.0f,
+                                          c.data(), shape.m);
   std::printf("second call     : from cache = %s\n", again.from_cache ? "yes" : "no");
   return 0;
 }

@@ -3,25 +3,22 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 #include "common/failpoint.hpp"
 #include "common/logging.hpp"
 #include "search/driver.hpp"
-#include "search/factory.hpp"
+#include "search/model_topk.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace isaac::core {
 
 namespace {
 
-/// Zero-valued fields fall back to the op's defaults; an empty strategy name
-/// means the op's default strategy.
+/// Zero-valued fields fall back to the op's defaults.
 template <typename Op>
 search::SearchConfig resolve_config(const search::SearchConfig& config) {
   const search::SearchConfig defaults = OperationTraits<Op>::default_search();
   search::SearchConfig resolved = config;
-  if (resolved.strategy.empty()) resolved.strategy = defaults.strategy;
   if (resolved.budget == 0) resolved.budget = defaults.budget;
   if (resolved.max_candidates == 0) resolved.max_candidates = defaults.max_candidates;
   if (resolved.batch == 0) resolved.batch = defaults.batch;
@@ -35,11 +32,10 @@ search::SearchConfig resolve_config(const search::SearchConfig& config) {
 
 }  // namespace
 
-/// One implementation for every operation and every strategy: build the op's
-/// search problem, let the configured strategy propose legal candidates, and
-/// spend the measurement budget re-timing them on the device. All op-specific
-/// behavior comes from OperationTraits<Op>, all policy from the strategy —
-/// adding an operation or a strategy adds no code here.
+/// One implementation for every operation: build the op's search problem,
+/// rank its legal space with the model, and spend the measurement budget
+/// re-timing the best predictions on the device. All op-specific behavior
+/// comes from OperationTraits<Op> — adding an operation adds no code here.
 template <typename Op>
 TuneResult<typename OperationTraits<Op>::Tuning> tune(
     const typename OperationTraits<Op>::Shape& shape, const mlp::Regressor& model,
@@ -59,10 +55,10 @@ TuneResult<typename OperationTraits<Op>::Tuning> tune(
   problem.device = &dev;
   problem.space = &space;
   problem.model = &model;
-  const auto strategy = search::make_strategy<Op>(problem, resolved);
+  search::ModelGuidedTopK<Op> strategy(problem, resolved);
 
   TuneResult<Tuning> result;
-  result.strategy = resolved.strategy;
+  result.strategy = strategy.name();
   result.budget = resolved.budget;
 
   const auto measure = [&](const Tuning& t) {
@@ -70,48 +66,43 @@ TuneResult<typename OperationTraits<Op>::Tuning> tune(
     const auto timed = sim.launch_median(profile, resolved.reeval_reps);
     return timed.valid ? timed.tflops * 1000.0 : 0.0;
   };
-  // Deterministic tie-break shared by every strategy, so equal-measuring
-  // winners agree across strategies and across runs.
+  // Deterministic tie-break, so equal-measuring winners agree across runs.
   const auto better = [](const Candidate<Tuning>& a, const Candidate<Tuning>& b) {
     if (a.measured_gflops != b.measured_gflops) return a.measured_gflops > b.measured_gflops;
     return Traits::encode_tuning(a.tuning) < Traits::encode_tuning(b.tuning);
   };
-  // Adaptive strategies may re-propose an already-measured point (annealing
-  // chain revisits, GA fallbacks); keep result.top a list of *distinct*
-  // candidates. Re-measurements are deterministic, so dropping them is safe.
-  std::unordered_set<std::string> seen_tunings;
-  search::DriveOptions drive_options(resolved);
-  drive_options.stopped_early = &result.stopped_early;
+  // The ranking proposes each legal point at most once, so result.top holds
+  // distinct candidates.
   result.measured = search::drive(
-      *strategy, drive_options, measure,
+      strategy, resolved, measure,
       [&](const search::Proposal<Tuning>& p, double gflops) {
-        if (!seen_tunings.insert(Traits::encode_tuning(p.tuning)).second) return;
         Candidate<Tuning> c;
         c.tuning = p.tuning;
         c.predicted_gflops = p.predicted_gflops;
         c.measured_gflops = gflops;
         result.top.push_back(std::move(c));
-        // Keep memory bounded for huge budgets (an unbudgeted exhaustive
-        // sweep measures the whole legal space): prune back to the keep_top
-        // best whenever the buffer doubles past it.
+        // Keep memory bounded for huge budgets (an unlimited budget re-times
+        // the whole ranked legal space): prune back to the keep_top best
+        // whenever the buffer doubles past it.
         if (resolved.keep_top < result.top.size() / 2) {
           std::nth_element(result.top.begin(),
                            result.top.begin() + static_cast<std::ptrdiff_t>(resolved.keep_top),
                            result.top.end(), better);
           result.top.resize(resolved.keep_top);
         }
-      });
+      },
+      &result.stopped_early);
 
-  result.enumerated = strategy->stats().visited;
-  result.legal = strategy->stats().legal;
+  result.enumerated = strategy.stats().visited;
+  result.legal = strategy.stats().legal;
   if (result.top.empty()) {
-    // The strategy proposed nothing measurable (every candidate illegal for
+    // The ranking found nothing measurable (every candidate illegal for
     // this degenerate shape, or the space empty): without this check the
     // caller would receive a value-initialized "best". Fail loudly and say
     // what was tried.
     throw std::runtime_error(std::string("tune: no legal ") + Traits::kind() +
                              " configuration for shape " + shape.to_string() + " (strategy " +
-                             resolved.strategy + ", " + std::to_string(result.legal) +
+                             result.strategy + ", " + std::to_string(result.legal) +
                              " legal of " + std::to_string(result.enumerated) +
                              " visited points)");
   }
@@ -121,7 +112,7 @@ TuneResult<typename OperationTraits<Op>::Tuning> tune(
   result.best = result.top.front();
   if (t0) ISAAC_TM_RECORD("search.tune_us", telemetry::now_us() - t0);
 
-  ISAAC_LOG_INFO() << "tuned " << Traits::kind() << " [" << resolved.strategy << ", budget "
+  ISAAC_LOG_INFO() << "tuned " << Traits::kind() << " [" << result.strategy << ", budget "
                    << resolved.budget << "]: " << result.measured << " measured, "
                    << result.legal << " legal of " << result.enumerated
                    << " visited; best measured " << result.best.measured_gflops

@@ -1,18 +1,16 @@
-// Runtime kernel inference (paper §6), on top of the pluggable search
-// subsystem (src/search/).
+// Runtime kernel inference (paper §6), on top of the search loop in
+// src/search/.
 //
 // With the input parameters fixed by the user, tune<Op>() optimizes over the
-// tuning parameters by driving a SearchStrategy under an explicit measurement
-// budget. The default strategy, "model_topk", is the paper's recipe: rank the
-// legal space with the trained regression model ("guaranteed to find the
-// global optimum within the specified search range", "highly parallelizable"
-// — batched through the MLP), then re-time only the best predictions on the
-// device to "smooth out the inherent noise of our predictive model".
-// Alternative strategies (exhaustive / random / genetic / annealing) plug in
-// through SearchConfig::strategy; see search/factory.hpp.
+// tuning parameters under an explicit measurement budget, always with the
+// paper's recipe (search::ModelGuidedTopK): rank the legal space with the
+// trained regression model ("guaranteed to find the global optimum within
+// the specified search range", "highly parallelizable" — batched through the
+// MLP), then re-time only the best predictions on the device to "smooth out
+// the inherent noise of our predictive model".
 //
 // The whole pipeline is one templated tune<Op>() over OperationTraits<Op>
-// (core/operation.hpp); tune_gemm/tune_conv/tune_batched_gemm are aliases.
+// (core/operation.hpp), with predict<Op>() as its zero-measurement sibling.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +27,7 @@ namespace isaac::core {
 template <typename Tuning>
 struct Candidate {
   Tuning tuning{};
-  double predicted_gflops = 0.0;  // 0 for model-free strategies
+  double predicted_gflops = 0.0;  // the model's score at ranking time
   double measured_gflops = 0.0;
 };
 
@@ -37,10 +35,10 @@ template <typename Tuning>
 struct TuneResult {
   Candidate<Tuning> best{};
   std::vector<Candidate<Tuning>> top;  // distinct measured candidates, best first
-  std::size_t enumerated = 0;          // points of X̂ the strategy visited
+  std::size_t enumerated = 0;          // points of X̂ the ranking visited
   std::size_t legal = 0;               // subset that passed validation
   std::size_t measured = 0;            // device evaluations spent (≤ budget)
-  std::string strategy;                // resolved strategy name
+  std::string strategy;                // "model_topk", for cache provenance
   std::size_t budget = 0;              // resolved evaluation budget
   bool stopped_early = false;          // deadline/cancellation cut the drive
                                        // loop; best is the anytime result
@@ -65,10 +63,10 @@ using ConvPredictResult = PredictResult<codegen::ConvTuning>;
 using BatchedGemmPredictResult = PredictResult<codegen::GemmTuning>;
 
 /// Optimize the model over Op's tuning parameters for `shape` with the
-/// configured strategy and budget (zero-valued SearchConfig fields resolve
-/// against OperationTraits<Op>::default_search()). Throws std::runtime_error
-/// when no legal configuration exists and std::invalid_argument for an
-/// unknown strategy. Thread-safe: shares only const state and the global
+/// configured budget (zero-valued SearchConfig fields resolve against
+/// OperationTraits<Op>::default_search()). Throws std::runtime_error when no
+/// legal configuration exists and std::invalid_argument for an invalid
+/// config. Thread-safe: shares only const state and the global
 /// thread pool. `model` is borrowed for the whole call — a caller whose
 /// model can be hot-swapped (Context) pins one VersionedModel snapshot per
 /// tune and passes its regressor, so the returned ranking (TuneResult::top,
@@ -114,24 +112,5 @@ extern template ConvPredictResult predict<ConvOp>(const codegen::ConvShape&,
 extern template BatchedGemmPredictResult predict<BatchedGemmOp>(
     const codegen::BatchedGemmShape&, const mlp::Regressor&, const gpusim::DeviceDescriptor&,
     const search::SearchConfig&);
-
-inline GemmTuneResult tune_gemm(const codegen::GemmShape& shape, const mlp::Regressor& model,
-                                const gpusim::Simulator& sim,
-                                const search::SearchConfig& config = {}) {
-  return tune<GemmOp>(shape, model, sim, config);
-}
-
-inline ConvTuneResult tune_conv(const codegen::ConvShape& shape, const mlp::Regressor& model,
-                                const gpusim::Simulator& sim,
-                                const search::SearchConfig& config = {}) {
-  return tune<ConvOp>(shape, model, sim, config);
-}
-
-inline BatchedGemmTuneResult tune_batched_gemm(const codegen::BatchedGemmShape& shape,
-                                               const mlp::Regressor& model,
-                                               const gpusim::Simulator& sim,
-                                               const search::SearchConfig& config = {}) {
-  return tune<BatchedGemmOp>(shape, model, sim, config);
-}
 
 }  // namespace isaac::core

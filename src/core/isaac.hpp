@@ -7,13 +7,14 @@
 //   isaac::core::Context ctx(isaac::gpusim::tesla_p100());
 //   ctx.train_model();                       // hours on a real GPU, seconds here
 //   isaac::codegen::GemmShape shape{...};
-//   auto info = ctx.gemm(shape, 1.0f, A, lda, B, ldb, 0.0f, C, ldc);
+//   auto info = ctx.run<isaac::core::GemmOp>(shape, 1.0f, A, lda, B, ldb, 0.0f, C, ldc);
 //   // C now holds the product; info reports the selected kernel + timing.
 //
 // The Context is safe to share across threads: the profile cache is sharded
 // behind per-bucket shared mutexes, and concurrent misses on the same
 // (device, shape) coalesce into a single-flight leader the other callers
-// wait on. warmup() pre-tunes a shape list asynchronously on the thread pool.
+// wait on. warmup<Op>() pre-tunes a shape list asynchronously on the thread
+// pool.
 //
 // Dispatch is two-tier (the paper's point: runtime inference replaces
 // on-the-fly measurement). A cold select() answers with the model's instant
@@ -107,8 +108,9 @@ struct ContextOptions {
   double noise_sigma = 0.03;       // simulated measurement noise
   std::uint64_t seed = 0x15AAC;
   std::string cache_dir;           // "" = in-memory profile cache only
-  /// Strategy + budget every tuning run dispatches through (zero-valued
-  /// fields resolve against the op's OperationTraits::default_search()).
+  /// Budget and ranking knobs every tuning run dispatches through
+  /// (zero-valued fields resolve against the op's
+  /// OperationTraits::default_search()).
   search::SearchConfig search;
   /// Two-tier dispatch (default): a cold select() with a trained model
   /// returns the model's argmax instantly (provisional tier, no device
@@ -143,10 +145,6 @@ struct CallInfo {
                           // or the ranking threw); refinement will upgrade
                           // it once the fault clears
 };
-
-using GemmCallInfo = CallInfo<GemmOp>;
-using ConvCallInfo = CallInfo<ConvOp>;
-using BatchedGemmCallInfo = CallInfo<BatchedGemmOp>;
 
 class Context {
  public:
@@ -194,11 +192,6 @@ class Context {
     if (!snapshot) throw std::logic_error("Context: no model trained or installed");
     return core::tune<Op>(shape, snapshot->regressor(), sim_, options_.search);
   }
-  GemmTuneResult tune_gemm(const codegen::GemmShape& shape) { return tune<GemmOp>(shape); }
-  ConvTuneResult tune_conv(const codegen::ConvShape& shape) { return tune<ConvOp>(shape); }
-  BatchedGemmTuneResult tune_batched_gemm(const codegen::BatchedGemmShape& shape) {
-    return tune<BatchedGemmOp>(shape);
-  }
 
   /// Tune (or fetch from cache), execute the selected kernel functionally on
   /// the host buffers through the op's executor hook, and report the
@@ -217,37 +210,6 @@ class Context {
     info.simulated_seconds = timing.seconds;
     info.gflops = timing.tflops * 1000.0;
     return info;
-  }
-
-  GemmCallInfo gemm(const codegen::GemmShape& shape, float alpha, const float* a,
-                    std::int64_t lda, const float* b, std::int64_t ldb, float beta, float* c,
-                    std::int64_t ldc) {
-    return run<GemmOp>(shape, alpha, a, lda, b, ldb, beta, c, ldc);
-  }
-  GemmCallInfo gemm(const codegen::GemmShape& shape, double alpha, const double* a,
-                    std::int64_t lda, const double* b, std::int64_t ldb, double beta, double* c,
-                    std::int64_t ldc) {
-    return run<GemmOp>(shape, alpha, a, lda, b, ldb, beta, c, ldc);
-  }
-  ConvCallInfo conv(const codegen::ConvShape& shape, float alpha, const float* input,
-                    const float* filters, float beta, float* output) {
-    return run<ConvOp>(shape, alpha, input, filters, beta, output);
-  }
-  BatchedGemmCallInfo batched_gemm(const codegen::BatchedGemmShape& shape, float alpha,
-                                   const float* a, std::int64_t lda, std::int64_t stride_a,
-                                   const float* b, std::int64_t ldb, std::int64_t stride_b,
-                                   float beta, float* c, std::int64_t ldc,
-                                   std::int64_t stride_c) {
-    return run<BatchedGemmOp>(shape, alpha, a, lda, stride_a, b, ldb, stride_b, beta, c, ldc,
-                              stride_c);
-  }
-  BatchedGemmCallInfo batched_gemm(const codegen::BatchedGemmShape& shape, double alpha,
-                                   const double* a, std::int64_t lda, std::int64_t stride_a,
-                                   const double* b, std::int64_t ldb, std::int64_t stride_b,
-                                   double beta, double* c, std::int64_t ldc,
-                                   std::int64_t stride_c) {
-    return run<BatchedGemmOp>(shape, alpha, a, lda, stride_a, b, ldb, stride_b, beta, c, ldc,
-                              stride_c);
   }
 
   /// Cached kernel selection with single-flight coalescing. A cache hit
@@ -273,9 +235,6 @@ class Context {
   /// the Context down.
   template <typename Op>
   std::future<void> warmup(std::vector<typename OperationTraits<Op>::Shape> shapes);
-  std::future<void> warmup(std::vector<codegen::GemmShape> shapes) {
-    return warmup<GemmOp>(std::move(shapes));
-  }
 
   /// Block until no warmup or refinement task is outstanding. After this,
   /// every entry whose refinement was pending has reached its final tier.
@@ -914,11 +873,8 @@ void Context::record_observations(
       obs.op = OperationTraits<Op>::kind();
       obs.features = OperationTraits<Op>::featurize(shape, candidate.tuning);
       obs.measured_gflops = candidate.measured_gflops;
-      // Model-free strategies propose without predictions; score the pinned
-      // model once per observation so the drift signal stays defined.
-      obs.predicted_gflops = candidate.predicted_gflops > 0.0
-                                 ? candidate.predicted_gflops
-                                 : model.regressor().predict_gflops(obs.features);
+      // The ranking scored every candidate with this pinned model.
+      obs.predicted_gflops = candidate.predicted_gflops;
       obs.model_version = model.version();
       if (drift_.observe(obs.op, obs.predicted_gflops, obs.measured_gflops)) {
         tripped = true;

@@ -30,7 +30,7 @@
 //   seed_grid()                       — coarse always-tried configurations,
 //                                       appended when inference subsamples X̂
 //   default_search()                  — the op's baseline SearchConfig
-//                                       (strategy, budget, ranking cap)
+//                                       (budget, ranking cap)
 //   execute(shape, tuning, args...)   — the functional executor hook
 #pragma once
 
@@ -100,7 +100,6 @@ struct OperationTraits<GemmOp> {
   /// ranking the GEMM X̂ densely.
   static search::SearchConfig default_search() {
     search::SearchConfig cfg;
-    cfg.strategy = "model_topk";
     cfg.budget = 100;
     return cfg;
   }

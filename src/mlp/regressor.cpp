@@ -64,78 +64,30 @@ Regressor::Regressor(Mlp net, Scaler feature_scaler, double y_mean, double y_std
       y_std_(y_std),
       log_features_(log_features) {}
 
-Matrix Regressor::encode_batch(const std::vector<std::vector<double>>& rows) const {
-  return encode_range(rows, 0, rows.size());
-}
-
-Matrix Regressor::encode_range(const std::vector<std::vector<double>>& rows, std::size_t begin,
-                               std::size_t end) const {
-  Matrix x(end - begin, feature_scaler_.mean.size());
-  for (std::size_t r = begin; r < end; ++r) {
-    std::vector<double> row = preprocess(rows[r], log_features_);
-    feature_scaler_.apply(row);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      x(r - begin, c) = static_cast<float>(row[c]);
-    }
-  }
-  return x;
-}
-
-void Regressor::predict_gflops_range(const std::vector<std::vector<double>>& rows,
-                                     std::size_t begin, std::size_t end, double* out) const {
-  const Matrix x = encode_range(rows, begin, end);
-  const Matrix y = net_.forward(x);
-  for (std::size_t i = 0; i < end - begin; ++i) {
-    const double z = static_cast<double>(y(i, 0)) * y_std_ + y_mean_;  // log-GFLOPS
-    out[i] = std::exp(z);
-  }
-}
-
 double Regressor::predict_gflops(const std::vector<double>& raw_features) const {
-  return predict_gflops_batch({raw_features})[0];
-}
-
-std::vector<double> Regressor::predict_gflops_batch(
-    const std::vector<std::vector<double>>& rows) const {
-  if (rows.empty()) return {};
-  std::vector<double> out(rows.size());
-  predict_gflops_range(rows, 0, rows.size(), out.data());
+  tuning::FeatureBatch row(raw_features.size(), 1);
+  std::copy(raw_features.begin(), raw_features.end(), row.row(0));
+  double out = 0.0;
+  predict_gflops_rows(row, 0, 1, &out);
   return out;
 }
 
-std::vector<double> Regressor::predict_gflops_chunked(
-    const std::vector<std::vector<double>>& rows, std::size_t batch) const {
-  if (rows.empty()) return {};
-  if (batch == 0 || rows.size() <= batch) return predict_gflops_batch(rows);
-  std::vector<double> out(rows.size());
-  const std::size_t num_chunks = (rows.size() + batch - 1) / batch;
-  ThreadPool::global().parallel_for_each(num_chunks, [&](std::size_t ci) {
-    const std::size_t begin = ci * batch;
-    const std::size_t end = std::min(rows.size(), begin + batch);
-    predict_gflops_range(rows, begin, end, out.data() + begin);
-  });
-  return out;
-}
-
-void Regressor::predict_gflops_rows(const tuning::FeatureBatch& batch, std::size_t begin,
-                                    std::size_t end, double* out) const {
+void Regressor::encode_rows(const tuning::FeatureBatch& batch, std::size_t begin,
+                            std::size_t end, Matrix& x) const {
   if (batch.arity() != feature_scaler_.mean.size()) {
     throw std::invalid_argument(
         strings::format("Regressor: batch arity %zu does not match the model's %zu features",
                         batch.arity(), feature_scaler_.mean.size()));
   }
   if (begin == end) return;
-  // One forward-pass arena per thread, reused across calls: after the first
-  // block at a given size the pipeline performs no transient allocations.
-  thread_local Mlp::Workspace ws;
   const std::size_t arity = feature_scaler_.mean.size();
   const double* mean = feature_scaler_.mean.data();
   const double* stddev = feature_scaler_.stddev.data();
-  ws.x.reshape(end - begin, arity);
+  x.reshape(end - begin, arity);
   // Fused §5.2 pipeline: log transform, standardize, float cast — one loop,
-  // written straight into the workspace's input matrix. Same operation order
-  // as preprocess() + Scaler::apply(), so the encodes stay bit-identical to
-  // the legacy path; arity was validated above, once per call.
+  // written straight into the input matrix. Same operation order as
+  // preprocess() + Scaler::apply(), which training uses; arity was validated
+  // above, once per call.
   //
   // Enumerated candidate batches repeat values heavily down each column (the
   // shape features are constant, and adjacent candidates differ only in the
@@ -149,7 +101,7 @@ void Regressor::predict_gflops_rows(const tuning::FeatureBatch& batch, std::size
   if (memo) std::fill_n(last_raw, arity, std::numeric_limits<double>::quiet_NaN());
   for (std::size_t r = begin; r < end; ++r) {
     const double* src = batch.row(r);
-    float* dst = ws.x.data() + (r - begin) * arity;
+    float* dst = x.data() + (r - begin) * arity;
     for (std::size_t c = 0; c < arity; ++c) {
       double v = src[c];
       if (memo && v == last_raw[c]) {
@@ -166,7 +118,16 @@ void Regressor::predict_gflops_rows(const tuning::FeatureBatch& batch, std::size
       dst[c] = enc;
     }
   }
-  const linalg::Matrix& y = net_.forward_into(ws);
+}
+
+void Regressor::predict_gflops_rows(const tuning::FeatureBatch& batch, std::size_t begin,
+                                    std::size_t end, double* out) const {
+  // One forward-pass arena per thread, reused across calls: after the first
+  // block at a given size the pipeline performs no transient allocations.
+  thread_local Mlp::Workspace ws;
+  encode_rows(batch, begin, end, ws.x);
+  if (begin == end) return;
+  const Matrix& y = net_.forward_into(ws);
   for (std::size_t i = 0; i < end - begin; ++i) {
     const double z = static_cast<double>(y(i, 0)) * y_std_ + y_mean_;  // log-GFLOPS
     out[i] = std::exp(z);
@@ -191,10 +152,15 @@ std::vector<double> Regressor::predict_gflops_chunked(const tuning::FeatureBatch
 
 double Regressor::mse(const tuning::Dataset& data) const {
   if (data.empty()) throw std::invalid_argument("Regressor::mse: empty dataset");
-  std::vector<std::vector<double>> rows;
-  rows.reserve(data.size());
-  for (const auto& s : data.samples()) rows.push_back(s.x);
-  const Matrix x = encode_batch(rows);
+  tuning::FeatureBatch batch(num_features());
+  for (const auto& s : data.samples()) {
+    if (s.x.size() != num_features()) {
+      throw std::invalid_argument("Regressor::mse: sample arity mismatch");
+    }
+    std::copy(s.x.begin(), s.x.end(), batch.append_row());
+  }
+  Matrix x;
+  encode_rows(batch, 0, batch.rows(), x);
   const Matrix y = net_.forward(x);
   double acc = 0.0;
   for (std::size_t i = 0; i < data.size(); ++i) {

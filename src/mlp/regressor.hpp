@@ -46,20 +46,9 @@ class Regressor {
  public:
   Regressor(Mlp net, Scaler feature_scaler, double y_mean, double y_std, bool log_features);
 
-  /// Predicted GFLOPS for a raw feature vector.
+  /// Predicted GFLOPS for a raw feature vector: one row through
+  /// predict_gflops_rows, so it carries the batched path's bits.
   double predict_gflops(const std::vector<double>& raw_features) const;
-
-  /// Batched prediction (rows of raw features) — the hot path of runtime
-  /// inference, which scores hundreds of thousands of candidates.
-  std::vector<double> predict_gflops_batch(const std::vector<std::vector<double>>& rows) const;
-
-  /// Whole-space scoring: split `rows` into `batch`-sized chunks and score
-  /// them in parallel on the global thread pool. This is the legacy
-  /// vector-of-vectors entry point (kept as the parity oracle for the flat
-  /// path below); results are identical to predict_gflops_batch, independent
-  /// of thread count. `batch` == 0 falls back to one chunk.
-  std::vector<double> predict_gflops_chunked(const std::vector<std::vector<double>>& rows,
-                                             std::size_t batch) const;
 
   /// Allocation-free serial scoring — the ranking hot path
   /// (search/model_topk.hpp), whose walk chunks each score their own blocks.
@@ -74,8 +63,8 @@ class Regressor {
                            std::size_t end, double* out) const;
 
   /// Whole-batch scoring: predict_gflops_rows over `chunk`-row slices on the
-  /// global pool (chunk == 0: one slice). Scores are bit-identical to the
-  /// legacy overload above, independent of chunk size and thread count.
+  /// global pool (chunk == 0: one slice). Scores are bit-identical
+  /// independent of chunk size and thread count.
   std::vector<double> predict_gflops_chunked(const tuning::FeatureBatch& batch,
                                              std::size_t chunk) const;
 
@@ -101,12 +90,12 @@ class Regressor {
   static Regressor load(std::istream& is);
 
  private:
-  linalg::Matrix encode_batch(const std::vector<std::vector<double>>& rows) const;
-  /// Encode/score rows[begin, end) without copying the slice.
-  linalg::Matrix encode_range(const std::vector<std::vector<double>>& rows, std::size_t begin,
-                              std::size_t end) const;
-  void predict_gflops_range(const std::vector<std::vector<double>>& rows, std::size_t begin,
-                            std::size_t end, double* out) const;
+  /// The fused §5.2 encode of batch rows [begin, end) into `x` (log
+  /// transform, standardize, float cast). Throws std::invalid_argument when
+  /// the batch's arity is not the model's; leaves `x` alone for an empty
+  /// range.
+  void encode_rows(const tuning::FeatureBatch& batch, std::size_t begin, std::size_t end,
+                   linalg::Matrix& x) const;
 
   Mlp net_;
   Scaler feature_scaler_;

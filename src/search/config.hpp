@@ -1,13 +1,14 @@
-// SearchConfig: how much a tuning search may spend and which strategy spends
-// it. Shared by runtime inference (core/inference.hpp), the cached dispatch
-// path (core::Context) and offline data collection (tuning/collector.hpp).
+// SearchConfig: how much a tuning search may spend. Shared by runtime
+// inference (core/inference.hpp) and the cached dispatch path
+// (core::Context). The search itself is always the paper's model top-k
+// (search/model_topk.hpp).
 //
 // The budget counts *measured device evaluations* — the expensive resource.
-// Model scoring, legality checks and proposal generation are considered free:
-// strategies may consult the validator (and, for model-guided strategies, the
-// regressor) as much as they like before spending a unit of budget. Every
-// strategy is *anytime*: stopping the drive loop early still yields the best
-// configuration among the evaluations performed so far.
+// Model scoring, legality checks and ranking are considered free: the search
+// may consult the validator and the regressor as much as it likes before
+// spending a unit of budget. The search is *anytime*: stopping the drive loop
+// early still yields the best configuration among the evaluations performed
+// so far.
 //
 // Zero-valued fields mean "use the operation's default" and are resolved
 // against OperationTraits<Op>::default_search() by core::tune<Op>().
@@ -16,34 +17,21 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <stdexcept>
-#include <string>
 
 namespace isaac::search {
 
 struct SearchConfig {
-  /// Strategy name: "exhaustive", "random", "genetic", "annealing" or
-  /// "model_topk" (see search/factory.hpp). Empty (the default) = the op's
-  /// default from OperationTraits<Op>::default_search() — "model_topk" for
-  /// every current op.
-  std::string strategy;
-
   /// Maximum measured device evaluations. 0 (the default) = the op's
-  /// default; SIZE_MAX = unlimited (ExhaustiveSearch then sweeps the whole
-  /// legal space, the pre-subsystem ground truth). The driver clamps any
-  /// budget to |X̂| — the space's distinct point count — so unlimited
-  /// budgets terminate for every strategy.
+  /// default; SIZE_MAX = unlimited (every ranked legal point is re-timed).
+  /// The driver clamps any budget to |X̂|, the space's distinct point
+  /// count.
   std::size_t budget = 0;
-
-  /// Seed for stochastic strategies — identical (config, shape, device)
-  /// searches reproduce identical trajectories.
-  std::uint64_t seed = 0x5EA47C4ULL;
 
   /// Timing repetitions per measured candidate (median taken).
   int reeval_reps = 5;
 
-  /// MLP scoring batch for model-guided strategies. Sized so one chunk's
+  /// MLP scoring batch for the ranking. Sized so one chunk's
   /// activations (batch × widest layer floats, 512 × 128 × 4 B = 256 KB) stay
   /// L2-resident during the forward pass. Every pool thread that ranks keeps
   /// a block this size for the life of the process, so it is kept small.
@@ -51,7 +39,7 @@ struct SearchConfig {
   /// and memory knob.
   std::size_t batch = 512;
 
-  /// Cap on the legal candidates a model-guided strategy ranks (0 = the op's
+  /// Cap on the legal candidates the ranking scores (0 = the op's
   /// default; for ops whose default is 0, the ranking is dense). Applied by
   /// deterministic striding with the op's seed grid re-appended, for spaces
   /// too large to score densely.

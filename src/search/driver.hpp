@@ -1,7 +1,6 @@
-// drive(): the one budgeted propose → measure → observe loop every consumer
-// of the search subsystem runs — runtime inference (core/inference.cpp) and
-// adaptive offline data collection (tuning/collector.cpp) differ only in
-// their measure/sink callbacks.
+// drive(): the one budgeted propose → measure loop of runtime inference
+// (core/inference.cpp). It drives a SearchStrategy (search/strategy.hpp):
+// ModelGuidedTopK at run time, the exhaustive reference in tests.
 //
 // Budget semantics are exact: at most `budget` calls to `measure`, and
 // exactly `budget` whenever the strategy can keep supplying fresh legal
@@ -13,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -25,55 +25,25 @@
 
 namespace isaac::search {
 
-/// Failure-domain knobs the drive loop honors, lifted out of SearchConfig so
-/// callers without a full config (the offline collector) can still opt in.
-struct DriveOptions {
-  std::size_t budget = SIZE_MAX;
-  /// Extra attempts per failing measurement (bounded retry with capped
-  /// exponential backoff); 0 = the pre-hardening propagate-first-throw
-  /// behavior.
-  int measure_retries = 0;
-  double retry_backoff_ms = 0.5;
-  double retry_backoff_cap_ms = 8.0;
-  /// Wall-clock deadline for the whole loop (0 = none): an expired drive
-  /// stops between batches with its best-so-far, never mid-measurement.
-  double timeout_ms = 0.0;
-  /// Cooperative cancellation, polled between batches (nullptr = never).
-  const std::atomic<bool>* cancel = nullptr;
-  /// Set to true when the loop stopped early on deadline/cancellation
-  /// (optional out-param; anytime results are still valid).
-  bool* stopped_early = nullptr;
-
-  DriveOptions() = default;
-  /// Adopt the failure-domain fields of a resolved SearchConfig.
-  explicit DriveOptions(const SearchConfig& config)
-      : budget(config.budget),
-        measure_retries(config.measure_retries),
-        retry_backoff_ms(config.retry_backoff_ms),
-        retry_backoff_cap_ms(config.retry_backoff_cap_ms),
-        timeout_ms(config.timeout_ms),
-        cancel(config.cancel) {}
-};
-
-/// Run `strategy` until `budget` measured evaluations (SIZE_MAX = until the
-/// strategy is exhausted). `measure(tuning) -> double` is the expensive
-/// oracle; `sink(proposal, measured_gflops)` receives every result. Returns
-/// the number of evaluations performed.
+/// Run `strategy` until `config.budget` measured evaluations (SIZE_MAX =
+/// until the strategy is exhausted). `config` is a resolved SearchConfig:
+/// besides the budget, the loop honors its retry, deadline and cancellation
+/// fields. `measure(tuning) -> double` is the expensive oracle;
+/// `sink(proposal, measured_gflops)` receives every result. Returns the
+/// number of evaluations performed; `stopped_early` (optional) is set when a
+/// deadline or cancellation cut the loop short.
 ///
-/// A proposal batch is measured in parallel on the global thread pool (the
-/// strategy already committed to the whole batch, so no intra-batch feedback
-/// is lost) — `measure` must be thread-safe. `observe` and `sink` run
-/// sequentially in proposal order afterwards, so strategies and result
-/// accumulation stay single-threaded and deterministic. Inherently
-/// sequential strategies (simulated annealing) simply propose one candidate
-/// per round.
+/// A proposal batch is measured in parallel on the global thread pool —
+/// `measure` must be thread-safe. `sink` runs sequentially in proposal order
+/// afterwards, so result accumulation stays single-threaded and
+/// deterministic.
 ///
 /// A `measure` throw is retried in place up to `measure_retries` times with
 /// capped exponential backoff (`search.measure_retry` counts attempts); a
 /// measurement still failing after its retries propagates to the caller (the
 /// pool rethrows the lowest-index failure, so equal runs fail identically).
-/// Results of the failing batch never reach `observe`/`sink`, keeping
-/// anytime state consistent with what the caller was told.
+/// Results of the failing batch never reach `sink`, keeping anytime state
+/// consistent with what the caller was told.
 ///
 /// Deadline and cancellation are cooperative: polled between batches, so a
 /// drive stops with a complete batch's results sunk and its best-so-far
@@ -86,16 +56,15 @@ struct DriveOptions {
 /// (proposal, gflops) stream, surfaced as TuneResult::top) attributable to
 /// exactly one model version in the observation log.
 template <typename Op, typename MeasureFn, typename SinkFn>
-std::size_t drive(SearchStrategy<Op>& strategy, const DriveOptions& options,
-                  const MeasureFn& measure, const SinkFn& sink) {
+std::size_t drive(SearchStrategy<Op>& strategy, const SearchConfig& config,
+                  const MeasureFn& measure, const SinkFn& sink, bool* stopped_early = nullptr) {
   // Proposal batch: big enough to amortize parallel measurement, small
-  // enough that adaptive strategies get frequent feedback.
+  // enough that deadlines and cancellation are polled often.
   constexpr std::size_t kBatch = 64;
   // Clamp to |X̂|: measuring more evaluations than the space has distinct
-  // points is never useful, and it bounds "unlimited" budgets for strategies
-  // that never return an empty batch (genetic fallbacks, annealing restarts).
+  // points is never useful.
   const std::size_t target =
-      std::min<std::size_t>(options.budget, std::max<std::size_t>(strategy.space_points(), 1));
+      std::min<std::size_t>(config.budget, std::max<std::size_t>(strategy.space_points(), 1));
   // Wrap the oracle with bounded retry: a transient throw (an injected fault,
   // a flaky device) is retried in place after a capped exponential backoff;
   // the retried measurement is as deterministic as the original, so a retry
@@ -106,10 +75,12 @@ std::size_t drive(SearchStrategy<Op>& strategy, const DriveOptions& options,
         return measure(tuning);
       } catch (...) {
         ISAAC_TM_COUNT("fault.measure_failures");
-        if (attempt >= options.measure_retries) throw;
+        if (attempt >= config.measure_retries) throw;
         ISAAC_TM_COUNT("search.measure_retry");
-        const double backoff_ms = std::min(options.retry_backoff_cap_ms,
-                                           options.retry_backoff_ms * double(1 << attempt));
+        // ldexp doubles without an integer shift, so any retry count stays
+        // defined: the factor saturates to +inf and the cap takes over.
+        const double backoff_ms = std::min(config.retry_backoff_cap_ms,
+                                           std::ldexp(config.retry_backoff_ms, attempt));
         if (backoff_ms > 0.0) {
           std::this_thread::sleep_for(
               std::chrono::microseconds(static_cast<std::int64_t>(backoff_ms * 1000.0)));
@@ -117,27 +88,22 @@ std::size_t drive(SearchStrategy<Op>& strategy, const DriveOptions& options,
       }
     }
   };
-  const auto deadline = options.timeout_ms > 0.0
+  const auto deadline = config.timeout_ms > 0.0
                             ? std::chrono::steady_clock::now() +
                                   std::chrono::microseconds(
-                                      static_cast<std::int64_t>(options.timeout_ms * 1000.0))
+                                      static_cast<std::int64_t>(config.timeout_ms * 1000.0))
                             : std::chrono::steady_clock::time_point::max();
-  // Schedule-dependent strategies (annealing's temperature decay) pace
-  // themselves against the clamped target, not the raw request — an
-  // "unlimited" SIZE_MAX budget would otherwise leave their schedule frozen
-  // at its starting point for the whole run.
-  strategy.set_effective_budget(target);
   std::size_t measured = 0;
   std::vector<double> scores;
   while (measured < target) {
-    if (options.cancel && options.cancel->load(std::memory_order_relaxed)) {
+    if (config.cancel && config.cancel->load(std::memory_order_relaxed)) {
       ISAAC_TM_COUNT("search.cancelled");
-      if (options.stopped_early) *options.stopped_early = true;
+      if (stopped_early) *stopped_early = true;
       break;
     }
-    if (options.timeout_ms > 0.0 && std::chrono::steady_clock::now() >= deadline) {
+    if (config.timeout_ms > 0.0 && std::chrono::steady_clock::now() >= deadline) {
       ISAAC_TM_COUNT("search.deadline_exceeded");
-      if (options.stopped_early) *options.stopped_early = true;
+      if (stopped_early) *stopped_early = true;
       break;
     }
     const std::size_t want = std::min<std::size_t>(kBatch, target - measured);
@@ -169,23 +135,11 @@ std::size_t drive(SearchStrategy<Op>& strategy, const DriveOptions& options,
       ISAAC_TM_COUNT_N("search.measured", proposals.size());
     }
     for (std::size_t i = 0; i < proposals.size(); ++i) {
-      strategy.observe(proposals[i].choice, scores[i]);
       sink(proposals[i], scores[i]);
       ++measured;
     }
   }
   return measured;
-}
-
-/// Budget-only spelling (no retries, no deadline) — the pre-hardening
-/// behavior, kept for callers like the offline collector that want a failing
-/// measurement to abort immediately.
-template <typename Op, typename MeasureFn, typename SinkFn>
-std::size_t drive(SearchStrategy<Op>& strategy, std::size_t budget, const MeasureFn& measure,
-                  const SinkFn& sink) {
-  DriveOptions options;
-  options.budget = budget;
-  return drive(strategy, options, measure, sink);
 }
 
 }  // namespace isaac::search

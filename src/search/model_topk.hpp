@@ -1,8 +1,8 @@
-// ModelGuidedTopK: the paper's §6 runtime recipe as an explicit, budgeted
-// strategy. Rank the whole legal space with the trained regressor (cheap:
-// batched MLP forward passes in parallel), then spend the measurement budget
-// on the k best predictions only — the re-timing that "smooths out the
-// inherent noise of our predictive model".
+// ModelGuidedTopK: the paper's §6 runtime recipe, the one search
+// core::tune<Op>() runs. Rank the whole legal space with the trained
+// regressor (cheap: batched MLP forward passes in parallel), then spend the
+// measurement budget on the k best predictions only — the re-timing that
+// "smooths out the inherent noise of our predictive model".
 //
 // The ranking itself — enumerate/probe X̂, filter to the legal space, score
 // with the model, order best-first — is factored out as a reusable core:
@@ -43,15 +43,27 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "common/thread_pool.hpp"
 #include "search/legal_walk.hpp"
-#include "search/random.hpp"  // choice_hash
+#include "search/strategy.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "tuning/feature_batch.hpp"
 
 namespace isaac::search {
+
+/// FNV-1a over the index vector: the key that de-duplicates the seed grid
+/// against already-ranked candidates.
+inline std::uint64_t choice_hash(const Choice& c) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::size_t v : c) {
+    h ^= static_cast<std::uint64_t>(v) + 0x9E3779B97F4A7C15ULL;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 /// A model-ranked slice of the legal space. `order` indexes `candidates`/
 /// `scores` best-first and is truncated to the requested k; `visited`/`legal`
@@ -72,7 +84,7 @@ struct RankedCandidates {
 };
 
 /// Decode a flat lexicographic index into an existing choice vector
-/// (dimension 0 least significant — the same order advance_choice walks),
+/// (dimension 0 least significant — the order SearchSpace::for_each walks),
 /// reusing the caller's storage.
 inline void choice_from_flat_into(std::size_t flat,
                                   const std::vector<tuning::ParameterDomain>& domains,

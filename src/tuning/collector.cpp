@@ -4,13 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
-#include <stdexcept>
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "core/operation.hpp"
-#include "search/driver.hpp"
-#include "search/factory.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -108,43 +105,18 @@ CollectionReport collect_impl(const gpusim::Simulator& sim, const CollectorConfi
   // caller's simulator.
   const gpusim::Simulator local_sim(sim.device(), sim.noise_sigma(), config.seed ^ 0x51A0);
 
-  const bool adaptive = !config.search_strategy.empty();
-  if (adaptive) {
-    if (!search::strategy_is_known(config.search_strategy)) {
-      throw std::invalid_argument("collect: unknown search strategy '" +
-                                  config.search_strategy + "'");
-    }
-    if (!search::strategy_is_model_free(config.search_strategy)) {
-      throw std::invalid_argument(
-          "collect: adaptive sampling requires a model-free search strategy, got '" +
-          config.search_strategy + "'");
-    }
-    if (config.search_strategy == "exhaustive") {
-      // Every per-shape run would restart at the same lexicographic origin of
-      // X̂, collecting the identical handful of tunings for every shape — a
-      // degenerate training set.
-      throw std::invalid_argument(
-          "collect: adaptive sampling needs a stochastic strategy; 'exhaustive' would "
-          "resample the same lexicographic prefix for every shape");
-    }
-  }
-
   // Fit the categorical model by probing legality against shapes drawn from
   // the same distribution collection will use — the model learns which
-  // parameter values survive resource limits *in general*. Adaptive
-  // collection replaces the generative model entirely (strategies are
-  // constraint-aware on their own), so the probing phase is skipped.
+  // parameter values survive resource limits *in general*.
   CategoricalModel model(space.domains(), config.alpha);
-  if (!adaptive) {
-    Rng shape_rng = fit_rng.fork(17);
-    report.probe = model.fit(
-        [&](const std::vector<std::size_t>& choice) {
-          const auto tuning = space.decode(choice);
-          const ShapeT shape = shape_fn(shape_rng);
-          return validate_fn(shape, tuning);
-        },
-        config.probe_samples, fit_rng);
-  }
+  Rng shape_rng = fit_rng.fork(17);
+  report.probe = model.fit(
+      [&](const std::vector<std::size_t>& choice) {
+        const auto tuning = space.decode(choice);
+        const ShapeT shape = shape_fn(shape_rng);
+        return validate_fn(shape, tuning);
+      },
+      config.probe_samples, fit_rng);
 
   // Parallel collection: each worker owns a forked RNG stream; samples are
   // gathered per-chunk and spliced in order for determinism.
@@ -163,72 +135,27 @@ CollectionReport collect_impl(const gpusim::Simulator& sim, const CollectorConfi
     double local_time = 0.0;
     std::uint64_t local_attempted = 0, local_accepted = 0;
 
-    if (adaptive) {
-      // MLKAPS-style adaptive sampling: per sampled shape, drive a model-free
-      // search strategy for a small measurement budget and keep the whole
-      // measured trajectory. The strategy concentrates evaluations inside the
-      // legal space (and, for adaptive strategies, toward its fast region)
-      // instead of spreading them uniformly.
-      std::size_t shape_attempts = 50 + 50 * (end - begin);
-      while (out.size() < end - begin && shape_attempts-- > 0) {
+    for (std::size_t i = begin; i < end; ++i) {
+      // Rejection-sample a legal (shape, tuning) pair from the model.
+      for (int tries = 0; tries < 200; ++tries) {
         const ShapeT shape = shape_fn(rng);
-        search::SearchProblem<Op> problem;
-        problem.shape = &shape;
-        problem.device = &dev;
-        problem.space = &space;
-        search::SearchConfig sc;
-        sc.strategy = config.search_strategy;
-        sc.budget = std::min(config.search_budget_per_shape, end - begin - out.size());
-        sc.seed = rng.next_u64();
-        sc.reeval_reps = config.timing_reps;
-        const auto strategy = search::make_strategy<Op>(problem, sc);
-        const double shape_flops = Traits::flops(shape);
-        search::drive(
-            *strategy, sc.budget,
-            // Thread-safe (drive measures batches in parallel): touches only
-            // const state.
-            [&](const typename Traits::Tuning& t) {
-              const auto profile = Traits::analyze(shape, t, dev);
-              const auto result = local_sim.launch_median(profile, config.timing_reps);
-              return result.valid ? result.tflops * 1000.0 : 0.0;
-            },
-            // Sequential: accumulates the dataset and the simulated-time
-            // ledger (seconds recovered from GFLOPS = flops / seconds·1e9).
-            [&](const auto& proposal, double gflops) {
-              if (gflops <= 0.0) return;
-              Sample s;
-              s.x.resize(kNumFeatures);
-              Traits::featurize_into(shape, proposal.tuning, s.x.data());
-              s.y = gflops;
-              out.push_back(std::move(s));
-              local_time += shape_flops / (gflops * 1e9) * config.timing_reps;
-            });
-        local_attempted += strategy->stats().visited;
-        local_accepted += strategy->stats().legal;
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        // Rejection-sample a legal (shape, tuning) pair from the model.
-        for (int tries = 0; tries < 200; ++tries) {
-          const ShapeT shape = shape_fn(rng);
-          const auto choice = model.sample(rng);
-          const auto tuning = space.decode(choice);
-          ++local_attempted;
-          if (!validate_fn(shape, tuning)) continue;
-          ++local_accepted;
+        const auto choice = model.sample(rng);
+        const auto tuning = space.decode(choice);
+        ++local_attempted;
+        if (!validate_fn(shape, tuning)) continue;
+        ++local_accepted;
 
-          const auto profile = Traits::analyze(shape, tuning, dev);
-          const auto result = local_sim.launch_median(profile, config.timing_reps);
-          if (!result.valid) continue;
+        const auto profile = Traits::analyze(shape, tuning, dev);
+        const auto result = local_sim.launch_median(profile, config.timing_reps);
+        if (!result.valid) continue;
 
-          Sample s;
-          s.x.resize(kNumFeatures);
-          Traits::featurize_into(shape, tuning, s.x.data());
-          s.y = result.tflops * 1000.0;  // GFLOPS
-          out.push_back(std::move(s));
-          local_time += result.seconds * config.timing_reps;
-          break;
-        }
+        Sample s;
+        s.x.resize(kNumFeatures);
+        Traits::featurize_into(shape, tuning, s.x.data());
+        s.y = result.tflops * 1000.0;  // GFLOPS
+        out.push_back(std::move(s));
+        local_time += result.seconds * config.timing_reps;
+        break;
       }
     }
     attempted += local_attempted;

@@ -24,16 +24,6 @@ struct CollectorConfig {
   /// the posterior needs tens of thousands of probes to sharpen.
   std::size_t probe_samples = 60000;
   double alpha = 100.0;  // Dirichlet prior (paper §4.1)
-  /// Adaptive sampling (MLKAPS-style): when non-empty, tunings are drawn by
-  /// driving this model-free stochastic search strategy ("random", "genetic"
-  /// or "annealing" — see search/factory.hpp) per sampled shape, and *every*
-  /// measured point of the trajectory becomes a training sample, so the
-  /// dataset concentrates where the strategy spends its budget. Empty = the
-  /// paper's §4.1 categorical generative model.
-  std::string search_strategy;
-  /// Measured evaluations (= samples contributed) per sampled shape when
-  /// search_strategy is set.
-  std::size_t search_budget_per_shape = 8;
   std::uint64_t seed = 0xDA7A;
   /// Shape domain (log-uniform). K ranges deeper than M/N to cover the
   /// covariance-matrix regime (§3).

@@ -125,7 +125,7 @@ struct WalkStats {
 };
 
 /// Per-dimension strides of the flat (odometer) index — dimension 0 least
-/// significant, matching advance_choice/for_each order. Wraps modularly for
+/// significant, matching for_each order. Wraps modularly for
 /// spaces past 2^64; callers doing exact flat arithmetic must bound |X̂|
 /// first (see the saturating size()).
 inline std::vector<std::uint64_t> flat_strides(const std::vector<ParameterDomain>& domains) {
@@ -200,7 +200,7 @@ bool walk_legal_levels(const std::vector<ParameterDomain>& domains,
 /// The constraint-propagating lazy enumeration: visit every point of X̂ that
 /// survives the constraint set's prefix predicates (a superset of the legal
 /// space — pair with codegen::validate for exactness), in ascending flat
-/// order, i.e. exactly for_each()/advance_choice order. A failing prefix
+/// order, i.e. exactly for_each() order. A failing prefix
 /// skips its entire subtree without visiting a single point of it. With a
 /// null or empty constraint set this degenerates to a plain (still lazy)
 /// cartesian walk. `fn(choice, flat)` returns false to stop early; the
@@ -300,7 +300,7 @@ class ConvSearchSpace {
 
  protected:
   // Protected (like GemmSearchSpace's) so restricted spaces — e.g. a
-  // seed-grid core for search-strategy comparisons — can subclass and narrow
+  // seed-grid core for exhaustive ground truth in tests — can subclass and narrow
   // the domains.
   std::vector<ParameterDomain> domains_;
 };

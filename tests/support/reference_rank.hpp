@@ -5,9 +5,9 @@
 // It is the pipeline rank_legal_space ran before the pruned walk and the
 // FeatureBatch rewrite: a sweep of every point of X̂ gated by validate, a
 // stride subsample with seed re-append, vector-of-vectors featurization
-// through the legacy chunked scorer, and a partial sort with the shared
-// tie-break. The sweep reads no prefix constraints, so it stays an oracle
-// independent of the walk it checks.
+// through the reference scorer (reference_scorer.hpp), and a partial sort
+// with the shared tie-break. The sweep reads no prefix constraints, so it
+// stays an oracle independent of the walk it checks.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "exhaustive_search.hpp"
+#include "reference_scorer.hpp"
 #include "search/model_topk.hpp"
 
 namespace isaac::reference {
@@ -80,7 +82,7 @@ search::RankedCandidates<Op> reference_rank(const search::SearchProblem<Op>& pro
   ThreadPool::global().parallel_for_each(out.candidates.size(), [&](std::size_t i) {
     rows[i] = problem.featurize(problem.space->decode(out.candidates[i]));
   });
-  out.scores = problem.model->predict_gflops_chunked(rows, config.batch);
+  out.scores = predict_gflops_chunked(*problem.model, rows, config.batch);
   out.scored = out.candidates.size();
   out.order.resize(out.candidates.size());
   for (std::size_t i = 0; i < out.order.size(); ++i) out.order[i] = i;

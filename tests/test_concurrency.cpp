@@ -109,7 +109,8 @@ TEST(ConcurrentDispatch, StressMatchesSerialReferenceAndTunesOnce) {
     auto& p = problems[i];
     std::vector<float> c(p.c_ref.size(), 0.0f);
     const std::int64_t ldb = p.shape.trans_b ? p.shape.n : p.shape.k;
-    ctx.gemm(p.shape, 1.0f, p.a.data(), p.shape.m, p.b.data(), ldb, 0.0f, c.data(), p.shape.m);
+    ctx.run<GemmOp>(p.shape, 1.0f, p.a.data(), p.shape.m, p.b.data(), ldb, 0.0f, c.data(),
+                    p.shape.m);
   }
   ctx.drain_background();  // let the two pre-warm refinements land
   ASSERT_EQ(ctx.tuning_runs(), 2u);
@@ -127,8 +128,8 @@ TEST(ConcurrentDispatch, StressMatchesSerialReferenceAndTunesOnce) {
         const auto& p = problems[(t + it) % problems.size()];
         std::vector<float> c(p.c_ref.size(), 0.0f);
         const std::int64_t ldb = p.shape.trans_b ? p.shape.n : p.shape.k;
-        const auto info = ctx.gemm(p.shape, 1.0f, p.a.data(), p.shape.m, p.b.data(), ldb, 0.0f,
-                                   c.data(), p.shape.m);
+        const auto info = ctx.run<GemmOp>(p.shape, 1.0f, p.a.data(), p.shape.m, p.b.data(), ldb,
+                                          0.0f, c.data(), p.shape.m);
         if (info.gflops <= 0.0 || max_abs_diff(c, p.c_ref) > 1e-2) {
           if (failures.fetch_add(1) == 0) {
             errors[t] = "mismatch on " + p.shape.to_string();
@@ -246,7 +247,7 @@ TEST(ConcurrentDispatch, WarmupPreTunesAsynchronously) {
 
   auto shapes = stress_shapes();
   shapes.resize(3);
-  auto done = ctx.warmup(shapes);
+  auto done = ctx.warmup<GemmOp>(shapes);
   done.wait();
   // The warmup future resolves once every shape is cached (provisionally at
   // least); draining also lands the refinements.
@@ -274,7 +275,7 @@ TEST(ConcurrentDispatch, AbandonedWarmupFutureIsSafe) {
   {
     Context ctx(gpusim::tesla_p100(), fast_options());
     ctx.set_model(shared_model());
-    ctx.warmup(shapes);  // future discarded on purpose
+    ctx.warmup<GemmOp>(shapes);  // future discarded on purpose
   }                      // ~Context waits for both tasks here
   SUCCEED();
 }
@@ -328,8 +329,8 @@ TEST(ConcurrentDispatch, BatchedGemmSingleFlight) {
     threads.emplace_back([&] {
       std::vector<float> c(c_ref.size(), 0.0f);
       const auto info =
-          ctx.batched_gemm(shape, 1.0f, a.data(), shape.gemm.m, stride_a, b.data(),
-                           shape.gemm.k, stride_b, 0.0f, c.data(), shape.gemm.m, stride_c);
+          ctx.run<BatchedGemmOp>(shape, 1.0f, a.data(), shape.gemm.m, stride_a, b.data(),
+                                 shape.gemm.k, stride_b, 0.0f, c.data(), shape.gemm.m, stride_c);
       if (info.tuning.kg != 1 || max_abs_diff(c, c_ref) > 1e-2) failures.fetch_add(1);
     });
   }

@@ -46,7 +46,7 @@ TEST(Inference, FindsLegalWinner) {
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
   codegen::GemmShape shape;
   shape.m = shape.n = shape.k = 512;
-  const auto result = tune_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<GemmOp>(shape, shared_model(), sim, fast_inference());
   EXPECT_GT(result.legal, 0u);
   EXPECT_GT(result.enumerated, result.legal);
   EXPECT_GT(result.best.measured_gflops, 0.0);
@@ -59,7 +59,7 @@ TEST(Inference, TopKSortedByMeasurement) {
   shape.m = 2560;
   shape.n = 32;
   shape.k = 2560;
-  const auto result = tune_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<GemmOp>(shape, shared_model(), sim, fast_inference());
   ASSERT_GE(result.top.size(), 2u);
   for (std::size_t i = 1; i < result.top.size(); ++i) {
     EXPECT_GE(result.top[i - 1].measured_gflops, result.top[i].measured_gflops);
@@ -75,7 +75,7 @@ TEST(Inference, SkinnyShapeGetsNarrowTile) {
   shape.m = 2560;
   shape.n = 16;
   shape.k = 2560;
-  const auto result = tune_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<GemmOp>(shape, shared_model(), sim, fast_inference());
   EXPECT_LE(result.best.tuning.nl, 32) << result.best.tuning.to_string();
 }
 
@@ -85,7 +85,7 @@ TEST(Inference, DeepReductionGetsSplit) {
   codegen::GemmShape shape;
   shape.m = shape.n = 32;
   shape.k = 60000;
-  const auto result = tune_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<GemmOp>(shape, shared_model(), sim, fast_inference());
   EXPECT_GT(result.best.tuning.kg * result.best.tuning.kl, 1)
       << result.best.tuning.to_string();
 }
@@ -95,7 +95,7 @@ TEST(Inference, ConvTuningWorks) {
   const auto shape = codegen::ConvShape::from_npq(8, 54, 54, 64, 64, 3, 3);
   search::SearchConfig cfg = fast_inference();
   cfg.max_candidates = 5000;
-  const auto result = tune_conv(shape, shared_model(), sim, cfg);
+  const auto result = tune<ConvOp>(shape, shared_model(), sim, cfg);
   EXPECT_GT(result.best.measured_gflops, 0.0);
   EXPECT_TRUE(codegen::validate(shape, result.best.tuning, sim.device()));
 }
@@ -109,7 +109,7 @@ TEST(Inference, BatchedGemmTuningRespectsConstraints) {
   shape.gemm.m = 128;
   shape.gemm.n = 64;
   shape.gemm.k = 256;
-  const auto result = tune_batched_gemm(shape, shared_model(), sim, fast_inference());
+  const auto result = tune<BatchedGemmOp>(shape, shared_model(), sim, fast_inference());
   EXPECT_GT(result.legal, 0u);
   EXPECT_GT(result.best.measured_gflops, 0.0);
   EXPECT_EQ(result.best.tuning.kg, 1);
@@ -121,7 +121,7 @@ TEST(Inference, ImpossibleShapeThrows) {
   codegen::GemmShape shape;
   shape.m = shape.n = 64;
   shape.k = 2;  // below the smallest prefetch depth (U >= 4): no legal config
-  EXPECT_THROW(tune_gemm(shape, shared_model(), sim, fast_inference()), std::runtime_error);
+  EXPECT_THROW(tune<GemmOp>(shape, shared_model(), sim, fast_inference()), std::runtime_error);
 }
 
 // ------------------------------------------------------------ profile cache --
@@ -451,8 +451,8 @@ TEST(Context, GemmEndToEndProducesCorrectNumerics) {
   std::vector<float> c(static_cast<std::size_t>(shape.m * shape.n), 0.0f);
   std::vector<float> c_ref = c;
 
-  const auto info = ctx.gemm(shape, 1.0f, a.data(), shape.m, b.data(), shape.n, 0.0f, c.data(),
-                             shape.m);
+  const auto info = ctx.run<GemmOp>(shape, 1.0f, a.data(), shape.m, b.data(), shape.n, 0.0f,
+                                    c.data(), shape.m);
   EXPECT_GT(info.gflops, 0.0);
   EXPECT_FALSE(info.from_cache);
   EXPECT_TRUE(info.provisional);  // two-tier: the cold call served tier 1
@@ -469,8 +469,8 @@ TEST(Context, GemmEndToEndProducesCorrectNumerics) {
   // selection and still computes correctly.
   ctx.drain_background();
   std::vector<float> c2(c.size(), 0.0f);
-  const auto info2 = ctx.gemm(shape, 1.0f, a.data(), shape.m, b.data(), shape.n, 0.0f,
-                              c2.data(), shape.m);
+  const auto info2 = ctx.run<GemmOp>(shape, 1.0f, a.data(), shape.m, b.data(), shape.n, 0.0f,
+                                     c2.data(), shape.m);
   EXPECT_TRUE(info2.from_cache);
   EXPECT_FALSE(info2.provisional);
   max_diff = 0;
@@ -501,7 +501,7 @@ TEST(Context, ConvEndToEnd) {
   std::vector<float> out(static_cast<std::size_t>(shape.k * shape.p() * shape.q() * shape.n));
   std::vector<float> out_ref = out;
 
-  const auto info = ctx.conv(shape, 1.0f, input.data(), filters.data(), 0.0f, out.data());
+  const auto info = ctx.run<ConvOp>(shape, 1.0f, input.data(), filters.data(), 0.0f, out.data());
   EXPECT_GT(info.gflops, 0.0);
 
   codegen::reference_conv(shape, 1.0f, input.data(), filters.data(), 0.0f, out_ref.data());
@@ -535,9 +535,9 @@ TEST(Context, BatchedGemmEndToEndProducesCorrectNumerics) {
   std::vector<float> c(static_cast<std::size_t>(stride_c * shape.batch), 0.0f);
   std::vector<float> c_ref = c;
 
-  const auto info = ctx.batched_gemm(shape, 1.0f, a.data(), shape.gemm.m, stride_a, b.data(),
-                                     shape.gemm.k, stride_b, 0.0f, c.data(), shape.gemm.m,
-                                     stride_c);
+  const auto info = ctx.run<BatchedGemmOp>(shape, 1.0f, a.data(), shape.gemm.m, stride_a,
+                                           b.data(), shape.gemm.k, stride_b, 0.0f, c.data(),
+                                           shape.gemm.m, stride_c);
   EXPECT_GT(info.gflops, 0.0);
   EXPECT_FALSE(info.from_cache);
   EXPECT_EQ(info.tuning.kg, 1);
@@ -554,9 +554,9 @@ TEST(Context, BatchedGemmEndToEndProducesCorrectNumerics) {
   // Second call hits the cache (refined once the background search lands —
   // the batched constraint still holds for the refined winner).
   ctx.drain_background();
-  const auto info2 = ctx.batched_gemm(shape, 1.0f, a.data(), shape.gemm.m, stride_a, b.data(),
-                                      shape.gemm.k, stride_b, 0.0f, c.data(), shape.gemm.m,
-                                      stride_c);
+  const auto info2 = ctx.run<BatchedGemmOp>(shape, 1.0f, a.data(), shape.gemm.m, stride_a,
+                                            b.data(), shape.gemm.k, stride_b, 0.0f, c.data(),
+                                            shape.gemm.m, stride_c);
   EXPECT_TRUE(info2.from_cache);
   EXPECT_FALSE(info2.provisional);
   EXPECT_EQ(info2.tuning.kg, 1);
@@ -566,7 +566,7 @@ TEST(Context, RequiresModel) {
   Context ctx(gpusim::gtx980ti());
   codegen::GemmShape shape;
   shape.m = shape.n = shape.k = 256;
-  EXPECT_THROW(ctx.tune_gemm(shape), std::logic_error);
+  EXPECT_THROW(ctx.tune<GemmOp>(shape), std::logic_error);
 }
 
 TEST(Context, TrainModelProducesUsableModel) {
@@ -577,7 +577,7 @@ TEST(Context, TrainModelProducesUsableModel) {
   EXPECT_TRUE(ctx.has_model());
   codegen::GemmShape shape;
   shape.m = shape.n = shape.k = 512;
-  const auto result = ctx.tune_gemm(shape);
+  const auto result = ctx.tune<GemmOp>(shape);
   EXPECT_GT(result.best.measured_gflops, 0.0);
 }
 

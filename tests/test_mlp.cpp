@@ -14,6 +14,7 @@
 
 #include "mlp/net.hpp"
 #include "mlp/regressor.hpp"
+#include "support/reference_scorer.hpp"
 #include "tuning/dataset.hpp"
 #include "tuning/feature_batch.hpp"
 
@@ -304,7 +305,7 @@ TEST(Regressor, FlatBatchMatchesLegacyRowsBitExact) {
 
   for (const std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{7},
                                   std::size_t{128}, std::size_t{1000}}) {
-    const auto legacy = model.predict_gflops_chunked(rows, chunk);
+    const auto legacy = reference::predict_gflops_chunked(model, rows, chunk);
     const auto flat = model.predict_gflops_chunked(batch, chunk);
     ASSERT_EQ(legacy.size(), flat.size());
     for (std::size_t i = 0; i < legacy.size(); ++i) {
@@ -384,11 +385,10 @@ TEST(Regressor, PredictBatchMatchesScalar) {
   const Regressor model = train(data, cfg);
 
   std::vector<std::vector<double>> rows{data[0].x, data[1].x, data[2].x};
-  const auto batch = model.predict_gflops_batch(rows);
+  const auto batch = reference::predict_gflops_batch(model, rows);
   ASSERT_EQ(batch.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(batch[i], model.predict_gflops(rows[i]), 1e-6 * std::abs(batch[i]));
-  }
+  // Single-row scoring is one row of the batched path, so the bits agree.
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(batch[i], model.predict_gflops(rows[i]));
 }
 
 TEST(Regressor, PredictionsArePositive) {
@@ -454,8 +454,8 @@ TEST(Regressor, SaveLoadRoundTripIsBitIdentical) {
     for (std::size_t c = 0; c < tuning::kNumFeatures; ++c) dst[c] = data[i].x[c];
   }
 
-  const auto expected_rows = model.predict_gflops_chunked(rows, 16);
-  const auto loaded_rows = back.predict_gflops_chunked(rows, 16);
+  const auto expected_rows = reference::predict_gflops_chunked(model, rows, 16);
+  const auto loaded_rows = reference::predict_gflops_chunked(back, rows, 16);
   const auto expected_flat = model.predict_gflops_chunked(batch, 16);
   const auto loaded_flat = back.predict_gflops_chunked(batch, 16);
   ASSERT_EQ(loaded_rows.size(), expected_rows.size());

@@ -1,13 +1,16 @@
-// Tests for the pluggable search subsystem (src/search/): the strategy
-// registry, constraint-aware proposals, seeded determinism, exact budget
-// semantics, the ModelGuidedTopK ↔ ExhaustiveSearch agreement criterion, and
-// strategy-driven adaptive offline collection.
+// Tests for the search subsystem (src/search/): constraint-aware proposals,
+// exact budget semantics and the drive loop's failure handling (for both the
+// runtime's ModelGuidedTopK and the test-side ExhaustiveSearch reference),
+// the ModelGuidedTopK ↔ ExhaustiveSearch agreement criterion, and the
+// ranking's bit-for-bit parity with the generate-and-test reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -19,7 +22,8 @@
 #include "gpusim/simulator.hpp"
 #include "mlp/regressor.hpp"
 #include "search/driver.hpp"
-#include "search/factory.hpp"
+#include "search/model_topk.hpp"
+#include "support/exhaustive_search.hpp"
 #include "support/reference_rank.hpp"
 #include "tuning/collector.hpp"
 
@@ -129,45 +133,45 @@ const mlp::Regressor& shared_model() {
   return model;
 }
 
-search::SearchConfig strategy_config(const std::string& name, std::size_t budget,
-                                     std::uint64_t seed = 0x5EED5) {
+/// An untrained network, so these tests need no training run. `constant`
+/// zeroes every weight and bias: all candidates then score the same, and
+/// the order falls entirely to the choice tie-break.
+mlp::Regressor untrained_model(bool constant) {
+  mlp::MlpConfig net;
+  net.inputs = static_cast<int>(tuning::kNumFeatures);
+  net.hidden = {16, 8};
+  net.seed = 7;
+  mlp::Mlp mlp(net);
+  if (constant) {
+    for (auto& w : mlp.weights()) w.set_zero();
+    for (auto& b : mlp.biases()) b.set_zero();
+  }
+  mlp::Scaler scaler;
+  scaler.mean.assign(tuning::kNumFeatures, 0.0);
+  scaler.stddev.assign(tuning::kNumFeatures, 1.0);
+  return mlp::Regressor(std::move(mlp), std::move(scaler), 3.0, 1.0, /*log_features=*/true);
+}
+
+search::SearchConfig search_config(std::size_t budget) {
   search::SearchConfig cfg;
-  cfg.strategy = name;
   cfg.budget = budget;
-  cfg.seed = seed;
   cfg.reeval_reps = 1;
   cfg.max_candidates = 20000;
   return cfg;
 }
 
-// ----------------------------------------------------------------- registry --
-TEST(SearchRegistry, NamesRoundTripThroughFactory) {
-  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
-  const auto shape = gemm_shape(512, 512, 512);
-  const tuning::GemmSearchSpace space;
-  search::SearchProblem<core::GemmOp> problem;
-  problem.shape = &shape;
-  problem.device = &dev;
-  problem.space = &space;
-  problem.model = &shared_model();
-
-  ASSERT_FALSE(search::strategy_names().empty());
-  for (const auto& name : search::strategy_names()) {
-    search::SearchConfig cfg = strategy_config(name, 8);
-    const auto strategy = search::make_strategy<core::GemmOp>(problem, cfg);
-    EXPECT_EQ(std::string(strategy->name()), name);
-  }
+/// The strategies the loop-level tests hold to the SearchStrategy contract:
+/// the runtime's model top-k and the test-side exhaustive reference.
+template <typename Op>
+std::vector<std::unique_ptr<search::SearchStrategy<Op>>> every_strategy(
+    const search::SearchProblem<Op>& problem, const search::SearchConfig& config) {
+  std::vector<std::unique_ptr<search::SearchStrategy<Op>>> out;
+  out.push_back(std::make_unique<search::ModelGuidedTopK<Op>>(problem, config));
+  out.push_back(std::make_unique<search::ExhaustiveSearch<Op>>(problem, config));
+  return out;
 }
 
-TEST(SearchRegistry, UnknownStrategyThrows) {
-  gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
-  EXPECT_THROW(
-      core::tune_gemm(gemm_shape(512, 512, 512), shared_model(), sim,
-                      strategy_config("gradient_descent", 8)),
-      std::invalid_argument);
-}
-
-TEST(SearchRegistry, ModelGuidedStrategyRequiresModel) {
+TEST(ModelGuidedTopK, RequiresModel) {
   const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
   const auto shape = gemm_shape(512, 512, 512);
   const tuning::GemmSearchSpace space;
@@ -175,13 +179,10 @@ TEST(SearchRegistry, ModelGuidedStrategyRequiresModel) {
   problem.shape = &shape;
   problem.device = &dev;
   problem.space = &space;
-  EXPECT_THROW(search::make_strategy<core::GemmOp>(problem, strategy_config("model_topk", 8)),
+  EXPECT_THROW(search::ModelGuidedTopK<core::GemmOp>(problem, search_config(8)),
                std::invalid_argument);
-  // Every other strategy is model-free and must construct.
-  for (const auto& name : search::strategy_names()) {
-    if (!search::strategy_is_model_free(name)) continue;
-    EXPECT_NO_THROW(search::make_strategy<core::GemmOp>(problem, strategy_config(name, 8)));
-  }
+  // The exhaustive reference is model-free and must construct.
+  EXPECT_NO_THROW(search::ExhaustiveSearch<core::GemmOp>(problem, search_config(8)));
 }
 
 // ------------------------------------------------------- constraint-aware ----
@@ -197,8 +198,8 @@ TEST(SearchStrategies, ProposalsAreLegalBeforeAnyBudgetIsSpent) {
   problem.space = &space;
   problem.model = &shared_model();
 
-  for (const auto& name : search::strategy_names()) {
-    auto strategy = search::make_strategy<core::GemmOp>(problem, strategy_config(name, 16));
+  for (const auto& strategy : every_strategy(problem, search_config(16))) {
+    const std::string name = strategy->name();
     const auto proposals = strategy->propose(16);
     ASSERT_FALSE(proposals.empty()) << name;
     for (const auto& p : proposals) {
@@ -210,52 +211,43 @@ TEST(SearchStrategies, ProposalsAreLegalBeforeAnyBudgetIsSpent) {
   }
 }
 
-// ------------------------------------------------------------ determinism ----
-TEST(SearchStrategies, SeededStochasticStrategiesAreReproducible) {
-  gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
-  const auto shape = gemm_shape(896, 128, 1024);
-  for (const std::string name : {"random", "genetic", "annealing"}) {
-    const auto cfg = strategy_config(name, 48, /*seed=*/0xF00D);
-    const auto a = core::tune_gemm(shape, shared_model(), sim, cfg);
-    const auto b = core::tune_gemm(shape, shared_model(), sim, cfg);
-    EXPECT_EQ(a.best.tuning, b.best.tuning) << name;
-    EXPECT_DOUBLE_EQ(a.best.measured_gflops, b.best.measured_gflops) << name;
-    EXPECT_EQ(a.measured, b.measured) << name;
-    EXPECT_EQ(a.enumerated, b.enumerated) << name;
-    // A different seed explores a different trajectory (sanity check that the
-    // seed is actually consumed; the *best* config may still coincide).
-    auto reseeded = cfg;
-    reseeded.seed = 0xBEEF;
-    const auto c = core::tune_gemm(shape, shared_model(), sim, reseeded);
-    EXPECT_NE(a.enumerated, c.enumerated) << name;
-  }
-}
-
 // ----------------------------------------------------------------- budgets ----
 TEST(SearchStrategies, EveryStrategyRespectsTheBudgetExactly) {
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
   const auto shape = gemm_shape(512, 512, 512);  // legal space ≫ budget
   constexpr std::size_t kBudget = 24;
-  for (const auto& name : search::strategy_names()) {
-    const auto result =
-        core::tune_gemm(shape, shared_model(), sim, strategy_config(name, kBudget));
-    EXPECT_EQ(result.measured, kBudget) << name;
-    // top is de-duplicated, so re-proposals (annealing revisits) may shrink it.
-    EXPECT_LE(result.top.size(), kBudget) << name;
-    EXPECT_GE(result.top.size(), kBudget / 2) << name;
-    EXPECT_EQ(result.budget, kBudget) << name;
-    EXPECT_EQ(result.strategy, name);
-    EXPECT_GT(result.best.measured_gflops, 0.0) << name;
+  const auto result =
+      core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(kBudget));
+  EXPECT_EQ(result.measured, kBudget);
+  EXPECT_EQ(result.top.size(), kBudget);  // each ranked point is measured once
+  EXPECT_EQ(result.budget, kBudget);
+  EXPECT_EQ(result.strategy, "model_topk");
+  EXPECT_GT(result.best.measured_gflops, 0.0);
+
+  // The same loop spends exactly the budget for every strategy.
+  const tuning::GemmSearchSpace space;
+  search::SearchProblem<core::GemmOp> problem;
+  problem.shape = &shape;
+  problem.device = &sim.device();
+  problem.space = &space;
+  problem.model = &shared_model();
+  for (const auto& strategy : every_strategy(problem, search_config(kBudget))) {
+    std::size_t sunk = 0;
+    const std::size_t measured = search::drive(
+        *strategy, search_config(kBudget), [](const codegen::GemmTuning&) { return 1.0; },
+        [&](const auto&, double) { ++sunk; });
+    EXPECT_EQ(measured, kBudget) << strategy->name();
+    EXPECT_EQ(sunk, kBudget) << strategy->name();
   }
 }
 
 TEST(SearchStrategies, AnytimeBestIsBestOfMeasuredPrefix) {
   // Doubling the budget can only improve (or tie) the best — the measured
-  // prefix of a seeded strategy's trajectory is itself a valid run.
+  // prefix of the ranking is itself a valid run.
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
   const auto shape = gemm_shape(2560, 32, 2560);
-  const auto small = core::tune_gemm(shape, shared_model(), sim, strategy_config("random", 16));
-  const auto large = core::tune_gemm(shape, shared_model(), sim, strategy_config("random", 64));
+  const auto small = core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(16));
+  const auto large = core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(64));
   EXPECT_GE(large.best.measured_gflops, small.best.measured_gflops);
 }
 
@@ -288,15 +280,14 @@ struct SeedCoreConvSpace : tuning::ConvSearchSpace {
 /// loop, including its deterministic tie-break) and return the winner.
 template <typename Op>
 std::pair<typename core::OperationTraits<Op>::Tuning, std::size_t> run_strategy(
-    const search::SearchProblem<Op>& problem, const gpusim::Simulator& sim,
-    const search::SearchConfig& config) {
+    search::SearchStrategy<Op>& strategy, const search::SearchProblem<Op>& problem,
+    const gpusim::Simulator& sim, const search::SearchConfig& config) {
   using Traits = core::OperationTraits<Op>;
   using Tuning = typename Traits::Tuning;
-  const auto strategy = search::make_strategy<Op>(problem, config);
   Tuning best{};
   double best_gflops = -1.0;
   const std::size_t measured = search::drive(
-      *strategy, config.budget,
+      strategy, config,
       [&](const Tuning& t) {
         const auto timed =
             sim.launch_median(Traits::analyze(*problem.shape, t, sim.device()), 1);
@@ -315,103 +306,31 @@ std::pair<typename core::OperationTraits<Op>::Tuning, std::size_t> run_strategy(
 }
 
 TEST(SearchStrategies, UnlimitedBudgetTerminatesAtSpaceSize) {
-  // budget = SIZE_MAX means "unlimited", but the driver clamps to |X̂| so
-  // even strategies that never return an empty batch (genetic fallbacks,
-  // annealing restarts) terminate instead of hanging the dispatch path.
+  // budget = SIZE_MAX means "unlimited": the driver clamps it to |X̂|, and
+  // every strategy runs out of fresh legal points before that.
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.0, 7);
   const gpusim::DeviceDescriptor& dev = sim.device();
   const auto shape = gemm_shape(512, 512, 512);
   const SeedCoreGemmSpace space;  // |X̂| = a few hundred: cheap to saturate
-  for (const auto& name : search::strategy_names()) {
-    search::SearchProblem<core::GemmOp> problem;
-    problem.shape = &shape;
-    problem.device = &dev;
-    problem.space = &space;
-    problem.model = &shared_model();
-    auto cfg = strategy_config(name, kUnlimited);
-    const auto [best, measured] = run_strategy<core::GemmOp>(problem, sim, cfg);
-    EXPECT_LE(measured, space.size()) << name;
-    EXPECT_TRUE(codegen::validate(shape, best, dev)) << name;
-  }
-}
-
-TEST(SearchStrategies, RandomProposesEverySparseLegalPointOnce) {
-  // Unlimited random search over a small space whose legal set is sparse
-  // (15 of 144 points at K = 8). Once rejection sampling runs dry, the
-  // wrap-around repair scan must skip everything already proposed: every
-  // legal point is proposed exactly once, then the strategy reports the
-  // space exhausted instead of re-proposing.
-  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
-  const auto shape = gemm_shape(512, 512, 8);
-  const SeedCoreGemmSpace space;
   search::SearchProblem<core::GemmOp> problem;
   problem.shape = &shape;
   problem.device = &dev;
   problem.space = &space;
-
-  std::vector<codegen::GemmTuning> legal;
-  space.for_each_legal(shape, dev, [&](const codegen::GemmTuning& t) {
-    legal.push_back(t);
-    return true;
-  });
-  ASSERT_FALSE(legal.empty());
-  ASSERT_LT(legal.size() * 4, space.size());  // sparse: under a quarter of X̂
-
-  search::RandomSearch<core::GemmOp> random(problem, strategy_config("random", kUnlimited));
-  std::vector<codegen::GemmTuning> proposed;
-  const std::size_t measured = search::drive(
-      random, kUnlimited, [](const codegen::GemmTuning&) { return 1.0; },
-      [&](const auto& proposal, double) { proposed.push_back(proposal.tuning); });
-  EXPECT_EQ(measured, legal.size());
-  EXPECT_TRUE(random.propose(8).empty());  // exhausted, not merely paused
-  EXPECT_EQ(random.stats().legal, legal.size());
-
-  const auto by_encoding = [](const codegen::GemmTuning& a, const codegen::GemmTuning& b) {
-    return core::OperationTraits<core::GemmOp>::encode_tuning(a) <
-           core::OperationTraits<core::GemmOp>::encode_tuning(b);
-  };
-  std::sort(proposed.begin(), proposed.end(), by_encoding);
-  std::sort(legal.begin(), legal.end(), by_encoding);
-  EXPECT_EQ(proposed, legal);
-}
-
-TEST(SearchStrategies, AnnealingCoolsUnderClampedBudgets) {
-  // The cooling schedule must track the *effective* budget the driver will
-  // spend (the raw request clamped to |X̂|). Scheduling against a raw
-  // SIZE_MAX "unlimited" request kept the chain at kTempHot forever — pure
-  // exploration, never a hill-climber.
-  gpusim::Simulator sim(gpusim::tesla_p100(), 0.0, 7);
-  const gpusim::DeviceDescriptor& dev = sim.device();
-  const auto shape = gemm_shape(512, 512, 512);
-  const SeedCoreGemmSpace space;  // |X̂| small enough to saturate cheaply
-  search::SearchProblem<core::GemmOp> problem;
-  problem.shape = &shape;
-  problem.device = &dev;
-  problem.space = &space;
-
-  for (const std::size_t raw_budget : {kUnlimited, 100 * space.size()}) {
-    search::SimulatedAnnealing<core::GemmOp> annealer(problem,
-                                                      strategy_config("annealing", raw_budget));
-    EXPECT_DOUBLE_EQ(annealer.temperature(), annealer.kTempHot);
-    const std::size_t measured = search::drive(
-        annealer, raw_budget,
-        [&](const codegen::GemmTuning& t) {
-          const auto timed = sim.launch_median(codegen::analyze(shape, t, dev), 1);
-          return timed.valid ? timed.tflops * 1000.0 : 0.0;
-        },
-        [](const auto&, double) {});
-    EXPECT_EQ(measured, space.size());  // clamped, so the run terminated
-    // …and the schedule ran to completion: the chain ended effectively
-    // greedy, not frozen at the hot end.
-    EXPECT_LT(annealer.temperature(), annealer.kTempCold * 1.5) << raw_budget;
+  problem.model = &shared_model();
+  const auto cfg = search_config(kUnlimited);
+  for (const auto& strategy : every_strategy(problem, cfg)) {
+    const auto [best, measured] = run_strategy<core::GemmOp>(*strategy, problem, sim, cfg);
+    EXPECT_LE(measured, space.size()) << strategy->name();
+    EXPECT_EQ(measured, strategy->stats().legal) << strategy->name();  // all of X, once
+    EXPECT_TRUE(codegen::validate(shape, best, dev)) << strategy->name();
   }
 }
 
 TEST(SearchStrategies, EmptyLegalSpaceProposesNothingEverywhere) {
   // A degenerate shape with no legal configuration: every strategy must let
   // the driver return 0 measured instead of proposing illegal points or
-  // spinning. (Over the small seed-core space so the scan-based fallbacks
-  // stay cheap; the full-space behavior is identical.)
+  // spinning. (Over the small seed-core space so the exhaustive sweep stays
+  // cheap; the full-space behavior is identical.)
   const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
   const auto shape = gemm_shape(64, 64, 2);  // below the smallest prefetch depth
   const SeedCoreGemmSpace space;
@@ -421,15 +340,14 @@ TEST(SearchStrategies, EmptyLegalSpaceProposesNothingEverywhere) {
   problem.space = &space;
   problem.model = &shared_model();
 
-  for (const auto& name : search::strategy_names()) {
-    auto strategy = search::make_strategy<core::GemmOp>(problem, strategy_config(name, 8));
+  for (const auto& strategy : every_strategy(problem, search_config(8))) {
     std::size_t sunk = 0;
     const std::size_t measured = search::drive(
-        *strategy, 8, [](const codegen::GemmTuning&) { return 1.0; },
+        *strategy, search_config(8), [](const codegen::GemmTuning&) { return 1.0; },
         [&](const auto&, double) { ++sunk; });
-    EXPECT_EQ(measured, 0u) << name;
-    EXPECT_EQ(sunk, 0u) << name;
-    EXPECT_EQ(strategy->stats().legal, 0u) << name;
+    EXPECT_EQ(measured, 0u) << strategy->name();
+    EXPECT_EQ(sunk, 0u) << strategy->name();
+    EXPECT_EQ(strategy->stats().legal, 0u) << strategy->name();
   }
 }
 
@@ -438,50 +356,79 @@ TEST(SearchStrategies, EmptyLegalSpaceThrowsDescriptively) {
   // not a value-initialized "best".
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
   const auto shape = gemm_shape(64, 64, 2);
-  // One sweep-based and one model-ranked strategy; the scan-heavy stochastic
-  // fallbacks walk all of X̂ here, which the strategy-level test above
-  // already covers cheaply.
-  for (const std::string name : {"exhaustive", "model_topk"}) {
-    try {
-      core::tune_gemm(shape, shared_model(), sim, strategy_config(name, 8));
-      FAIL() << name << " did not throw on an empty legal space";
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("no legal gemm"), std::string::npos) << what;
-      EXPECT_NE(what.find(name), std::string::npos) << what;
-      EXPECT_NE(what.find(shape.to_string()), std::string::npos) << what;
-    }
+  try {
+    core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(8));
+    FAIL() << "tune did not throw on an empty legal space";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("no legal gemm"), std::string::npos) << what;
+    EXPECT_NE(what.find("model_topk"), std::string::npos) << what;
+    EXPECT_NE(what.find(shape.to_string()), std::string::npos) << what;
   }
 }
 
 TEST(SearchDriver, MeasureExceptionPropagatesToCaller) {
   // A measure() throw inside the driver's parallel measurement must reach
   // the caller (not terminate, not get scored as 0.0), and nothing from the
-  // failed batch may leak into the sink.
+  // failed batch may leak into the sink. The test needs only proposals, so
+  // an untrained model serves and keeps this suite free of a training run.
   const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
   const auto shape = gemm_shape(512, 512, 512);
   const tuning::GemmSearchSpace space;
+  const mlp::Regressor model = untrained_model(/*constant=*/false);
   search::SearchProblem<core::GemmOp> problem;
   problem.shape = &shape;
   problem.device = &dev;
   problem.space = &space;
-  problem.model = &shared_model();
+  problem.model = &model;
 
-  for (const auto& name : search::strategy_names()) {
-    const auto strategy =
-        search::make_strategy<core::GemmOp>(problem, strategy_config(name, 32));
+  auto cfg = search_config(32);
+  cfg.retry_backoff_ms = 0.0;  // the default retries run, without sleeping
+  for (const auto& strategy : every_strategy(problem, cfg)) {
     std::size_t sunk = 0;
     EXPECT_THROW(
         search::drive(
-            *strategy, 32,
+            *strategy, cfg,
             [](const codegen::GemmTuning&) -> double {
               throw std::runtime_error("device fault");
             },
             [&](const auto&, double) { ++sunk; }),
         std::runtime_error)
-        << name;
-    EXPECT_EQ(sunk, 0u) << name;
+        << strategy->name();
+    EXPECT_EQ(sunk, 0u) << strategy->name();
   }
+}
+
+TEST(SearchDriver, HugeRetryCountKeepsBackoffDefined) {
+  // measure_retries has no upper bound. The backoff doubles per attempt, so
+  // past 31 attempts an int shift would be undefined (and at 31 it already
+  // flips the sign); the loop must still retry exactly measure_retries
+  // times and then rethrow.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const auto shape = gemm_shape(512, 512, 512);
+  const SeedCoreGemmSpace space;
+  search::SearchProblem<core::GemmOp> problem;
+  problem.shape = &shape;
+  problem.device = &dev;
+  problem.space = &space;
+
+  auto cfg = search_config(1);  // one proposal: every attempt is its retry
+  cfg.measure_retries = 40;
+  cfg.retry_backoff_ms = 0.0;
+  cfg.retry_backoff_cap_ms = 0.0;
+  search::ExhaustiveSearch<core::GemmOp> exhaustive(problem, cfg);
+  std::atomic<int> attempts{0};
+  std::size_t sunk = 0;
+  EXPECT_THROW(search::drive(
+                   exhaustive, cfg,
+                   [&](const codegen::GemmTuning&) -> double {
+                     ++attempts;
+                     throw std::runtime_error("device fault");
+                   },
+                   [&](const auto&, double) { ++sunk; }),
+               std::runtime_error);
+  EXPECT_EQ(attempts.load(), 41);
+  EXPECT_EQ(sunk, 0u);
 }
 
 TEST(ModelGuidedTopK, MatchesExhaustiveOnSeedShapeGrid) {
@@ -494,11 +441,9 @@ TEST(ModelGuidedTopK, MatchesExhaustiveOnSeedShapeGrid) {
   const auto& dev = sim.device();
 
   search::SearchConfig exhaustive;
-  exhaustive.strategy = "exhaustive";
   exhaustive.budget = kUnlimited;  // sweep all of X: the ground truth
 
   search::SearchConfig topk;
-  topk.strategy = "model_topk";
   topk.budget = 64;
 
   const SeedCoreGemmSpace gemm_space;
@@ -513,8 +458,10 @@ TEST(ModelGuidedTopK, MatchesExhaustiveOnSeedShapeGrid) {
     problem.device = &dev;
     problem.space = &space;
     problem.model = &shared_model();
-    const auto [truth, truth_measured] = run_strategy<Op>(problem, sim, exhaustive);
-    const auto [fast, fast_measured] = run_strategy<Op>(problem, sim, topk);
+    search::ExhaustiveSearch<Op> sweep(problem, exhaustive);
+    search::ModelGuidedTopK<Op> ranked(problem, topk);
+    const auto [truth, truth_measured] = run_strategy<Op>(sweep, problem, sim, exhaustive);
+    const auto [fast, fast_measured] = run_strategy<Op>(ranked, problem, sim, topk);
     EXPECT_LE(fast_measured, 64u) << shape.to_string();
     EXPECT_GE(truth_measured, fast_measured) << shape.to_string();  // full sweep ⊇ top-k
     ++total;
@@ -645,25 +592,6 @@ struct MidConvSpace : tuning::ConvSearchSpace {
                 {"bn", {4, 8, 16}}, {"u", {4, 8}},     {"cl", {1, 4}},    {"cg", {1, 4, 16}}};
   }
 };
-
-/// An untrained network, so these tests need no training run. `constant`
-/// zeroes every weight and bias: all candidates then score the same, and
-/// the order falls entirely to the choice tie-break.
-mlp::Regressor untrained_model(bool constant) {
-  mlp::MlpConfig net;
-  net.inputs = static_cast<int>(tuning::kNumFeatures);
-  net.hidden = {16, 8};
-  net.seed = 7;
-  mlp::Mlp mlp(net);
-  if (constant) {
-    for (auto& w : mlp.weights()) w.set_zero();
-    for (auto& b : mlp.biases()) b.set_zero();
-  }
-  mlp::Scaler scaler;
-  scaler.mean.assign(tuning::kNumFeatures, 0.0);
-  scaler.stddev.assign(tuning::kNumFeatures, 1.0);
-  return mlp::Regressor(std::move(mlp), std::move(scaler), 3.0, 1.0, /*log_features=*/true);
-}
 
 TEST(StreamingRank, ConstantScoreTiesFollowChoiceOrderAcrossChunks) {
   // The fused walk keeps a bounded top-k per pool chunk and merges them.
@@ -996,39 +924,6 @@ TEST(RankStridedProbe, ReusableOdometerKeepsProbeDeterministic) {
   for (std::size_t i = 0; i < a.order.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.scores[a.order[i]], b.scores[b.order[i]]);
   }
-}
-
-// ------------------------------------------------- adaptive collection ----
-TEST(AdaptiveCollection, StrategyDrivenSamplingFillsQuotaDeterministically) {
-  gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 11);
-  tuning::CollectorConfig cfg;
-  cfg.num_samples = 400;
-  cfg.seed = 4242;
-  cfg.search_strategy = "genetic";
-  cfg.search_budget_per_shape = 8;
-
-  const auto a = tuning::collect_gemm(sim, cfg);
-  EXPECT_EQ(a.dataset.size(), cfg.num_samples);
-  EXPECT_GT(a.generation.attempted, a.generation.accepted);  // rejections counted
-
-  const auto b = tuning::collect_gemm(sim, cfg);
-  ASSERT_EQ(a.dataset.size(), b.dataset.size());
-  for (std::size_t i = 0; i < a.dataset.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.dataset[i].y, b.dataset[i].y);
-    EXPECT_EQ(a.dataset[i].x, b.dataset[i].x);
-  }
-}
-
-TEST(AdaptiveCollection, UnsuitableStrategiesAreRejectedUpfront) {
-  gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 11);
-  tuning::CollectorConfig cfg;
-  cfg.num_samples = 10;
-  cfg.search_strategy = "model_topk";  // needs a model collection doesn't have
-  EXPECT_THROW(tuning::collect_gemm(sim, cfg), std::invalid_argument);
-  cfg.search_strategy = "genetci";  // unknown names fail fast, not mid-collection
-  EXPECT_THROW(tuning::collect_gemm(sim, cfg), std::invalid_argument);
-  cfg.search_strategy = "exhaustive";  // same lexicographic prefix for every shape
-  EXPECT_THROW(tuning::collect_gemm(sim, cfg), std::invalid_argument);
 }
 
 }  // namespace
