@@ -49,7 +49,9 @@
 #include <vector>
 
 #include "codegen/gemm.hpp"
+#include "common/cpu_isa.hpp"
 #include "common/failpoint.hpp"
+#include "common/page_allocator.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -897,7 +899,7 @@ RankThroughputResult rank_throughput_op(
   double enum_sweep_s = 0.0;
   double enum_walk_s = 0.0;
   std::vector<std::uint64_t> sweep;
-  std::vector<std::uint64_t> walked;
+  PageVector<std::uint64_t> walked;
   constexpr int kEnumReps = 3;
   for (int rep = 0; rep < kEnumReps; ++rep) {
     t0 = Clock::now();
@@ -910,7 +912,7 @@ RankThroughputResult rank_throughput_op(
     const double walk_s = secs(t0);
     if (rep == 0 || walk_s < enum_walk_s) enum_walk_s = walk_s;
   }
-  const bool walk_match = (walked == sweep);
+  const bool walk_match = std::equal(walked.begin(), walked.end(), sweep.begin(), sweep.end());
 
   // Cold select() latency: fresh two-tier context, every shape a cache miss.
   core::ContextOptions opts = dispatch_options();
@@ -1055,7 +1057,7 @@ int run_rank_throughput() {
       gemm_speedup, min_agreement, conv_res.enum_speedup,
       std::min({gemm_res.enum_speedup, conv_res.enum_speedup, bgemm_res.enum_speedup}),
       all_match ? "true" : "false",
-      linalg::detail::gemm_kernel_name(linalg::detail::active_gemm_kernel()));
+      cpu::name(cpu::widest()));
   std::fputs(line, stdout);
   std::fflush(stdout);
   json.append(line);

@@ -8,7 +8,9 @@
 // Each round the op's stager hands the micro-kernel its operand tiles as
 // pointers and strides: operands whose rows are contiguous are read where
 // they lie, and only the rest (a k-contiguous A, conv's im2col gather) is
-// staged into per-thread scratch. The micro-kernel and the epilogue are
+// staged into per-thread scratch. The micro-kernel is compiled once per
+// instruction set (block_engine.cpp), and each call runs the variant its
+// calling thread picks from the CPU. The micro-kernel and the epilogue are
 // bounded by each block's valid extent (mv rows, nv columns, dv reduction
 // steps per round), so predicated-off lanes are skipped rather than computed
 // on zeros.
@@ -28,7 +30,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <vector>
 
@@ -101,65 +102,22 @@ struct Tiles {
   std::ptrdiff_t b_d, b_j;
 };
 
-/// acc[j·ml + i] += Σ_d op(A)(i, d) · op(B)(d, j) over the valid extent, d
-/// ascending. The micro-kernel holds a 4-column × 32-byte accumulator block
-/// in registers across the round, as two 16-byte vectors per column, so the
-/// portable build vectorizes it whatever the operand strides. Leftover rows
-/// of a 4-column group sum one element at a time; leftover columns take one
-/// axpy per reduction step.
+/// The micro-kernel: acc[j·ml + i] += Σ_d op(A)(i, d) · op(B)(d, j) over the
+/// valid extent (mv rows, nv columns, dv reduction steps), d ascending, one
+/// rounded multiply then one rounded add per step. It is compiled once per
+/// cpu::Isa (block_engine.cpp) and holds about eight independent
+/// accumulators in registers for every tile height.
 template <typename T>
-void multiply_tiles(int mv, int nv, int dv, const Tiles<T>& t, int ml, T* __restrict acc) {
-  typedef T V __attribute__((vector_size(16)));
-  constexpr int kW = static_cast<int>(16 / sizeof(T));  // lanes per vector
-  constexpr int kRows = 2 * kW;
-  constexpr int kCols = 4;
-  const T* __restrict a = t.a;
-  const T* __restrict b = t.b;
-  const std::ptrdiff_t a_d = t.a_d, b_d = t.b_d, b_j = t.b_j;
-  int j = 0;
-  for (; j + kCols <= nv; j += kCols) {
-    const T* __restrict bj = b + j * b_j;
-    int i = 0;
-    for (; i + kRows <= mv; i += kRows) {
-      V r[kCols][2];
-      for (int c = 0; c < kCols; ++c) {
-        std::memcpy(&r[c][0], acc + (j + c) * ml + i, sizeof(V));
-        std::memcpy(&r[c][1], acc + (j + c) * ml + i + kW, sizeof(V));
-      }
-      const T* __restrict ai = a + i;
-      for (int d = 0; d < dv; ++d) {
-        V a0, a1;
-        std::memcpy(&a0, ai + d * a_d, sizeof(V));
-        std::memcpy(&a1, ai + d * a_d + kW, sizeof(V));
-        const T* __restrict bd = bj + d * b_d;
-        for (int c = 0; c < kCols; ++c) {
-          const T bc = bd[c * b_j];
-          r[c][0] += a0 * bc;
-          r[c][1] += a1 * bc;
-        }
-      }
-      for (int c = 0; c < kCols; ++c) {
-        std::memcpy(acc + (j + c) * ml + i, &r[c][0], sizeof(V));
-        std::memcpy(acc + (j + c) * ml + i + kW, &r[c][1], sizeof(V));
-      }
-    }
-    for (; i < mv; ++i) {
-      for (int c = 0; c < kCols; ++c) {
-        T sum = acc[(j + c) * ml + i];
-        for (int d = 0; d < dv; ++d) sum += a[d * a_d + i] * bj[d * b_d + c * b_j];
-        acc[(j + c) * ml + i] = sum;
-      }
-    }
-  }
-  for (; j < nv; ++j) {
-    T* __restrict c0 = acc + static_cast<std::ptrdiff_t>(j) * ml;
-    for (int d = 0; d < dv; ++d) {
-      const T* __restrict ad = a + d * a_d;
-      const T b0 = b[d * b_d + j * b_j];
-      for (int i = 0; i < mv; ++i) c0[i] += ad[i] * b0;
-    }
-  }
-}
+using Multiply = void (*)(int mv, int nv, int dv, const Tiles<T>& t, int ml, T* __restrict acc);
+
+/// The variant an executor call runs, chosen on the calling thread:
+/// cpu::widest(), or the one codegen::detail::with_isa names.
+template <typename T>
+Multiply<T> multiply_kernel();
+template <>
+Multiply<float> multiply_kernel<float>();
+template <>
+Multiply<double> multiply_kernel<double>();
 
 /// Predicated store of one block's accumulator into C. `accumulate` is the
 /// KG > 1 path, where the scale pass has already applied beta.
@@ -213,6 +171,7 @@ void run(const Grid& g, const Output<T>& out, const MakeStager& make_stager) {
         grain_for(static_cast<double>(g.m)));
   }
 
+  const Multiply<T> multiply = multiply_kernel<T>();
   const std::size_t a_elems = static_cast<std::size_t>(g.depth) * g.ml;
   const std::size_t acc_elems = static_cast<std::size_t>(g.ml) * g.nl;
   const double block_flops = 2.0 * g.ml * g.nl * static_cast<double>(k_slice);
@@ -241,7 +200,7 @@ void run(const Grid& g, const Output<T>& out, const MakeStager& make_stager) {
           std::fill_n(acc, static_cast<std::size_t>(blk.nv) * g.ml, T(0));
           for (std::int64_t kk = k0; kk < k1; kk += g.depth) {
             const int dv = static_cast<int>(std::min<std::int64_t>(g.depth, k1 - kk));
-            multiply_tiles(blk.mv, blk.nv, dv, stage(kk, dv, sa), g.ml, acc);
+            multiply(blk.mv, blk.nv, dv, stage(kk, dv, sa), g.ml, acc);
           }
 
           if (split) {

@@ -6,10 +6,12 @@
 // a gathered I tile and an F tile k-major and accumulates them, handling
 // padding and edge predication. The gather goes through index tables, the
 // "scrambling" metadata of §3.3: a per-call table maps each reduction index
-// to its (r, s) filter offset and I address part, and a per-block table maps
-// each output row to its window origin and the rest of the address. O's
-// columns are contiguous (O[k, p, q, n] = O[k·NPQ + row]), so the epilogue is
-// GEMM's. Ground truth for correctness tests and the execution backend of
+// to its (r, s) filter offset and I address part, and a per-block table
+// splits the block's rows into runs that share one window (consecutive n),
+// each copied, or zero-filled in the padding, under one bounds check. A 1×1,
+// stride-1, unpadded conv skips the gather and reads I in place. O's columns
+// are contiguous (O[k, p, q, n] = O[k·NPQ + row]), so the epilogue is GEMM's.
+// Ground truth for correctness tests and the execution backend of
 // isaac::conv().
 //
 // Layouts (paper §3.3, last index fastest):

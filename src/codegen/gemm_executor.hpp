@@ -24,8 +24,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "codegen/gemm.hpp"
+#include "common/cpu_isa.hpp"
 
 namespace isaac::codegen {
 
@@ -50,5 +52,15 @@ void reference_gemm(const GemmShape& shape, float alpha, const float* a, std::in
 void reference_gemm(const GemmShape& shape, double alpha, const double* a, std::int64_t lda,
                     const double* b, std::int64_t ldb, double beta, double* c,
                     std::int64_t ldc);
+
+namespace detail {
+
+/// Run fn with every executor call it makes on the calling thread (GEMM,
+/// batched GEMM and conv) computing its blocks with the named micro-kernel
+/// variant instead of cpu::widest(). Throws std::invalid_argument when the
+/// CPU does not support it. For tests that compare variants.
+void with_isa(cpu::Isa isa, const std::function<void()>& fn);
+
+}  // namespace detail
 
 }  // namespace isaac::codegen

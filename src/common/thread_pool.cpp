@@ -80,7 +80,6 @@ namespace {
 /// chunks claimed and exits).
 struct ParallelForState {
   std::size_t n = 0;
-  std::size_t chunk = 0;
   std::size_t chunks = 0;
   std::function<void(std::size_t, std::size_t)> fn;
   std::atomic<std::size_t> next{0};
@@ -91,12 +90,16 @@ struct ParallelForState {
   std::exception_ptr first_error ISAAC_GUARDED_BY(error_mutex);
   std::size_t first_error_chunk ISAAC_GUARDED_BY(error_mutex) = 0;
 
+  /// First index of chunk c: the chunks are near-equal, the first
+  /// n mod chunks of them one index longer than the rest.
+  std::size_t begin_of(std::size_t c) const { return c * (n / chunks) + std::min(c, n % chunks); }
+
   void run_chunks() {
     while (true) {
       const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) break;
-      const std::size_t begin = c * chunk;
-      const std::size_t end = std::min(n, begin + chunk);
+      const std::size_t begin = begin_of(c);
+      const std::size_t end = begin_of(c + 1);
       try {
         fn(begin, end);
       } catch (...) {
@@ -126,10 +129,11 @@ void ThreadPool::parallel_for(std::size_t n,
   // Oversubscribe chunks 4x so uneven work (e.g. predicated edge blocks in the
   // functional executors) balances across workers, but never below the
   // caller's grain: a chunk too small to pay for its queue hop runs inline.
+  // ⌊n / length⌋ near-equal chunks leave no short tail below the grain.
   const std::size_t want_chunks = std::max<std::size_t>(1, size() * 4);
-  const std::size_t chunk =
+  const std::size_t length =
       std::max({std::size_t{1}, grain, (n + want_chunks - 1) / want_chunks});
-  const std::size_t chunks = (n + chunk - 1) / chunk;
+  const std::size_t chunks = std::max<std::size_t>(1, n / length);
 
   if (chunks == 1) {
     fn(0, n);
@@ -138,7 +142,6 @@ void ThreadPool::parallel_for(std::size_t n,
 
   auto state = std::make_shared<ParallelForState>();
   state->n = n;
-  state->chunk = chunk;
   state->chunks = chunks;
   state->fn = fn;
 

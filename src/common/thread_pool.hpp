@@ -38,8 +38,9 @@ class ThreadPool {
   /// Run fn(begin, end) over [0, n) split into roughly pool-size chunks and
   /// block until all chunks finish. The calling thread participates, so
   /// parallel_for(n, ...) with a 1-thread pool degrades to a serial loop.
-  /// No chunk holds fewer than `grain` items except the last; when that
-  /// leaves one chunk, it runs on the calling thread and nothing is queued.
+  /// No chunk holds fewer than `grain` items (n < grain makes one chunk of
+  /// n); when that leaves one chunk, it runs on the calling thread and
+  /// nothing is queued.
   /// The first exception thrown by any chunk is rethrown here.
   void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
                     std::size_t grain = 1);

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cpu_isa.hpp"
 #include "common/thread_pool.hpp"
 
 namespace isaac::linalg {
@@ -177,12 +178,12 @@ struct MicroKernel {
   void (*block)(const BlockArgs&);
 };
 
-MicroKernel micro_kernel(detail::GemmKernel which) {
-  switch (which) {
+MicroKernel micro_kernel(cpu::Isa isa) {
+  switch (isa) {
 #if defined(__x86_64__) || defined(__i386__)
-    case detail::GemmKernel::avx512:
+    case cpu::Isa::avx512:
       return {32, block_tiles_avx512};
-    case detail::GemmKernel::avx2:
+    case cpu::Isa::avx2:
       return {16, block_tiles_avx2};
 #endif
     default:
@@ -334,52 +335,12 @@ void gemm_blocked(const MicroKernel& mk, Trans trans_a, Trans trans_b, float alp
 
 namespace detail {
 
-bool gemm_kernel_supported(GemmKernel kernel) {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_cpu_init();
-  switch (kernel) {
-    case GemmKernel::avx512:
-      return __builtin_cpu_supports("avx512f");
-    case GemmKernel::avx2:
-      return __builtin_cpu_supports("avx2");
-    case GemmKernel::sse2:
-      return true;
+void gemm_serial_with(cpu::Isa isa, Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
+                      const Matrix& b, float beta, Matrix& c) {
+  if (!cpu::supported(isa)) {
+    throw std::invalid_argument(std::string("gemm_serial_with: CPU lacks ") + cpu::name(isa));
   }
-  return false;
-#else
-  return kernel == GemmKernel::sse2;
-#endif
-}
-
-GemmKernel active_gemm_kernel() {
-  static const GemmKernel active = [] {
-    for (const GemmKernel k : {GemmKernel::avx512, GemmKernel::avx2}) {
-      if (gemm_kernel_supported(k)) return k;
-    }
-    return GemmKernel::sse2;
-  }();
-  return active;
-}
-
-const char* gemm_kernel_name(GemmKernel kernel) {
-  switch (kernel) {
-    case GemmKernel::avx512:
-      return "avx512";
-    case GemmKernel::avx2:
-      return "avx2";
-    case GemmKernel::sse2:
-      return "sse2";
-  }
-  return "unknown";
-}
-
-void gemm_serial_with(GemmKernel kernel, Trans trans_a, Trans trans_b, float alpha,
-                      const Matrix& a, const Matrix& b, float beta, Matrix& c) {
-  if (!gemm_kernel_supported(kernel)) {
-    throw std::invalid_argument(std::string("gemm_serial_with: CPU lacks ") +
-                                gemm_kernel_name(kernel));
-  }
-  gemm_blocked(micro_kernel(kernel), trans_a, trans_b, alpha, a, b, beta, c,
+  gemm_blocked(micro_kernel(isa), trans_a, trans_b, alpha, a, b, beta, c,
                /*threaded=*/false);
 }
 
@@ -387,13 +348,13 @@ void gemm_serial_with(GemmKernel kernel, Trans trans_a, Trans trans_b, float alp
 
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
           float beta, Matrix& c) {
-  gemm_blocked(micro_kernel(detail::active_gemm_kernel()), trans_a, trans_b, alpha, a, b, beta,
+  gemm_blocked(micro_kernel(cpu::widest()), trans_a, trans_b, alpha, a, b, beta,
                c, /*threaded=*/true);
 }
 
 void gemm_serial(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
                  float beta, Matrix& c) {
-  gemm_blocked(micro_kernel(detail::active_gemm_kernel()), trans_a, trans_b, alpha, a, b, beta,
+  gemm_blocked(micro_kernel(cpu::widest()), trans_a, trans_b, alpha, a, b, beta,
                c, /*threaded=*/false);
 }
 

@@ -13,6 +13,7 @@
 // across thread counts, entry points, instruction sets and build flags.
 #pragma once
 
+#include "common/cpu_isa.hpp"
 #include "linalg/matrix.hpp"
 
 namespace isaac::linalg {
@@ -56,19 +57,11 @@ void add_row_vector(Matrix& a, const Matrix& row);
 
 namespace detail {
 
-/// GEMM micro-kernel variants by panel width. The library runs the widest
-/// one the CPU supports; tests and benches use these to name and compare
-/// them.
-enum class GemmKernel { sse2, avx2, avx512 };
-
-bool gemm_kernel_supported(GemmKernel kernel);
-GemmKernel active_gemm_kernel();
-const char* gemm_kernel_name(GemmKernel kernel);
-
-/// gemm_serial on the given variant; throws std::invalid_argument when the
+/// gemm_serial on the given micro-kernel variant (panel width 8, 16 or 32;
+/// the library runs cpu::widest()); throws std::invalid_argument when the
 /// CPU does not support it.
-void gemm_serial_with(GemmKernel kernel, Trans trans_a, Trans trans_b, float alpha,
-                      const Matrix& a, const Matrix& b, float beta, Matrix& c);
+void gemm_serial_with(cpu::Isa isa, Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
+                      const Matrix& b, float beta, Matrix& c);
 
 }  // namespace detail
 

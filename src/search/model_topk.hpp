@@ -42,9 +42,11 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <ranges>
 #include <stdexcept>
 #include <unordered_set>
 
+#include "common/page_allocator.hpp"
 #include "common/thread_pool.hpp"
 #include "search/legal_walk.hpp"
 #include "search/strategy.hpp"
@@ -137,9 +139,13 @@ void require_exact_size(const SearchProblem<Op>& problem) {
 /// the result exactly the generate-and-test sweep's survivors — the walk
 /// only skips subtrees validate would reject point by point. Capped dense
 /// ranking strides this list, which needs the legal count up front. Needs
-/// an exact |X̂|: a saturated size() throws std::length_error.
+/// an exact |X̂|: a saturated size() throws std::length_error. The list is
+/// built on a pool thread and can run to megabytes, so its buffer is mapped
+/// from the OS and leaves no resident pages behind (PageAllocator); the
+/// per-chunk parts are small and stay plain vectors, so the walk makes no
+/// system call per growth step.
 template <typename Op>
-std::vector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem) {
+PageVector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem) {
   require_exact_size(problem);
   const auto& domains = problem.space->domains();
   const tuning::ConstraintSet cs =
@@ -156,7 +162,7 @@ std::vector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem) {
   });
   std::size_t n = 0;
   for (const auto& part : parts) n += part.size();
-  std::vector<std::uint64_t> legal;
+  PageVector<std::uint64_t> legal;
   legal.reserve(n);
   for (const auto& part : parts) legal.insert(legal.end(), part.begin(), part.end());
   return legal;
@@ -413,29 +419,29 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
     out.legal = legal.load();
     out.scored = out.legal;
   } else {
-    const std::vector<std::uint64_t> legal = detail::enumerate_legal(problem);
+    const PageVector<std::uint64_t> legal = detail::enumerate_legal(problem);
     out.legal = legal.size();
     if (legal.empty()) return out;
     const std::size_t arity = feature_arity(choice_from_flat(legal.front(), domains));
-    // Stride oversized sets down to the cap: ascending, distinct picks.
-    std::vector<std::uint64_t> picks;
+    // Stride oversized sets down to the cap: ascending, distinct picks, read
+    // in place from the legal list (step 1 keeps every point).
     const bool subsample = legal.size() > cap;
-    if (subsample) {
-      const double step = static_cast<double>(legal.size()) / static_cast<double>(cap);
-      picks.resize(cap);
-      for (std::size_t i = 0; i < cap; ++i) picks[i] = legal[static_cast<std::size_t>(i * step)];
-    }
-    const std::vector<std::uint64_t>& kept = subsample ? picks : legal;
-    parts = detail::rank_slices(kept.size(), [&](std::size_t begin, std::size_t end) {
+    const std::size_t kept = subsample ? cap : legal.size();
+    const double step = static_cast<double>(legal.size()) / static_cast<double>(kept);
+    const auto picks = std::views::iota(std::size_t{0}, kept) |
+                       std::views::transform([&](std::size_t i) {
+                         return legal[static_cast<std::size_t>(static_cast<double>(i) * step)];
+                       });
+    parts = detail::rank_slices(kept, [&](std::size_t begin, std::size_t end) {
       detail::BlockRanker<Op> ranker(problem, keys, arity, block, k);
       Choice c;
       for (std::size_t i = begin; i < end; ++i) {
-        choice_from_flat_into(kept[i], domains, c);
+        choice_from_flat_into(picks[i], domains, c);
         ranker.add(problem.decode(c), c);
       }
       return ranker.finish();
     });
-    out.scored = kept.size();
+    out.scored = kept;
     if (subsample) {
       // Re-append the seed grid so subsampling can never lose it: every
       // legal seed point not already picked, each once.
@@ -449,7 +455,7 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
         for (std::size_t d = domains.size(); d-- > 0;) {
           flat = flat * domains[d].values.size() + c[d];
         }
-        if (std::binary_search(picks.begin(), picks.end(), flat)) continue;
+        if (std::ranges::binary_search(picks, flat)) continue;
         if (std::find(seeds.begin(), seeds.end(), flat) != seeds.end()) continue;
         seeds.push_back(flat);
         ranker.add(problem.decode(c), c);

@@ -20,6 +20,8 @@
 
 #include "codegen/conv.hpp"
 #include "codegen/conv_executor.hpp"
+#include "codegen/gemm_executor.hpp"
+#include "common/cpu_isa.hpp"
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
 #include "telemetry/metrics.hpp"
@@ -345,14 +347,73 @@ void ordered_sum_conv(const ConvShape& s, float alpha, const float* input, const
   }
 }
 
+ConvShape padded_single_image() {
+  ConvShape s;
+  s.n = 1;
+  s.c = 3;
+  s.h = 9;
+  s.w = 7;
+  s.k = 5;
+  s.r = 3;
+  s.s = 3;
+  s.pad_h = 1;
+  s.pad_w = 1;
+  return s;
+}
+
+ConvShape strided_pointwise() {
+  ConvShape s = ConvShape::from_npq(3, 5, 4, 7, 6, 1, 1);
+  s.h = 10;
+  s.w = 8;
+  s.stride_h = 2;
+  s.stride_w = 2;
+  return s;
+}
+
 TEST(ConvExecutor, BitIdenticalToOrderedSum) {
-  // The im2col gather is staged and the filters are read in place. Ragged
-  // and padded-strided shapes, CL = 1 and 2; the last shape (19 MFLOP) is
-  // over the engine's inline threshold, so its blocks spread across the pool.
-  const ConvShape shapes[] = {ConvShape::from_npq(4, 8, 8, 8, 4, 3, 3),
-                              ConvShape::from_npq(3, 7, 5, 6, 5, 3, 3), strided_padded(),
-                              ConvShape::from_npq(8, 16, 16, 32, 16, 3, 3)};
-  for (const ConvShape& s : shapes) {
+  // The filters are read in place; the im2col gather is staged in runs of
+  // rows that share a window, except for the 1×1, stride-1, unpadded conv,
+  // whose A is the input read in place. Ragged and padded-strided shapes,
+  // an N = 1 conv with padding (runs of one row, some zero-filled), a 1×1
+  // conv read in place and a strided 1×1 conv that is gathered; CL = 1 and
+  // 2, and block heights ML = 1 … 64 with a ragged last row block, on every
+  // micro-kernel variant the CPU supports. The last shape (19 MFLOP) is
+  // over the engine's inline threshold, so its blocks spread across the
+  // pool, at CL = 1 and 2.
+  std::vector<ConvTuning> by_cl;
+  for (const int cl : {1, 2}) {
+    auto t = tiny_tuning();
+    t.cl = cl;
+    by_cl.push_back(t);
+  }
+  std::vector<ConvTuning> sweep = by_cl;
+  for (const int bn : {1, 2, 4, 8, 16, 32, 64}) {
+    auto t = tiny_tuning();
+    t.tn = 1;
+    t.tk = 1;
+    t.bp = 1;
+    t.bq = 1;
+    t.bn = bn;
+    t.bk = bn % 16 == 0 ? 4 : 8;
+    sweep.push_back(t);
+  }
+  struct Case {
+    ConvShape shape;
+    std::vector<ConvTuning> tunings;
+  };
+  const Case cases[] = {{ConvShape::from_npq(4, 8, 8, 8, 4, 3, 3), sweep},
+                        {ConvShape::from_npq(3, 7, 5, 6, 5, 3, 3), sweep},
+                        {strided_padded(), sweep},
+                        {padded_single_image(), sweep},
+                        {ConvShape::from_npq(5, 6, 7, 11, 9, 1, 1), sweep},
+                        {strided_pointwise(), sweep},
+                        {ConvShape::from_npq(8, 16, 16, 32, 16, 3, 3), by_cl}};
+  std::vector<cpu::Isa> isas;
+  for (const cpu::Isa isa : {cpu::Isa::sse2, cpu::Isa::avx2, cpu::Isa::avx512}) {
+    if (cpu::supported(isa)) isas.push_back(isa);
+  }
+  for (const Case& c : cases) {
+    const ConvShape& s = c.shape;
     Rng rng(static_cast<std::uint64_t>(s.npq() + s.k));
     std::vector<float> input(static_cast<std::size_t>(s.c * s.h * s.w * s.n));
     std::vector<float> filters(static_cast<std::size_t>(s.crs() * s.k));
@@ -360,15 +421,19 @@ TEST(ConvExecutor, BitIdenticalToOrderedSum) {
     for (std::vector<float>* v : {&input, &filters, &init}) {
       for (float& x : *v) x = static_cast<float>(rng.uniform(-1, 1));
     }
-    for (const int cl : {1, 2}) {
-      for (const float beta : {0.0f, 0.5f}) {
-        auto t = tiny_tuning();
-        t.cl = cl;
-        std::vector<float> got = init, want = init;
-        execute_conv(s, t, 1.5f, input.data(), filters.data(), beta, got.data());
-        ordered_sum_conv(s, 1.5f, input.data(), filters.data(), beta, want.data());
-        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
-            << s.to_string() << " cl=" << cl << " beta=" << beta;
+    for (const float beta : {0.0f, 0.5f}) {
+      std::vector<float> want = init;
+      ordered_sum_conv(s, 1.5f, input.data(), filters.data(), beta, want.data());
+      for (const ConvTuning& t : c.tunings) {
+        for (const cpu::Isa isa : isas) {
+          std::vector<float> got = init;
+          detail::with_isa(isa, [&] {
+            execute_conv(s, t, 1.5f, input.data(), filters.data(), beta, got.data());
+          });
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+              << s.to_string() << " / " << t.to_string() << " beta=" << beta << " "
+              << cpu::name(isa);
+        }
       }
     }
   }

@@ -25,6 +25,7 @@
 #include "codegen/batched_gemm_executor.hpp"
 #include "codegen/gemm.hpp"
 #include "codegen/gemm_executor.hpp"
+#include "common/cpu_isa.hpp"
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
 #include "telemetry/metrics.hpp"
@@ -413,31 +414,55 @@ bool bit_identical(const std::vector<T>& x, const std::vector<T>& y) {
   return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
+/// The micro-kernel variants this CPU runs.
+std::vector<cpu::Isa> supported_isas() {
+  std::vector<cpu::Isa> out;
+  for (const cpu::Isa isa : {cpu::Isa::sse2, cpu::Isa::avx2, cpu::Isa::avx512}) {
+    if (cpu::supported(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+/// Every supported variant's output, from the same seeded operands, against
+/// the ordered sum.
 template <typename T>
 void expect_ordered_sum(const GemmShape& s, const GemmTuning& t, T beta, std::int64_t pad,
                         std::uint64_t seed) {
-  GemmOperands<T> o = make_operands<T>(s, pad, seed);
+  const GemmOperands<T> o = make_operands<T>(s, pad, seed);
   std::vector<T> want = o.c;
-  execute_gemm(s, t, T(1.5), o.a.data(), o.lda, o.b.data(), o.ldb, beta, o.c.data(), o.ldc);
   ordered_sum_gemm(s, T(1.5), o.a.data(), o.lda, o.b.data(), o.ldb, beta, want.data(), o.ldc);
-  EXPECT_TRUE(bit_identical(o.c, want))
-      << s.to_string() << " tuning " << t.to_string() << " beta " << beta << " pad " << pad
-      << " " << (sizeof(T) == 4 ? "float" : "double");
+  for (const cpu::Isa isa : supported_isas()) {
+    std::vector<T> got = o.c;
+    detail::with_isa(isa, [&] {
+      execute_gemm(s, t, T(1.5), o.a.data(), o.lda, o.b.data(), o.ldb, beta, got.data(), o.ldc);
+    });
+    EXPECT_TRUE(bit_identical(got, want))
+        << s.to_string() << " tuning " << t.to_string() << " beta " << beta << " pad " << pad
+        << " " << (sizeof(T) == 4 ? "float" : "double") << " " << cpu::name(isa);
+  }
 }
 
 TEST(GemmExecutor, BitIdenticalToOrderedSum) {
   // Ragged M, N and K against every tile, KL = 1 and 4, in all four layouts,
-  // with minimal and padded leading dimensions. The last shape (10 MFLOP) is
-  // over the engine's inline threshold, so its blocks spread across the pool.
+  // with minimal and padded leading dimensions, on every micro-kernel
+  // variant the CPU supports. The last shape (10 MFLOP) is over the engine's
+  // inline threshold, so its blocks spread across the pool. The ML sweep
+  // leaves a last row block of ML − 1 rows (ML > 1), which runs every
+  // register block of the vector chain and the scalar rows; its N leaves
+  // NL − 3 columns, so every column-group width runs too.
   struct Case {
     std::int64_t m, n, k;
     GemmTuning tuning;
   };
-  const Case cases[] = {{61, 67, 53, make_tuning(4, 4, 32, 32, 8)},
-                        {33, 31, 17, make_tuning(2, 2, 16, 8, 4, 4)},
-                        {7, 100, 129, make_tuning(2, 4, 16, 32, 4)},
-                        {130, 70, 300, make_tuning(4, 4, 64, 16, 2, 4)},
-                        {190, 210, 131, make_tuning(4, 4, 32, 32, 8)}};
+  std::vector<Case> cases = {{61, 67, 53, make_tuning(4, 4, 32, 32, 8)},
+                             {33, 31, 17, make_tuning(2, 2, 16, 8, 4, 4)},
+                             {7, 100, 129, make_tuning(2, 4, 16, 32, 4)},
+                             {130, 70, 300, make_tuning(4, 4, 64, 16, 2, 4)},
+                             {190, 210, 131, make_tuning(4, 4, 32, 32, 8)}};
+  for (const int ml : {1, 2, 4, 8, 16, 32, 64}) {
+    const int nl = ml % 16 == 0 ? 8 : 16;
+    cases.push_back({ml == 1 ? 5 : 3 * ml - 1, 3 * nl - 3, 29, make_tuning(1, 1, ml, nl, 4, 2)});
+  }
   std::uint64_t seed = 30;
   for (const bool ta : {false, true}) {
     for (const bool tb : {false, true}) {
@@ -455,6 +480,22 @@ TEST(GemmExecutor, BitIdenticalToOrderedSum) {
       }
     }
   }
+}
+
+TEST(GemmExecutor, WithIsaRejectsUnsupportedVariant) {
+  for (const cpu::Isa isa : {cpu::Isa::sse2, cpu::Isa::avx2, cpu::Isa::avx512}) {
+    bool ran = false;
+    if (cpu::supported(isa)) {
+      detail::with_isa(isa, [&] { ran = true; });
+      EXPECT_TRUE(ran) << cpu::name(isa);
+    } else {
+      EXPECT_THROW(detail::with_isa(isa, [&] { ran = true; }), std::invalid_argument)
+          << cpu::name(isa);
+      EXPECT_FALSE(ran) << cpu::name(isa);
+    }
+  }
+  EXPECT_TRUE(cpu::supported(cpu::Isa::sse2));
+  EXPECT_TRUE(cpu::supported(cpu::widest()));
 }
 
 TEST(GemmExecutor, SmallCallRunsOnCallingThread) {

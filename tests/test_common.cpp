@@ -233,6 +233,40 @@ TEST(ThreadPool, GrainBoundsEveryChunkButTheLast) {
   }
 }
 
+TEST(ThreadPool, NoChunkBelowGrain) {
+  // The last chunk is no exception: a grid just over the grain runs as one
+  // chunk, not a full chunk plus a tiny tail.
+  ThreadPool pool(4);
+  const auto chunks_of = [&](std::size_t n, std::size_t grain) {
+    std::mutex mutex;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    pool.parallel_for(
+        n,
+        [&](std::size_t begin, std::size_t end) {
+          std::lock_guard<std::mutex> lock(mutex);
+          chunks.emplace_back(begin, end);
+        },
+        grain);
+    std::sort(chunks.begin(), chunks.end());
+    return chunks;
+  };
+  for (const std::size_t grain : {1, 2, 3, 7, 64, 300, 1000, 1001, 5000}) {
+    for (const std::size_t n : {1, 5, 63, 64, 65, 127, 301, 999, 1000, 1023, 2002}) {
+      const auto chunks = chunks_of(n, grain);
+      std::size_t next = 0;
+      for (const auto& [begin, end] : chunks) {
+        EXPECT_EQ(begin, next) << "n " << n << " grain " << grain;
+        EXPECT_GE(end - begin, std::min(n, grain)) << "n " << n << " grain " << grain;
+        next = end;
+      }
+      EXPECT_EQ(next, n) << "n " << n << " grain " << grain;
+      if (n < 2 * grain) {
+        EXPECT_EQ(chunks.size(), 1u) << "n " << n << " grain " << grain;
+      }
+    }
+  }
+}
+
 TEST(ThreadPool, SingleChunkRunsOnCallingThread) {
   // A grain that leaves one chunk runs it inline: nothing is queued.
   ThreadPool pool(4);

@@ -218,12 +218,11 @@ TEST(Gemm, NonFiniteOperandsPropagateLikeReference) {
   return ::testing::AssertionSuccess();
 }
 
-class GemmKernelVariant : public ::testing::TestWithParam<detail::GemmKernel> {
+class GemmKernelVariant : public ::testing::TestWithParam<cpu::Isa> {
  protected:
   void SetUp() override {
-    if (!detail::gemm_kernel_supported(GetParam())) {
-      GTEST_SKIP() << "CPU does not support the " << detail::gemm_kernel_name(GetParam())
-                   << " GEMM kernel";
+    if (!cpu::supported(GetParam())) {
+      GTEST_SKIP() << "CPU does not support the " << cpu::name(GetParam()) << " GEMM kernel";
     }
   }
 
@@ -233,7 +232,7 @@ class GemmKernelVariant : public ::testing::TestWithParam<detail::GemmKernel> {
                                          const Matrix& b, float beta, const Matrix& c0) const {
     Matrix c_variant = c0, c_sse2 = c0;
     detail::gemm_serial_with(GetParam(), ta, tb, alpha, a, b, beta, c_variant);
-    detail::gemm_serial_with(detail::GemmKernel::sse2, ta, tb, alpha, a, b, beta, c_sse2);
+    detail::gemm_serial_with(cpu::Isa::sse2, ta, tb, alpha, a, b, beta, c_sse2);
     return SameBits(c_variant, c_sse2);
   }
 };
@@ -298,15 +297,15 @@ TEST_P(GemmKernelVariant, NonFiniteOperandsBitIdenticalToSse2) {
 
 INSTANTIATE_TEST_SUITE_P(
     Wider, GemmKernelVariant,
-    ::testing::Values(detail::GemmKernel::avx2, detail::GemmKernel::avx512),
-    [](const ::testing::TestParamInfo<detail::GemmKernel>& info) {
-      return std::string(detail::gemm_kernel_name(info.param));
+    ::testing::Values(cpu::Isa::avx2, cpu::Isa::avx512),
+    [](const ::testing::TestParamInfo<cpu::Isa>& info) {
+      return std::string(cpu::name(info.param));
     });
 
 // The public entry points run the active variant, which is one the CPU has.
 TEST(Gemm, ActiveKernelIsSupportedAndServesGemmSerial) {
-  const detail::GemmKernel active = detail::active_gemm_kernel();
-  ASSERT_TRUE(detail::gemm_kernel_supported(active)) << detail::gemm_kernel_name(active);
+  const cpu::Isa active = cpu::widest();
+  ASSERT_TRUE(cpu::supported(active)) << cpu::name(active);
   Rng rng(3);
   Matrix a(70, 33), b(33, 90);
   a.randomize_uniform(rng, -1.0f, 1.0f);
