@@ -14,7 +14,7 @@
 // (a cache miss that is about to run a model ranking or a search), never on
 // the cache-hit fast path, so lock cost is irrelevant. Telemetry counters
 // `breaker.opened` / `breaker.closed` / `breaker.half_open` record every
-// transition; state()/opens() are for tests and the --chaos bench.
+// transition; state()/opens() are for tests.
 #pragma once
 
 #include <cstddef>

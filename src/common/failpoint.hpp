@@ -28,7 +28,7 @@
 //
 // Each fire increments the telemetry counters `fault.injected` and
 // `fault.injected.<name>`, plus a per-site fires() odometer that works with
-// telemetry disabled (tests and the --chaos bench assert on it).
+// telemetry disabled (tests assert on it).
 #pragma once
 
 #include <atomic>

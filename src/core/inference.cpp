@@ -140,7 +140,7 @@ PredictResult<typename OperationTraits<Op>::Tuning> predict(
   const std::uint64_t t0 = telemetry::enabled() ? telemetry::now_us() : 0;
   search::SearchConfig resolved = resolve_config<Op>(config);
   // Ops that rank densely resolve max_candidates to 0, which would make the
-  // probe sweep all of X̂ — the blocking path's fixed cost. Tier-1 latency
+  // probe sweep all of X̂ — the full search's fixed cost. Tier-1 latency
   // requires bounded work, so cap the probe regardless.
   constexpr std::size_t kDefaultProbeCap = 8192;
   if (resolved.max_candidates == 0) resolved.max_candidates = kDefaultProbeCap;

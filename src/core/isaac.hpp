@@ -83,7 +83,7 @@ struct OnlineLearningOptions {
 /// The defaults are live in every Context; with nothing failing, none of the
 /// machinery does anything (the breaker stays closed, no refinement is shed).
 struct FaultToleranceOptions {
-  /// Consecutive leader-path failures (predict or blocking tune throwing a
+  /// Consecutive leader-path failures (the tier-1 prediction throwing a
   /// runtime error) that trip the per-op circuit breaker open.
   std::size_t breaker_failure_threshold = 3;
   /// How long an open breaker refuses leaders before a half-open trial.
@@ -112,12 +112,6 @@ struct ContextOptions {
   /// (zero-valued fields resolve against the op's
   /// OperationTraits::default_search()).
   search::SearchConfig search;
-  /// Two-tier dispatch (default): a cold select() with a trained model
-  /// returns the model's argmax instantly (provisional tier, no device
-  /// measurement on the calling thread) and refines in the background.
-  /// false = every cold select() blocks on the full configured search — the
-  /// pre-two-tier behavior, still what model-less Contexts do.
-  bool two_tier = true;
   /// Learn from production measurements: observation log, drift detection,
   /// warm-start retraining, hot model swaps. Off by default.
   OnlineLearningOptions online;
@@ -135,9 +129,9 @@ struct CallInfo {
                             // cache entry (disk, a previous call, or a
                             // concurrent leader) — provisional or refined;
                             // false when this call was the leader that
-                            // produced the selection (a tier-1 prediction
-                            // under two-tier dispatch, a full blocking
-                            // search otherwise)
+                            // produced the selection (a tier-1 prediction,
+                            // or a seed-grid fallback while predicting
+                            // fails)
   bool provisional = false;  // the served entry was a tier-1 model prediction
                              // whose background refinement has not landed yet
   bool fallback = false;  // the served entry is a seed-grid fallback minted
@@ -213,14 +207,13 @@ class Context {
   }
 
   /// Cached kernel selection with single-flight coalescing. A cache hit
-  /// returns immediately. On a miss the first caller leads; under two-tier
-  /// dispatch (the default, with a model) the leader answers with the
-  /// model's zero-measurement argmax, stores it provisional and hands the
+  /// returns immediately. On a miss the first caller leads: it answers with
+  /// the model's zero-measurement argmax, stores it provisional and hands the
   /// full search to a background refinement task, while concurrent callers
   /// for the same (device, shape) block only on that ranking-time
-  /// prediction. With two_tier off (or no model) the leader blocks on the
-  /// configured search. `from_cache` (optional) reports whether this caller
-  /// avoided leading; `tier` (optional) reports the served entry's tier.
+  /// prediction. Throws std::logic_error when no model is installed.
+  /// `from_cache` (optional) reports whether this caller avoided leading;
+  /// `tier` (optional) reports the served entry's tier.
   template <typename Op>
   typename OperationTraits<Op>::Tuning select(const typename OperationTraits<Op>::Shape& shape,
                                               bool* from_cache = nullptr,
@@ -228,9 +221,9 @@ class Context {
 
   /// Pre-tune a list of shapes asynchronously on the global thread pool; the
   /// returned future becomes ready when every shape is cached (exceptional if
-  /// any selection failed). Under two-tier dispatch "cached" means at least
-  /// provisional — refinements may still be in flight when the future
-  /// resolves; drain_background() waits for those too. Dropping the future
+  /// any selection failed). "Cached" means at least provisional —
+  /// refinements may still be in flight when the future resolves;
+  /// drain_background() waits for those too. Dropping the future
   /// is safe: ~Context waits for outstanding background tasks before tearing
   /// the Context down.
   template <typename Op>
@@ -240,20 +233,21 @@ class Context {
   /// every entry whose refinement was pending has reached its final tier.
   void drain_background();
 
-  /// Number of full tuning searches this Context has performed (blocking
-  /// leaders + completed background refinements) — with single-flight
-  /// dispatch and exactly-once refinement this converges to one per distinct
-  /// cold shape once drained, no matter how many threads raced.
+  /// Number of full tuning searches this Context's background refinements
+  /// have completed (explicit tune<Op>() calls are not counted) — with
+  /// single-flight dispatch and exactly-once refinement this converges to
+  /// one per distinct cold shape once drained, no matter how many threads
+  /// raced.
   std::size_t tuning_runs() const noexcept { return tuning_runs_.load(); }
 
   /// Tier-1 selections served: cold shapes answered with the model's instant
-  /// argmax instead of a blocking search.
+  /// argmax.
   std::size_t predictions() const noexcept { return predictions_.load(); }
 
   /// Background refinements that completed and upgraded their entry.
   std::size_t refinements() const noexcept { return refinements_.load(); }
 
-  // ---- fault-tolerance observability (tests and the --chaos bench) ----
+  // ---- fault-tolerance observability (tests) ----
 
   /// Seed-grid fallback selections minted while the leader path was failing.
   std::size_t fallbacks_served() const noexcept { return fallbacks_.load(); }
@@ -541,38 +535,26 @@ typename OperationTraits<Op>::Tuning Context::select(
           winner_tier = EntryTier::fallback;
         } else {
           try {
-            if (options_.two_tier) {
-              // Tier 1: the model's argmax, zero measurements on this thread.
-              telemetry::Span predict_span("select.predict");
-              ISAAC_TM_COUNT("dispatch.leader_predict");
-              const auto pred = core::predict<Op>(shape, snapshot->regressor(), sim_.device(),
-                                                  options_.search);
-              cache_.store<Op>(dev, shape, pred.tuning,
-                               ProfileCache::provenance("predict", 0, EntryTier::provisional));
-              predictions_.fetch_add(1, std::memory_order_relaxed);
-              winner = pred.tuning;
-              winner_tier = EntryTier::provisional;
-              maybe_refine<Op>(key, shape);
-            } else {
-              telemetry::Span tune_span("select.tune");
-              ISAAC_TM_COUNT("dispatch.leader_tune");
-              const auto result =
-                  core::tune<Op>(shape, snapshot->regressor(), sim_, options_.search);
-              // Provenance records the evaluations actually spent (≤ the
-              // requested budget): truthful even for "unlimited" sweeps.
-              cache_.store<Op>(dev, shape, result.best.tuning,
-                               ProfileCache::provenance(result.strategy, result.measured,
-                                                        EntryTier::refined));
-              tuning_runs_.fetch_add(1, std::memory_order_relaxed);
-              winner = result.best.tuning;
-              record_observations<Op>(*snapshot, shape, result);
-            }
+            // Tier 1: the model's argmax, zero measurements on this thread.
+            telemetry::Span predict_span("select.predict");
+            ISAAC_TM_COUNT("dispatch.leader_predict");
+            const auto pred = core::predict<Op>(shape, snapshot->regressor(), sim_.device(),
+                                                options_.search);
+            cache_.store<Op>(dev, shape, pred.tuning,
+                             ProfileCache::provenance("predict", 0, EntryTier::provisional));
+            predictions_.fetch_add(1, std::memory_order_relaxed);
+            winner = pred.tuning;
+            winner_tier = EntryTier::provisional;
+            // Report before enqueueing the refinement: a leader holding the
+            // half-open trial closes the breaker here, so maybe_refine is
+            // admitted instead of finding the trial still taken.
             breaker.record_success();
+            maybe_refine<Op>(key, shape);
           } catch (const std::runtime_error& e) {
-            // A transient-class failure (the retry layer inside drive()
-            // already spent its attempts): feed the breaker, degrade to the
-            // seed-grid fallback instead of failing the dispatch, and re-arm
-            // refinement so the entry upgrades once the fault clears.
+            // A transient-class failure of the prediction: feed the
+            // breaker, degrade to the seed-grid fallback instead of failing
+            // the dispatch, and re-arm refinement so the entry upgrades once
+            // the fault clears.
             // fallback_tuning itself throws when no seed is legal — that
             // (and any logic_error above) still propagates: "untunable
             // shape" and "no model" are caller bugs, not device faults.
@@ -605,8 +587,8 @@ typename OperationTraits<Op>::Tuning Context::select(
     }
 
     {
-      // Followers of the single flight wait here for ranking time (tier 1)
-      // or search time (blocking) — span it so coalescing shows up in traces.
+      // Followers of the single flight wait here for the leader's ranking
+      // time — span it so coalescing shows up in traces.
       telemetry::Span wait_span("select.wait");
       ISAAC_TM_COUNT("dispatch.follower_wait");
       flight.get();  // rethrows the leader's tuning failure
@@ -619,7 +601,7 @@ typename OperationTraits<Op>::Tuning Context::select(
 template <typename Op>
 void Context::maybe_refine(const std::string& key,
                            const typename OperationTraits<Op>::Shape& shape) {
-  if (!options_.two_tier || !has_model()) return;
+  if (!has_model()) return;
   if (cancel_requested_.load(std::memory_order_relaxed)) return;  // tearing down
   // While the op's breaker is open there is no point searching — the same
   // downstream fault that failed the leaders would fail the refinement.

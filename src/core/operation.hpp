@@ -12,8 +12,6 @@
 //                                       and the regression feature vector
 //   featurize_into(shape, t, out)     — in-place featurization for the
 //                                       allocation-free scoring pipeline
-//                                       (optional: SearchProblem adapts
-//                                       featurize when an op lacks it)
 //   prefix_constraints(shape, dev,
 //                      space)         — the per-dimension partial-validity
 //                                       layer for the constraint-propagating
@@ -21,8 +19,6 @@
 //                                       necessary conditions of validate,
 //                                       evaluated on prefixes so illegal
 //                                       subtrees are pruned unvisited
-//                                       (optional: ops without it enumerate
-//                                       generate-and-test)
 //   flops(shape)                      — useful FLOPs of one call
 //   shape_key / encode_tuning /
 //   decode_tuning                     — cache key derivation and the textual
@@ -32,6 +28,9 @@
 //   default_search()                  — the op's baseline SearchConfig
 //                                       (budget, ranking cap)
 //   execute(shape, tuning, args...)   — the functional executor hook
+//
+// Every hook is required; an empty ConstraintSet from prefix_constraints is
+// legal and makes the walk a plain generate-and-test sweep.
 #pragma once
 
 #include <string>

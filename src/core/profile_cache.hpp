@@ -22,7 +22,7 @@
 //
 // Failure domains: load_from_disk() quarantines malformed/torn lines (a
 // corrupt cache degrades capacity, never correctness — counted in
-// CacheStats::load_corrupt and `cache.load_corrupt`), and a failing disk
+// load_corrupt() and `cache.load_corrupt`), and a failing disk
 // append flips the cache into memory-only mode with a periodic re-probe
 // instead of hammering a dead disk on every store.
 //
@@ -58,19 +58,6 @@ namespace isaac::core {
 /// tripped circuit breaker, below provisional on the degradation ladder.
 enum class EntryTier { provisional, refined, fallback };
 
-/// Aggregated cache accounting (see ProfileCache::stats()). Relaxed-snapshot
-/// semantics: totals are exact once writers quiesce; mid-traffic reads may
-/// miss in-flight increments but never lose them.
-struct CacheStats {
-  std::uint64_t hits = 0;              // lookups that found the key
-  std::uint64_t provisional_hits = 0;  // subset of hits serving a tier-1 entry
-  std::uint64_t misses = 0;            // lookups that found nothing
-  std::uint64_t stores = 0;            // unconditional store() calls
-  std::uint64_t upgrades = 0;          // upgrade() calls that replaced the entry
-  std::uint64_t upgrade_rejects = 0;   // upgrade() calls refused (already refined)
-  std::uint64_t load_corrupt = 0;      // malformed lines quarantined at load
-};
-
 class ProfileCache {
  public:
   /// directory == "" keeps the cache purely in memory.
@@ -91,16 +78,11 @@ class ProfileCache {
       sync::ReaderMutexLock lock(shard.mutex);
       const auto it = shard.entries.find(k);
       if (it == shard.entries.end()) {
-        shard.stats.misses.fetch_add(1, std::memory_order_relaxed);
         ISAAC_TM_COUNT("cache.miss");
         return std::nullopt;
       }
-      shard.stats.hits.fetch_add(1, std::memory_order_relaxed);
       ISAAC_TM_COUNT("cache.hit");
-      if (it->second.tier == EntryTier::provisional) {
-        shard.stats.provisional_hits.fetch_add(1, std::memory_order_relaxed);
-        ISAAC_TM_COUNT("cache.hit_provisional");
-      }
+      if (it->second.tier == EntryTier::provisional) ISAAC_TM_COUNT("cache.hit_provisional");
       if (tier) *tier = it->second.tier;
       // Hot path: entries decoded before (every store, or a prior lookup of a
       // disk-loaded entry) return without touching the textual codec.
@@ -135,7 +117,6 @@ class ProfileCache {
     // key (same key -> same shard).
     const EntryTier entry_tier = tier_from_meta(meta);
     sync::WriterMutexLock lock(shard.mutex);
-    shard.stats.stores.fetch_add(1, std::memory_order_relaxed);
     ISAAC_TM_COUNT("cache.store");
     append_to_disk(k, value, meta);
     shard.entries[k] = Entry{value, std::move(meta), entry_tier, tuning};
@@ -159,11 +140,9 @@ class ProfileCache {
     sync::WriterMutexLock lock(shard.mutex);
     const auto it = shard.entries.find(k);
     if (it != shard.entries.end() && it->second.tier == EntryTier::refined) {
-      shard.stats.upgrade_rejects.fetch_add(1, std::memory_order_relaxed);
       ISAAC_TM_COUNT("cache.upgrade_reject");
       return false;
     }
-    shard.stats.upgrades.fetch_add(1, std::memory_order_relaxed);
     ISAAC_TM_COUNT("cache.upgrade");
     append_to_disk(k, value, meta);
     shard.entries[k] = Entry{value, std::move(meta), entry_tier, tuning};
@@ -204,25 +183,10 @@ class ProfileCache {
     return total;
   }
 
-  /// Aggregate the per-shard counters into one coherent view. Each shard owns
-  /// one atomic stats struct updated under (or adjacent to) its own lock, so
-  /// 16-way-sharded traffic never contends on a shared stats cacheline;
-  /// aggregation happens here, at snapshot time.
-  CacheStats stats() const noexcept {
-    CacheStats total;
-    for (const auto& shard : shards_) {
-      total.hits += shard.stats.hits.load(std::memory_order_relaxed);
-      total.provisional_hits +=
-          shard.stats.provisional_hits.load(std::memory_order_relaxed);
-      total.misses += shard.stats.misses.load(std::memory_order_relaxed);
-      total.stores += shard.stats.stores.load(std::memory_order_relaxed);
-      total.upgrades += shard.stats.upgrades.load(std::memory_order_relaxed);
-      total.upgrade_rejects +=
-          shard.stats.upgrade_rejects.load(std::memory_order_relaxed);
-    }
-    total.load_corrupt = load_corrupt_;
-    return total;
-  }
+  /// Malformed lines quarantined by the constructor's load. Hits, misses,
+  /// stores and upgrades are counted once, in the `cache.*` telemetry
+  /// counters.
+  std::uint64_t load_corrupt() const noexcept { return load_corrupt_; }
 
   /// Key derivation, exposed for tests: device|kind|shape-fields.
   template <typename Op>
@@ -273,20 +237,10 @@ class ProfileCache {
   /// lock word. 16 shards comfortably cover the pool sizes the dispatch
   /// benches run at.
   static constexpr std::size_t kShards = 16;
-  /// One atomic struct per shard (cacheline-aligned so neighboring shards'
-  /// stats never false-share); aggregated by stats().
-  struct alignas(64) ShardStats {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> provisional_hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> stores{0};
-    std::atomic<std::uint64_t> upgrades{0};
-    std::atomic<std::uint64_t> upgrade_rejects{0};
-  };
-  struct Shard {
+  /// Cacheline-aligned so neighboring shards' lock words never false-share.
+  struct alignas(64) Shard {
     mutable sync::SharedMutex mutex{lock_rank::Rank::cache_shard};
     std::map<std::string, Entry> entries ISAAC_GUARDED_BY(mutex);
-    mutable ShardStats stats;  // atomics: updated adjacent to, not under, the lock
   };
 
   Shard& shard_for(const std::string& key) const {

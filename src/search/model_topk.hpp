@@ -148,8 +148,8 @@ template <typename Op>
 PageVector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem) {
   require_exact_size(problem);
   const auto& domains = problem.space->domains();
-  const tuning::ConstraintSet cs =
-      prefix_constraints_for<Op>(*problem.shape, *problem.device, *problem.space);
+  const tuning::ConstraintSet cs = core::OperationTraits<Op>::prefix_constraints(
+      *problem.shape, *problem.device, *problem.space);
   const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
   const WalkChunkPlan plan = plan_legal_walk(domains, csp);
   std::vector<std::vector<std::uint64_t>> parts(plan.prefixes.size());
@@ -393,8 +393,8 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
 
   const std::size_t cap = config.max_candidates;
   if (cap == 0) {
-    const tuning::ConstraintSet cs =
-        prefix_constraints_for<Op>(*problem.shape, *problem.device, *problem.space);
+    const tuning::ConstraintSet cs = core::OperationTraits<Op>::prefix_constraints(
+        *problem.shape, *problem.device, *problem.space);
     const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
     const WalkChunkPlan plan = plan_legal_walk(domains, csp);
     if (plan.prefixes.empty()) return out;
@@ -501,8 +501,8 @@ RankedCandidates<Op> rank_strided_probe(const SearchProblem<Op>& problem,
   const std::size_t total = problem.space->size();
   const std::size_t cap =
       config.max_candidates > 0 ? std::min(config.max_candidates, total) : total;
-  const tuning::ConstraintSet cs =
-      prefix_constraints_for<Op>(*problem.shape, *problem.device, *problem.space);
+  const tuning::ConstraintSet cs = core::OperationTraits<Op>::prefix_constraints(
+      *problem.shape, *problem.device, *problem.space);
 
   std::unordered_set<std::uint64_t> present;
   if (total == std::numeric_limits<std::size_t>::max()) {

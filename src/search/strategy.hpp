@@ -17,8 +17,8 @@
 // equal (config, shape, device) runs produce identical trajectories.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/operation.hpp"
@@ -30,22 +30,6 @@ namespace isaac::search {
 
 /// Per-parameter value indices into the search space's domains.
 using Choice = std::vector<std::size_t>;
-
-/// The op's prefix-constraint layer for a problem instance — empty when the
-/// traits don't declare the optional prefix_constraints hook (enumeration
-/// then degenerates to generate-and-test; exactly as correct, just slower).
-template <typename Op>
-tuning::ConstraintSet prefix_constraints_for(
-    const typename core::OperationTraits<Op>::Shape& shape,
-    const gpusim::DeviceDescriptor& dev,
-    const typename core::OperationTraits<Op>::SearchSpace& space) {
-  using Traits = core::OperationTraits<Op>;
-  if constexpr (requires { Traits::prefix_constraints(shape, dev, space); }) {
-    return Traits::prefix_constraints(shape, dev, space);
-  } else {
-    return {};
-  }
-}
 
 /// Everything a strategy may consult about the problem instance. Non-owning:
 /// the caller keeps shape/device/space/model alive for the search's duration.
@@ -73,16 +57,9 @@ struct SearchProblem {
   bool legal(const Tuning& t) const { return Traits::validate(*shape, t, *device); }
   std::vector<double> featurize(const Tuning& t) const { return Traits::featurize(*shape, t); }
 
-  /// In-place featurization for the allocation-free ranking pipeline. Ops
-  /// whose traits lack the featurize_into hook fall back to an adapter over
-  /// the allocating featurize (same values, one transient vector).
+  /// In-place featurization for the allocation-free ranking pipeline.
   void featurize_into(const Tuning& t, double* out) const {
-    if constexpr (requires { Traits::featurize_into(*shape, t, out); }) {
-      Traits::featurize_into(*shape, t, out);
-    } else {
-      const std::vector<double> row = Traits::featurize(*shape, t);
-      std::copy(row.begin(), row.end(), out);
-    }
+    Traits::featurize_into(*shape, t, out);
   }
 };
 

@@ -2,7 +2,7 @@
 //
 // The paper's §5 bootstrap observation — runtime measurements *are* the
 // model's training data — closes into a loop here: every measured candidate
-// a refinement or blocking search produces is folded into a bounded log of
+// a background refinement produces is folded into a bounded log of
 // (op, features, measured gflops, model-predicted gflops, model version)
 // records. The retrainer (tuning/online.hpp) periodically folds the log into
 // a Dataset and warm-start-trains the next model version.

@@ -5,7 +5,9 @@
 // profile cache consistent under concurrent writers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <future>
@@ -14,6 +16,7 @@
 
 #include "codegen/batched_gemm_executor.hpp"
 #include "codegen/gemm_executor.hpp"
+#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "core/isaac.hpp"
 #include "gpusim/device.hpp"
@@ -194,18 +197,14 @@ TEST(ConcurrentDispatch, ColdShapeBurstPredictsOnceRefinesOnce) {
   EXPECT_TRUE(codegen::validate(shape, *final_entry, ctx.device()));
 }
 
-TEST(ConcurrentDispatch, ColdSelectIsMeasurementFreeAndRefinementMatchesBlocking) {
+TEST(ConcurrentDispatch, ColdSelectIsMeasurementFreeAndRefinementMatchesTune) {
   // Tier 1 answers without a single simulated measurement on the calling
-  // thread, and the background refinement converges to the same selection a
-  // blocking search would have made.
+  // thread, and the background refinement converges to the same selection
+  // the full search, tune<GemmOp>(), makes.
   auto opts = fast_options();
   opts.noise_sigma = 0.0;  // deterministic measurements: selections comparable
-  Context two_tier(gpusim::tesla_p100(), opts);
-  two_tier.set_model(shared_model());
-  auto blocking_opts = opts;
-  blocking_opts.two_tier = false;
-  Context blocking(gpusim::tesla_p100(), blocking_opts);
-  blocking.set_model(shared_model());
+  Context ctx(gpusim::tesla_p100(), opts);
+  ctx.set_model(shared_model());
 
   codegen::GemmShape shape;
   shape.m = 80;
@@ -222,23 +221,83 @@ TEST(ConcurrentDispatch, ColdSelectIsMeasurementFreeAndRefinementMatchesBlocking
       while (!release.load()) std::this_thread::yield();
     });
   }
-  const std::uint64_t launches_before = two_tier.simulator().launches();
+  const std::uint64_t launches_before = ctx.simulator().launches();
   bool from_cache = true;
   EntryTier tier = EntryTier::refined;
-  const auto predicted = two_tier.select<GemmOp>(shape, &from_cache, &tier);
+  const auto predicted = ctx.select<GemmOp>(shape, &from_cache, &tier);
   EXPECT_FALSE(from_cache);
   EXPECT_EQ(tier, EntryTier::provisional);
-  EXPECT_TRUE(codegen::validate(shape, predicted, two_tier.device()));
+  EXPECT_TRUE(codegen::validate(shape, predicted, ctx.device()));
   // Tier 1 ran no simulated measurement on the calling thread.
-  EXPECT_EQ(two_tier.simulator().launches(), launches_before);
+  EXPECT_EQ(ctx.simulator().launches(), launches_before);
   release.store(true);
 
-  const auto truth = blocking.select<GemmOp>(shape);
-  two_tier.drain_background();
-  const auto refined = two_tier.cache().lookup<GemmOp>(two_tier.device().name, shape, &tier);
+  ctx.drain_background();
+  const auto refined = ctx.cache().lookup<GemmOp>(ctx.device().name, shape, &tier);
   ASSERT_TRUE(refined.has_value());
   EXPECT_EQ(tier, EntryTier::refined);
-  EXPECT_EQ(*refined, truth);  // same search config, noise-free: same winner
+  EXPECT_EQ(*refined, ctx.tune<GemmOp>(shape).best.tuning);  // same config, noise-free
+}
+
+TEST(ConcurrentDispatch, ColdSelectIsTenfoldBelowTuneAtP99) {
+  // The two-tier headline on 48 distinct cold shapes spanning square,
+  // skinny and deep regimes: cold select() p99 stays an order of magnitude
+  // below the full search's (tune<GemmOp>()) p99, and at least 90% of the
+  // refined entries agree with what tune<GemmOp>() selects. A cold
+  // select's work is deterministic and takes 1-3 ms, so each shape's select
+  // latency is its minimum over kReps cold runs: one scheduler preemption
+  // cannot decide a p99 of 48 samples. The 20-100 ms search runs once.
+  std::vector<codegen::GemmShape> shapes;
+  for (const std::int64_t base : {64, 96, 128, 192, 256, 384, 512, 768}) {
+    for (const std::int64_t n : {16, 48, 133, 301, 512, 1024}) {
+      codegen::GemmShape s;
+      s.m = base;
+      s.n = n;
+      s.k = base + n;  // keep every (m, n, k) distinct
+      shapes.push_back(s);
+    }
+  }
+  auto opts = fast_options();
+  opts.noise_sigma = 0.0;  // deterministic measurements: selections comparable
+  Context ctx(gpusim::tesla_p100(), opts);
+  ctx.set_model(shared_model());
+
+  using Clock = std::chrono::steady_clock;
+  const auto us_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+  };
+  constexpr int kReps = 5;
+  std::vector<double> select_us(shapes.size()), tune_us(shapes.size());
+  std::size_t agree = 0;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const auto& shape = shapes[i];
+    auto t0 = Clock::now();
+    ctx.select<GemmOp>(shape);
+    select_us[i] = us_since(t0);
+    // Land the refinement outside the timed sections: each sample measures
+    // the tier-1 path alone, not a race with a background search for cores.
+    ctx.drain_background();
+    for (int rep = 1; rep < kReps; ++rep) {
+      // A fresh Context keeps the shape cold; tearing it down right away
+      // cancels the refinement its select() enqueued.
+      Context cold(gpusim::tesla_p100(), opts);
+      cold.set_model(shared_model());
+      t0 = Clock::now();
+      cold.select<GemmOp>(shape);
+      select_us[i] = std::min(select_us[i], us_since(t0));
+    }
+    t0 = Clock::now();
+    const auto truth = ctx.tune<GemmOp>(shape).best.tuning;
+    tune_us[i] = us_since(t0);
+    if (ctx.cache().lookup<GemmOp>(ctx.device().name, shape) == truth) ++agree;
+  }
+  EXPECT_EQ(ctx.predictions(), shapes.size());
+  EXPECT_EQ(ctx.refinements(), shapes.size());
+  const double p99_speedup =
+      stats::percentile(tune_us, 0.99) / stats::percentile(select_us, 0.99);
+  EXPECT_GE(p99_speedup, 10.0) << "cold select p99 " << stats::percentile(select_us, 0.99)
+                               << " us, tune p99 " << stats::percentile(tune_us, 0.99) << " us";
+  EXPECT_GE(static_cast<double>(agree) / static_cast<double>(shapes.size()), 0.9);
 }
 
 TEST(ConcurrentDispatch, WarmupPreTunesAsynchronously) {

@@ -5,13 +5,18 @@
 // path, and hot-swaps the successor version.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "core/isaac.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/simulator.hpp"
@@ -295,11 +300,50 @@ TEST(Retrainer, RefusesUnderfedFold) {
 }
 
 // ------------------------------------------------------- Context end-to-end --
+
+/// tesla_p100 after "the device changed under us": half the SMs, 60% clock,
+/// a third of the advertised peak. A model trained on the real p100
+/// over-predicts on every shape here.
+gpusim::DeviceDescriptor degraded_p100() {
+  gpusim::DeviceDescriptor dev = gpusim::tesla_p100();
+  dev.name = "tesla_p100_degraded";
+  dev.num_sms /= 2;
+  dev.boost_clock_ghz *= 0.6;
+  dev.peak_sp_tflops *= 0.3;
+  return dev;
+}
+
+/// Noise-free (features, measured gflops) pairs on the degraded device: the
+/// held-out probe set a serving model's error is judged on.
+const tuning::Dataset& degraded_probe() {
+  static const tuning::Dataset data = [] {
+    gpusim::Simulator sim(degraded_p100(), 0.0, 31);
+    tuning::CollectorConfig cfg;
+    cfg.num_samples = 400;
+    cfg.seed = 31;
+    return tuning::collect_gemm(sim, cfg).dataset;
+  }();
+  return data;
+}
+
+double mean_rel_error(const mlp::Regressor& m, const tuning::Dataset& data) {
+  double acc = 0.0;
+  for (const auto& s : data.samples()) acc += std::abs(m.predict_gflops(s.x) - s.y) / s.y;
+  return acc / static_cast<double>(data.size());
+}
+
+core::ContextOptions dispatch_options() {
+  core::ContextOptions opts;
+  opts.search.budget = 10;
+  opts.search.reeval_reps = 3;
+  opts.search.max_candidates = 8000;
+  return opts;
+}
+
 TEST(OnlineContext, DisabledLifecycleRecordsNothing) {
   core::ContextOptions opts;
   opts.search.budget = 8;
   opts.search.reeval_reps = 2;
-  opts.two_tier = false;
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(mlp::Regressor(dispatch_model()));
 
@@ -318,43 +362,51 @@ TEST(OnlineContext, DisabledLifecycleRecordsNothing) {
 }
 
 TEST(OnlineContext, DriftOnPerturbedDeviceRetrainsAndHotSwaps) {
-  // The model learned tesla_p100; the serving device is a degraded copy
-  // (half the SMs, 60% clock), so the model over-predicts on every shape.
-  // The full loop must close by itself: blocking searches record their
-  // measured sets, drift trips, a retrain is scheduled off the hot path, and
-  // the successor version is swapped in.
-  gpusim::DeviceDescriptor degraded = gpusim::tesla_p100();
-  degraded.name = "tesla_p100_degraded";
-  degraded.num_sms /= 2;
-  degraded.boost_clock_ghz *= 0.6;
-  degraded.peak_sp_tflops *= 0.3;
+  // The model learned tesla_p100; the serving device is the degraded copy,
+  // so the model over-predicts on every shape. The full loop must close by
+  // itself: background refinements record their measured sets, drift trips,
+  // a retrain is scheduled off the hot path, and the successor version is
+  // swapped in — cutting the serving model's error on the held-out probe set
+  // at least 2x.
+  const auto& probe = degraded_probe();
+  const double err_stale = mean_rel_error(dispatch_model(), probe);
 
-  core::ContextOptions opts;
-  opts.search.budget = 10;
-  opts.search.reeval_reps = 2;
-  opts.search.max_candidates = 8000;
-  opts.two_tier = false;  // record on the calling thread: deterministic counts
+  core::ContextOptions opts = dispatch_options();
   opts.online.enabled = true;
   opts.online.drift.threshold = 0.35;
-  opts.online.drift.window = 16;
-  opts.online.drift.min_observations = 12;
-  opts.online.retrain.min_observations = 12;
-  opts.online.retrain.epochs = 8;
-  core::Context ctx(degraded, opts);
+  opts.online.drift.window = 32;
+  opts.online.drift.min_observations = 16;
+  opts.online.retrain.min_observations = 48;
+  opts.online.retrain.epochs = 40;
+  core::Context ctx(degraded_p100(), opts);
   ctx.set_model(mlp::Regressor(dispatch_model()));
   ASSERT_EQ(ctx.model_snapshot()->version(), 1u);
 
-  std::vector<codegen::GemmShape> shapes;
-  for (const auto& [m, n, k] : {std::tuple{48, 32, 96}, std::tuple{64, 16, 128},
-                                std::tuple{32, 48, 64}, std::tuple{96, 24, 80}}) {
-    codegen::GemmShape s;
-    s.m = m;
-    s.n = n;
-    s.k = k;
-    shapes.push_back(s);
+  // A cold shape stream, replayed four shapes at a time. After each batch
+  // (and the refinements and retrains it scheduled) the trajectory records
+  // the serving version and its probe-set error.
+  std::vector<codegen::GemmShape> stream;
+  for (const std::int64_t base : {48, 64, 96, 128, 192, 256}) {
+    for (const std::int64_t n : {16, 32, 64, 96}) {
+      codegen::GemmShape s;
+      s.m = base;
+      s.n = n;
+      s.k = base + n;
+      stream.push_back(s);
+    }
   }
-  for (const auto& shape : shapes) ctx.select<core::GemmOp>(shape);
-  ctx.drain_background();  // let the scheduled retrain land
+  struct Point {
+    std::uint64_t version;
+    double err;
+  };
+  std::vector<Point> trajectory;
+  constexpr std::size_t kBatch = 4;
+  for (std::size_t begin = 0; begin < stream.size(); begin += kBatch) {
+    for (std::size_t i = begin; i < begin + kBatch; ++i) ctx.select<core::GemmOp>(stream[i]);
+    ctx.drain_background();
+    const auto snap = ctx.model_snapshot();
+    trajectory.push_back({snap->version(), mean_rel_error(snap->regressor(), probe)});
+  }
 
   EXPECT_GT(ctx.observation_log().total_appended(), 0u);
   EXPECT_GE(ctx.drift_trips(), 1u);
@@ -367,13 +419,101 @@ TEST(OnlineContext, DriftOnPerturbedDeviceRetrainsAndHotSwaps) {
   EXPECT_EQ(current->version(), 1u + ctx.retrains());
   EXPECT_EQ(current->provenance().source, "warm_start");
   EXPECT_GE(current->provenance().samples, opts.online.retrain.min_observations);
+
+  // The trajectory descends: the last point's serving model beats the first
+  // point's, which it replaced.
+  const double err_fresh = mean_rel_error(current->regressor(), probe);
+  EXPECT_GE(err_stale / err_fresh, 2.0) << "stale " << err_stale << ", fresh " << err_fresh;
+  EXPECT_LT(trajectory.back().err, trajectory.front().err);
+  EXPECT_GT(trajectory.back().version, trajectory.front().version);
+}
+
+TEST(OnlineContext, RetrainNeverBlocksHotSelect) {
+  // Hot select() p99 while a warm-start retrain trains on the pool stays
+  // within 1.2x of the idle p99. The measuring thread owns the hot
+  // cache-hit path, so a regression here is lock contention between the
+  // retrain and dispatch. A shared host also slows a ~1 us select by up to
+  // ~20% while any other thread runs, so the test takes the best of
+  // kTrials retrain windows: contention shows in every window, noise does
+  // not.
+  core::ContextOptions opts = dispatch_options();
+  opts.online.enabled = true;
+  opts.online.drift.threshold = 1e9;  // retrain only on explicit request
+  opts.online.retrain.min_observations = 32;
+  opts.online.retrain.epochs = 20;
+  core::Context ctx(gpusim::tesla_p100(), opts);
+  ctx.set_model(mlp::Regressor(dispatch_model()));
+  std::vector<codegen::GemmShape> shapes;
+  for (const std::int64_t n : {8, 16, 24, 32}) {
+    codegen::GemmShape s;
+    s.m = 64;
+    s.n = n;
+    s.k = 64;
+    shapes.push_back(s);
+  }
+  ctx.warmup<core::GemmOp>(shapes).wait();
+  ctx.drain_background();
+
+  using Clock = std::chrono::steady_clock;
+  const auto time_select_us = [&](std::size_t i) {
+    const auto t0 = Clock::now();
+    ctx.select<core::GemmOp>(shapes[i % shapes.size()]);
+    return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+  };
+  constexpr std::size_t kBaselineSamples = 20000;
+  const auto idle_p99 = [&] {
+    std::vector<double> us;
+    us.reserve(kBaselineSamples);
+    for (std::size_t i = 0; i < kBaselineSamples; ++i) us.push_back(time_select_us(i));
+    return stats::percentile(us, 0.99);
+  };
+
+  constexpr int kTrials = 3;
+  double best_ratio = std::numeric_limits<double>::infinity();
+  std::string windows;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const double p99_before = idle_p99();
+    // Feed the log a fold big enough to keep the trainer busy for a while.
+    const std::uint64_t version = ctx.model_snapshot()->version();
+    for (int rep = 0; rep < 4; ++rep) {
+      for (const auto& s : degraded_probe().samples()) {
+        tuning::Observation o;
+        o.op = "gemm";
+        o.features = s.x;
+        o.measured_gflops = s.y;
+        o.predicted_gflops = s.y;
+        o.model_version = version;
+        ctx.observation_log().append(std::move(o));
+      }
+    }
+    std::vector<double> during_us;
+    ASSERT_TRUE(ctx.request_retrain());
+    constexpr std::size_t kMaxDuringSamples = 400000;
+    for (std::size_t i = 0; ctx.retrain_in_flight() && during_us.size() < kMaxDuringSamples;
+         ++i) {
+      during_us.push_back(time_select_us(i));
+    }
+    ctx.drain_background();
+    ASSERT_EQ(ctx.retrains(), static_cast<std::size_t>(trial + 1));
+    ASSERT_GT(during_us.size(), 0u);
+
+    // Bracket the window with a second idle baseline and keep the worse of
+    // the two: ambient machine drift inflates both baselines, while
+    // contention only inflates the window.
+    const double p99_base = std::max(p99_before, idle_p99());
+    const double p99_during = stats::percentile(during_us, 0.99);
+    best_ratio = std::min(best_ratio, p99_during / p99_base);
+    windows += " [" + std::to_string(p99_during) + " us over " +
+               std::to_string(during_us.size()) + " samples vs " + std::to_string(p99_base) +
+               " us idle]";
+  }
+  EXPECT_LE(best_ratio, 1.2) << "p99 during a retrain vs idle:" << windows;
 }
 
 TEST(OnlineContext, RequestRetrainFoldsTheLogOnDemand) {
   core::ContextOptions opts;
   opts.search.budget = 10;
   opts.search.reeval_reps = 2;
-  opts.two_tier = false;
   opts.online.enabled = true;
   opts.online.drift.threshold = 1e9;  // drift never trips on its own
   opts.online.retrain.min_observations = 8;

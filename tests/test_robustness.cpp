@@ -5,6 +5,7 @@
 // constructor-time option validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include "common/circuit_breaker.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "core/isaac.hpp"
 #include "gpusim/device.hpp"
 #include "mlp/regressor.hpp"
@@ -109,7 +111,7 @@ TEST_F(RobustnessTest, CacheLoadQuarantinesGarbageLines) {
     os << "torn|line|without|value";  // no trailing newline: a torn tail
   }
   core::ProfileCache reloaded(dir.path.string());
-  EXPECT_EQ(reloaded.stats().load_corrupt, 4u);
+  EXPECT_EQ(reloaded.load_corrupt(), 4u);
   // The surviving entry is intact and served.
   const auto hit = reloaded.lookup<core::GemmOp>("devA", shape);
   ASSERT_TRUE(hit.has_value());
@@ -232,16 +234,18 @@ TEST_F(RobustnessTest, CircuitBreakerStateMachine) {
 
 TEST_F(RobustnessTest, TransientMeasureFailuresAreRetriedTransparently) {
   auto opts = fast_options();
-  opts.two_tier = false;  // leader runs the measuring search on this thread
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(mlp::Regressor(unit_model()));
 
-  // Two transient device failures, then clean: the drive loop's bounded
-  // retry (default measure_retries = 2) absorbs both without surfacing
-  // anything to the caller or the breaker.
+  // Two transient device failures, then clean: the refinement's drive loop
+  // has bounded retry (default measure_retries = 2) and absorbs both
+  // without surfacing anything to the caller or the breaker.
   fp::arm("measure.throw", "count:2");
+  const auto shape = gemm_shape(48, 32, 96);
+  EXPECT_NO_THROW(ctx.select<core::GemmOp>(shape));
+  ctx.drain_background();
   core::EntryTier tier = core::EntryTier::provisional;
-  EXPECT_NO_THROW(ctx.select<core::GemmOp>(gemm_shape(48, 32, 96), nullptr, &tier));
+  EXPECT_NO_THROW(ctx.select<core::GemmOp>(shape, nullptr, &tier));
   EXPECT_EQ(tier, core::EntryTier::refined);
   EXPECT_EQ(ctx.fallbacks_served(), 0u);
   EXPECT_EQ(fp::fires("measure.throw"), 2u);
@@ -276,13 +280,15 @@ TEST_F(RobustnessTest, LeaderFailureServesFallbackThenRefinesBack) {
 
 TEST_F(RobustnessTest, PersistentFailureOpensBreakerAndShortCircuits) {
   auto opts = fast_options();
-  opts.two_tier = false;
   opts.search.measure_retries = 0;  // fail fast: the fault is persistent
   opts.fault.breaker_failure_threshold = 2;
   opts.fault.breaker_cooldown_ms = 60.0;
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(mlp::Regressor(unit_model()));
 
+  // The leaders' predictions fail, and so do the refinements they re-arm:
+  // a refinement that succeeded would close the breaker's failure streak.
+  fp::arm("predict.throw", "prob:1");
   fp::arm("measure.throw", "prob:1");
   core::EntryTier tier = core::EntryTier::refined;
   // Every select survives: fallback entries, never an exception.
@@ -290,20 +296,24 @@ TEST_F(RobustnessTest, PersistentFailureOpensBreakerAndShortCircuits) {
   EXPECT_EQ(tier, core::EntryTier::fallback);
   EXPECT_NO_THROW(ctx.select<core::GemmOp>(gemm_shape(48, 32, 64), nullptr, &tier));
   EXPECT_EQ(ctx.breaker_state("gemm"), CircuitBreaker::State::open);
-  // With the breaker open the leader doesn't even attempt the search.
-  const auto fires_before = fp::fires("measure.throw");
+  // With the breaker open the leader doesn't even attempt the prediction.
+  const auto fires_before = fp::fires("predict.throw");
   EXPECT_NO_THROW(ctx.select<core::GemmOp>(gemm_shape(64, 32, 64), nullptr, &tier));
   EXPECT_EQ(tier, core::EntryTier::fallback);
   EXPECT_GE(ctx.breaker_short_circuits(), 1u);
-  EXPECT_EQ(fp::fires("measure.throw"), fires_before);
+  EXPECT_EQ(fp::fires("predict.throw"), fires_before);
 
   // Fault clears; after the cooldown the half-open trial succeeds and the
   // breaker re-closes — fresh shapes get real selections again.
   fp::disarm_all();
+  ctx.drain_background();
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   EXPECT_NO_THROW(ctx.select<core::GemmOp>(gemm_shape(96, 32, 64), nullptr, &tier));
-  EXPECT_EQ(tier, core::EntryTier::refined);
+  EXPECT_EQ(tier, core::EntryTier::provisional);
   EXPECT_EQ(ctx.breaker_state("gemm"), CircuitBreaker::State::closed);
+  ctx.drain_background();
+  EXPECT_NO_THROW(ctx.select<core::GemmOp>(gemm_shape(96, 32, 64), nullptr, &tier));
+  EXPECT_EQ(tier, core::EntryTier::refined);
 }
 
 TEST_F(RobustnessTest, RefinementAdmissionControlShedsThenConverges) {
@@ -344,7 +354,6 @@ TEST_F(RobustnessTest, RefinementAdmissionControlShedsThenConverges) {
 
 TEST_F(RobustnessTest, RetrainFailureBacksOffInsteadOfHotLooping) {
   auto opts = fast_options();
-  opts.two_tier = false;
   opts.online.enabled = true;
   opts.online.retrain.min_observations = 4;
   opts.online.retrain.epochs = 2;
@@ -363,6 +372,148 @@ TEST_F(RobustnessTest, RetrainFailureBacksOffInsteadOfHotLooping) {
   EXPECT_FALSE(ctx.request_retrain());
   fp::disarm_all();
   EXPECT_FALSE(ctx.request_retrain());  // still backing off, fault or not
+}
+
+// ---- fault storm end to end ----------------------------------------------
+
+namespace {
+
+/// Zipf-shaped index stream over a pool of `k` shapes: rank r drawn with
+/// probability proportional to 1/(r+1), so a few hot shapes dominate and the
+/// tail stays cold.
+std::vector<std::size_t> zipf_stream(std::size_t k, std::size_t n, std::uint64_t seed) {
+  std::vector<double> cum(k);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    acc += 1.0 / static_cast<double>(i + 1);
+    cum[i] = acc;
+  }
+  Rng rng(seed);
+  std::vector<std::size_t> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = rng.uniform(0.0, acc);
+    out.push_back(static_cast<std::size_t>(
+        std::lower_bound(cum.begin(), cum.end(), u) - cum.begin()));
+  }
+  return out;
+}
+
+/// `pool_id` keys distinct shape pools: baseline and storm must not share
+/// cache entries, or the storm would run entirely on baseline-warmed hits.
+std::vector<codegen::GemmShape> chaos_pool(std::size_t k, std::int64_t pool_id) {
+  std::vector<codegen::GemmShape> pool;
+  pool.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::int64_t m = 32 + 16 * static_cast<std::int64_t>(i % 8);
+    const std::int64_t n = 16 + 8 * static_cast<std::int64_t>(i / 8);
+    pool.push_back(gemm_shape(m, n, m + n + 64 * pool_id));
+  }
+  return pool;
+}
+
+struct ChaosReplay {
+  std::vector<double> select_us;
+  std::size_t escapes = 0;  ///< exceptions that escaped select()
+};
+
+ChaosReplay chaos_replay(core::Context& ctx, const std::vector<codegen::GemmShape>& pool,
+                         const std::vector<std::size_t>& stream) {
+  using Clock = std::chrono::steady_clock;
+  ChaosReplay out;
+  out.select_us.reserve(stream.size());
+  for (const std::size_t idx : stream) {
+    const auto t0 = Clock::now();
+    try {
+      ctx.select<core::GemmOp>(pool[idx]);
+    } catch (...) {
+      ++out.escapes;
+    }
+    out.select_us.push_back(std::chrono::duration<double, std::micro>(Clock::now() - t0).count());
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST_F(RobustnessTest, FaultStormNeverEscapesSelectAndReconverges) {
+  // A Zipf shape stream replayed three times: fault-free, under a storm
+  // across every fault domain (device measurement, model prediction, hung
+  // refinements, cache and observation-log disk writes, retraining), and
+  // after the faults clear. No exception may escape select() in any phase,
+  // the storm's select p99 stays within 2x the fault-free one (with a 10 ms
+  // floor for sub-millisecond baselines), and recovery converges every
+  // storm-era entry back to refined with the breaker closed.
+  core::ContextOptions opts;
+  opts.search.budget = 10;
+  opts.search.reeval_reps = 3;
+  opts.search.max_candidates = 8000;
+  opts.online.enabled = true;
+  opts.online.drift.threshold = 1e9;  // retrains via cadence, not drift
+  opts.online.retrain_every = 128;
+  opts.online.retrain.min_observations = 64;
+  opts.online.retrain.epochs = 4;
+  opts.fault.refine_deadline_ms = 100.0;     // bound injected hangs
+  opts.fault.refine_max_pending = 8;         // admission control active
+  opts.fault.breaker_cooldown_ms = 100.0;
+  opts.fault.refine_retry_reset_ms = 200.0;  // forgive dropped keys quickly
+  opts.fault.disk_retry_ms = 50.0;
+  core::Context ctx(gpusim::tesla_p100(), opts);
+  ctx.set_model(mlp::Regressor(unit_model()));
+
+  constexpr std::size_t kPool = 24;
+  constexpr std::size_t kStream = 400;
+
+  const auto pool_a = chaos_pool(kPool, 0);
+  const auto baseline = chaos_replay(ctx, pool_a, zipf_stream(kPool, kStream, 17));
+  ctx.drain_background();
+  const double p99_base = stats::percentile(baseline.select_us, 0.99);
+
+  // The storm runs on a fresh (cold) pool, so leaders, refinements, disk
+  // appends and retrains all run under fire.
+  fp::arm("measure.throw", "prob:0.15:1");
+  fp::arm("predict.throw", "prob:0.12:2");
+  fp::arm("refine.hang", "prob:0.12:3");
+  fp::arm("cache.write_fail", "prob:0.25:4");
+  fp::arm("obslog.write_fail", "prob:0.25:5");
+  fp::arm("retrain.throw", "prob:0.5:6");
+  const auto pool_b = chaos_pool(kPool, 1);
+  const auto storm = chaos_replay(ctx, pool_b, zipf_stream(kPool, kStream, 23));
+  ctx.drain_background();
+  const double p99_storm = stats::percentile(storm.select_us, 0.99);
+
+  // Recovery: repeated hits re-arm what the storm shed, dropped, or left
+  // behind an open breaker, until every storm-era entry is refined.
+  fp::disarm_all();
+  bool converged = false;
+  int rounds = 0;
+  std::size_t recovery_escapes = 0;
+  for (; rounds < 40 && !converged; ++rounds) {
+    converged = true;
+    for (const auto& shape : pool_b) {
+      core::EntryTier tier = core::EntryTier::refined;
+      try {
+        ctx.select<core::GemmOp>(shape, nullptr, &tier);
+      } catch (...) {
+        ++recovery_escapes;
+      }
+      converged = converged && tier == core::EntryTier::refined;
+    }
+    ctx.drain_background();
+    // Dropped keys sit behind the retry-reset window: give it time to
+    // forgive before the next round re-arms them.
+    if (!converged) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+
+  EXPECT_EQ(baseline.escapes, 0u);
+  EXPECT_EQ(storm.escapes, 0u);
+  EXPECT_EQ(recovery_escapes, 0u);
+  EXPECT_LE(p99_storm, std::max(2.0 * p99_base, p99_base + 10000.0))
+      << "storm p99 " << p99_storm << " us vs baseline " << p99_base << " us";
+  EXPECT_TRUE(converged) << "not all refined after " << rounds << " recovery rounds";
+  EXPECT_EQ(ctx.breaker_state("gemm"), CircuitBreaker::State::closed);
+  EXPECT_FALSE(ctx.cache().disk_degraded());
+  EXPECT_FALSE(ctx.observation_log().disk_degraded());
 }
 
 // ---- construction-time validation --------------------------------------

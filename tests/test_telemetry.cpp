@@ -141,7 +141,7 @@ TEST(TelemetryMetrics, GaugeLastWriterWins) {
 
 // -------------------------------------------------------------------- cache --
 
-TEST(TelemetryCache, ShardStatsCountHitsMissesStoresUpgrades) {
+TEST(TelemetryCache, CountsHitsMissesStoresUpgrades) {
   TelemetryGuard guard;
   core::ProfileCache cache;  // in-memory
   codegen::GemmShape shape;
@@ -162,24 +162,16 @@ TEST(TelemetryCache, ShardStatsCountHitsMissesStoresUpgrades) {
       core::ProfileCache::provenance("exhaustive", 10, core::EntryTier::refined)));
   EXPECT_TRUE(cache.lookup<core::GemmOp>(dev, shape).has_value());  // refined hit
 
-  const core::CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.provisional_hits, 1u);
-  EXPECT_EQ(stats.stores, 1u);
-  EXPECT_EQ(stats.upgrades, 1u);
-  EXPECT_EQ(stats.upgrade_rejects, 1u);
-
-  // The same traffic reaches the global registry for exposition.
   const auto snap = telemetry::snapshot(false);
   EXPECT_EQ(snap.counter_value("cache.miss"), 1u);
   EXPECT_EQ(snap.counter_value("cache.hit"), 2u);
   EXPECT_EQ(snap.counter_value("cache.hit_provisional"), 1u);
+  EXPECT_EQ(snap.counter_value("cache.store"), 1u);
   EXPECT_EQ(snap.counter_value("cache.upgrade"), 1u);
   EXPECT_EQ(snap.counter_value("cache.upgrade_reject"), 1u);
 }
 
-TEST(TelemetryCache, ShardStatsCoherentUnderThreads) {
+TEST(TelemetryCache, CountersCoherentUnderThreads) {
   TelemetryGuard guard;
   core::ProfileCache cache;
   const std::string dev = "test-device";
@@ -199,13 +191,14 @@ TEST(TelemetryCache, ShardStatsCoherentUnderThreads) {
     });
   }
   for (auto& t : threads) t.join();
-  const core::CacheStats stats = cache.stats();
+  const auto snap = telemetry::snapshot(false);
+  const std::uint64_t hits = snap.counter_value("cache.hit");
   // Every first+second lookup and every store is accounted exactly once.
-  EXPECT_EQ(stats.hits + stats.misses, 2 * kThreads * kShapes);
-  EXPECT_EQ(stats.stores, kThreads * kShapes);
+  EXPECT_EQ(hits + snap.counter_value("cache.miss"), 2 * kThreads * kShapes);
+  EXPECT_EQ(snap.counter_value("cache.store"), kThreads * kShapes);
   // The second lookup of each iteration follows that thread's own store, so
   // at least one hit per (thread, shape) pair is guaranteed.
-  EXPECT_GE(stats.hits, kThreads * kShapes);
+  EXPECT_GE(hits, kThreads * kShapes);
 }
 
 // -------------------------------------------------------------------- spans --
