@@ -11,6 +11,7 @@
 #include <cmath>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "common/thread_pool.hpp"
 #include "core/isaac.hpp"
 #include "gpusim/device.hpp"
+#include "support/latency_bounds.hpp"
 #include "tuning/collector.hpp"
 
 namespace isaac::core {
@@ -243,10 +245,15 @@ TEST(ConcurrentDispatch, ColdSelectIsTenfoldBelowTuneAtP99) {
   // The two-tier headline on 48 distinct cold shapes spanning square,
   // skinny and deep regimes: cold select() p99 stays an order of magnitude
   // below the full search's (tune<GemmOp>()) p99, and at least 90% of the
-  // refined entries agree with what tune<GemmOp>() selects. A cold
-  // select's work is deterministic and takes 1-3 ms, so each shape's select
-  // latency is its minimum over kReps cold runs: one scheduler preemption
-  // cannot decide a p99 of 48 samples. The 20-100 ms search runs once.
+  // refined entries agree with what tune<GemmOp>() selects.
+  //
+  // Each side keeps its minimum over kReps timings per shape. A ~2 ms cold
+  // select ends by enqueueing its refinement, whose workers can take the
+  // caller's core for a few ms on a small host; a p99 of 48 samples cannot
+  // absorb that, and the minimum is taken on both sides alike.
+  if (!test::kLatencyBoundsChecked) {
+    GTEST_SKIP() << "latency gate; sanitized builds cover these paths in the other cases";
+  }
   std::vector<codegen::GemmShape> shapes;
   for (const std::int64_t base : {64, 96, 128, 192, 256, 384, 512, 768}) {
     for (const std::int64_t n : {16, 48, 133, 301, 512, 1024}) {
@@ -263,40 +270,41 @@ TEST(ConcurrentDispatch, ColdSelectIsTenfoldBelowTuneAtP99) {
   ctx.set_model(shared_model());
 
   using Clock = std::chrono::steady_clock;
-  const auto us_since = [](Clock::time_point t0) {
+  const auto time_us = [](auto&& fn) {
+    const auto t0 = Clock::now();
+    fn();
     return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
   };
-  constexpr int kReps = 5;
-  std::vector<double> select_us(shapes.size()), tune_us(shapes.size());
+  constexpr int kReps = 3;
+  std::vector<double> select_us, tune_us;
   std::size_t agree = 0;
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    const auto& shape = shapes[i];
-    auto t0 = Clock::now();
-    ctx.select<GemmOp>(shape);
-    select_us[i] = us_since(t0);
+  for (const auto& shape : shapes) {
+    double select_min = time_us([&] { ctx.select<GemmOp>(shape); });
     // Land the refinement outside the timed sections: each sample measures
-    // the tier-1 path alone, not a race with a background search for cores.
+    // one path alone, not a race with a background search for cores.
     ctx.drain_background();
     for (int rep = 1; rep < kReps; ++rep) {
       // A fresh Context keeps the shape cold; tearing it down right away
       // cancels the refinement its select() enqueued.
       Context cold(gpusim::tesla_p100(), opts);
       cold.set_model(shared_model());
-      t0 = Clock::now();
-      cold.select<GemmOp>(shape);
-      select_us[i] = std::min(select_us[i], us_since(t0));
+      select_min = std::min(select_min, time_us([&] { cold.select<GemmOp>(shape); }));
     }
-    t0 = Clock::now();
-    const auto truth = ctx.tune<GemmOp>(shape).best.tuning;
-    tune_us[i] = us_since(t0);
+    select_us.push_back(select_min);
+    codegen::GemmTuning truth;
+    double tune_min = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < kReps; ++rep) {
+      tune_min = std::min(tune_min, time_us([&] { truth = ctx.tune<GemmOp>(shape).best.tuning; }));
+    }
+    tune_us.push_back(tune_min);
     if (ctx.cache().lookup<GemmOp>(ctx.device().name, shape) == truth) ++agree;
   }
   EXPECT_EQ(ctx.predictions(), shapes.size());
   EXPECT_EQ(ctx.refinements(), shapes.size());
-  const double p99_speedup =
-      stats::percentile(tune_us, 0.99) / stats::percentile(select_us, 0.99);
-  EXPECT_GE(p99_speedup, 10.0) << "cold select p99 " << stats::percentile(select_us, 0.99)
-                               << " us, tune p99 " << stats::percentile(tune_us, 0.99) << " us";
+  const double select_p99 = stats::percentile(select_us, 0.99);
+  const double tune_p99 = stats::percentile(tune_us, 0.99);
+  EXPECT_GE(tune_p99 / select_p99, 10.0)
+      << "cold select p99 " << select_p99 << " us, tune p99 " << tune_p99 << " us";
   EXPECT_GE(static_cast<double>(agree) / static_cast<double>(shapes.size()), 0.9);
 }
 
@@ -406,7 +414,7 @@ TEST(ConcurrentDispatch, DiskLoadedProvisionalEntryIsRefinedOnHit) {
   // landing leaves `tier=provisional` on disk. The next process to hit that
   // entry serves it instantly but re-arms the background refinement.
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "isaac_cache_two_tier_test").string();
+      (std::filesystem::temp_directory_path() / "isaac_cache_provisional_refine_test").string();
   std::filesystem::remove_all(dir);
 
   codegen::GemmShape shape;

@@ -10,9 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -22,6 +20,7 @@
 #include "gpusim/simulator.hpp"
 #include "mlp/regressor.hpp"
 #include "mlp/versioned_model.hpp"
+#include "support/latency_bounds.hpp"
 #include "tuning/collector.hpp"
 #include "tuning/dataset.hpp"
 #include "tuning/observation_log.hpp"
@@ -432,15 +431,12 @@ TEST(OnlineContext, RetrainNeverBlocksHotSelect) {
   // Hot select() p99 while a warm-start retrain trains on the pool stays
   // within 1.2x of the idle p99. The measuring thread owns the hot
   // cache-hit path, so a regression here is lock contention between the
-  // retrain and dispatch. A shared host also slows a ~1 us select by up to
-  // ~20% while any other thread runs, so the test takes the best of
-  // kTrials retrain windows: contention shows in every window, noise does
-  // not.
+  // retrain and dispatch.
   core::ContextOptions opts = dispatch_options();
   opts.online.enabled = true;
   opts.online.drift.threshold = 1e9;  // retrain only on explicit request
   opts.online.retrain.min_observations = 32;
-  opts.online.retrain.epochs = 20;
+  opts.online.retrain.epochs = 150;  // a deliberately wide retrain window
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(mlp::Regressor(dispatch_model()));
   std::vector<codegen::GemmShape> shapes;
@@ -468,46 +464,40 @@ TEST(OnlineContext, RetrainNeverBlocksHotSelect) {
     return stats::percentile(us, 0.99);
   };
 
-  constexpr int kTrials = 3;
-  double best_ratio = std::numeric_limits<double>::infinity();
-  std::string windows;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    const double p99_before = idle_p99();
-    // Feed the log a fold big enough to keep the trainer busy for a while.
-    const std::uint64_t version = ctx.model_snapshot()->version();
-    for (int rep = 0; rep < 4; ++rep) {
-      for (const auto& s : degraded_probe().samples()) {
-        tuning::Observation o;
-        o.op = "gemm";
-        o.features = s.x;
-        o.measured_gflops = s.y;
-        o.predicted_gflops = s.y;
-        o.model_version = version;
-        ctx.observation_log().append(std::move(o));
-      }
+  const double p99_before = idle_p99();
+  // Feed the log a fold big enough to keep the trainer busy for a while.
+  const std::uint64_t version = ctx.model_snapshot()->version();
+  for (int rep = 0; rep < 4; ++rep) {
+    for (const auto& s : degraded_probe().samples()) {
+      tuning::Observation o;
+      o.op = "gemm";
+      o.features = s.x;
+      o.measured_gflops = s.y;
+      o.predicted_gflops = s.y;
+      o.model_version = version;
+      ctx.observation_log().append(std::move(o));
     }
-    std::vector<double> during_us;
-    ASSERT_TRUE(ctx.request_retrain());
-    constexpr std::size_t kMaxDuringSamples = 400000;
-    for (std::size_t i = 0; ctx.retrain_in_flight() && during_us.size() < kMaxDuringSamples;
-         ++i) {
-      during_us.push_back(time_select_us(i));
-    }
-    ctx.drain_background();
-    ASSERT_EQ(ctx.retrains(), static_cast<std::size_t>(trial + 1));
-    ASSERT_GT(during_us.size(), 0u);
-
-    // Bracket the window with a second idle baseline and keep the worse of
-    // the two: ambient machine drift inflates both baselines, while
-    // contention only inflates the window.
-    const double p99_base = std::max(p99_before, idle_p99());
-    const double p99_during = stats::percentile(during_us, 0.99);
-    best_ratio = std::min(best_ratio, p99_during / p99_base);
-    windows += " [" + std::to_string(p99_during) + " us over " +
-               std::to_string(during_us.size()) + " samples vs " + std::to_string(p99_base) +
-               " us idle]";
   }
-  EXPECT_LE(best_ratio, 1.2) << "p99 during a retrain vs idle:" << windows;
+  std::vector<double> during_us;
+  ASSERT_TRUE(ctx.request_retrain());
+  constexpr std::size_t kMaxDuringSamples = 400000;
+  for (std::size_t i = 0; ctx.retrain_in_flight() && during_us.size() < kMaxDuringSamples; ++i) {
+    during_us.push_back(time_select_us(i));
+  }
+  ctx.drain_background();
+  ASSERT_EQ(ctx.retrains(), 1u);
+  ASSERT_GT(during_us.size(), 0u);
+
+  // Bracket the window with a second idle baseline and keep the worse of
+  // the two: ambient machine drift inflates both baselines, while
+  // contention only inflates the window.
+  const double p99_base = std::max(p99_before, idle_p99());
+  const double p99_during = stats::percentile(during_us, 0.99);
+  if (test::kLatencyBoundsChecked) {
+    EXPECT_LE(p99_during / p99_base, 1.2)
+        << "p99 " << p99_during << " us over " << during_us.size()
+        << " samples during the retrain vs " << p99_base << " us idle";
+  }
 }
 
 TEST(OnlineContext, RequestRetrainFoldsTheLogOnDemand) {

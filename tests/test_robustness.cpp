@@ -23,6 +23,7 @@
 #include "gpusim/device.hpp"
 #include "mlp/regressor.hpp"
 #include "search/config.hpp"
+#include "support/latency_bounds.hpp"
 #include "tuning/dataset.hpp"
 #include "tuning/observation_log.hpp"
 
@@ -442,9 +443,14 @@ TEST_F(RobustnessTest, FaultStormNeverEscapesSelectAndReconverges) {
   // refinements, cache and observation-log disk writes, retraining), and
   // after the faults clear. No exception may escape select() in any phase,
   // the storm's select p99 stays within 2x the fault-free one (with a 10 ms
-  // floor for sub-millisecond baselines), and recovery converges every
-  // storm-era entry back to refined with the breaker closed.
+  // floor for sub-millisecond baselines), recovery converges every
+  // storm-era entry back to refined with the breaker closed, and the cache
+  // file and observation log the storm's write failures degraded take
+  // writes again.
+  TempDir dir("storm");
   core::ContextOptions opts;
+  opts.cache_dir = (dir.path / "cache").string();
+  opts.online.log_dir = (dir.path / "obslog").string();
   opts.search.budget = 10;
   opts.search.reeval_reps = 3;
   opts.search.max_candidates = 8000;
@@ -505,13 +511,27 @@ TEST_F(RobustnessTest, FaultStormNeverEscapesSelectAndReconverges) {
     if (!converged) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
+  // A degraded disk path re-probes on its first write after the retry
+  // window: wait it out, then make one cold select whose provisional store
+  // and refinement write to both files.
+  std::this_thread::sleep_for(
+      std::chrono::duration<double, std::milli>(2.0 * opts.fault.disk_retry_ms));
+  ctx.select<core::GemmOp>(gemm_shape(72, 40, 200));
+  ctx.drain_background();
+
   EXPECT_EQ(baseline.escapes, 0u);
   EXPECT_EQ(storm.escapes, 0u);
   EXPECT_EQ(recovery_escapes, 0u);
-  EXPECT_LE(p99_storm, std::max(2.0 * p99_base, p99_base + 10000.0))
-      << "storm p99 " << p99_storm << " us vs baseline " << p99_base << " us";
+  if (test::kLatencyBoundsChecked) {
+    EXPECT_LE(p99_storm, std::max(2.0 * p99_base, p99_base + 10000.0))
+        << "storm p99 " << p99_storm << " us vs baseline " << p99_base << " us";
+  }
   EXPECT_TRUE(converged) << "not all refined after " << rounds << " recovery rounds";
   EXPECT_EQ(ctx.breaker_state("gemm"), CircuitBreaker::State::closed);
+  // The storm's write failures did degrade both files (writes were skipped
+  // between re-probes), and both take writes again.
+  EXPECT_GT(ctx.cache().disk_writes_skipped(), 0u);
+  EXPECT_GT(ctx.observation_log().disk_writes_skipped(), 0u);
   EXPECT_FALSE(ctx.cache().disk_degraded());
   EXPECT_FALSE(ctx.observation_log().disk_degraded());
 }
