@@ -5,7 +5,8 @@
 // generate-and-test reference ranking of tests/support/reference_rank.hpp
 // (with ordering agreement over the whole best-first sequence between the
 // two), the pruned walk vs the generate-and-test sweep as enumeration
-// engines, cold `select()` p50/p99, per-chunk scoring-time flatness (an
+// engines (the timing ratio, and the work ratio: X̂ points the sweep
+// validates per point the walk emits), cold `select()` p50/p99, per-chunk scoring-time flatness (an
 // allocations-per-candidate proxy: chunks after the first cost the same
 // when nothing allocates), and the blocked GEMM's speedup over
 // gemm_reference on the MLP-shaped case with the micro-kernel variant
@@ -79,6 +80,7 @@ codegen::GemmShape bench_shape() {
 struct RankThroughputResult {
   double agreement = 0.0;     ///< top-k ordering agreement vs reference_rank
   double enum_speedup = 0.0;  ///< pruned-walk enumeration vs generate-and-test
+  double enum_work_ratio = 0.0;  ///< X̂ points validated by the sweep per walk point
   bool walk_match = true;     ///< walk survivor list == sweep survivor list
 };
 
@@ -182,6 +184,7 @@ RankThroughputResult rank_throughput_op(
   double enum_walk_s = 0.0;
   std::vector<std::uint64_t> sweep;
   PageVector<std::uint64_t> walked;
+  std::size_t walk_emitted = 0;
   constexpr int kEnumReps = 7;
   for (int rep = 0; rep < kEnumReps; ++rep) {
     t0 = Clock::now();
@@ -190,7 +193,7 @@ RankThroughputResult rank_throughput_op(
     if (rep == 0 || sweep_s < enum_sweep_s) enum_sweep_s = sweep_s;
 
     t0 = Clock::now();
-    walked = search::detail::enumerate_legal(enum_problem);
+    walked = search::detail::enumerate_legal(enum_problem, &walk_emitted);
     const double walk_s = secs(t0);
     if (rep == 0 || walk_s < enum_walk_s) enum_walk_s = walk_s;
   }
@@ -216,6 +219,12 @@ RankThroughputResult rank_throughput_op(
   RankThroughputResult result;
   result.agreement = agreement;
   result.enum_speedup = enum_walk_s > 0.0 ? enum_sweep_s / enum_walk_s : 0.0;
+  // The sweep validates every point of X̂; the walk validates only the points
+  // its prefix constraints let through. Both counts are deterministic.
+  result.enum_work_ratio =
+      walk_emitted > 0
+          ? static_cast<double>(enum_problem.space->size()) / static_cast<double>(walk_emitted)
+          : 0.0;
   result.walk_match = walk_match;
 
   char line[1024];
@@ -225,7 +234,8 @@ RankThroughputResult rank_throughput_op(
       "\"cands_per_sec\":%.0f,\"cold_cands_per_sec\":%.0f,\"legacy_cands_per_sec\":%.0f,"
       "\"speedup_vs_legacy\":%.2f,\"ordering_agreement\":%.3f,"
       "\"walk_points\":%zu,\"enum_sweep_s\":%.3f,\"enum_pruned_s\":%.3f,"
-      "\"enum_speedup\":%.2f,\"walk_match\":%s,"
+      "\"walk_emitted\":%zu,\"enum_speedup\":%.2f,\"enum_work_ratio\":%.2f,"
+      "\"walk_match\":%s,"
       "\"p50_select_us\":%.1f,\"p99_select_us\":%.1f,"
       "\"chunk_us_first\":%.1f,\"chunk_us_p50\":%.1f,\"chunk_us_max\":%.1f}\n",
       opname, space.size(), fast.scored,
@@ -234,7 +244,8 @@ RankThroughputResult rank_throughput_op(
       static_cast<double>(legacy.candidates.size()) / legacy_s,
       (static_cast<double>(scored) / warm_s) /
           (static_cast<double>(legacy.candidates.size()) / legacy_s),
-      agreement, walked.size(), enum_sweep_s, enum_walk_s, result.enum_speedup,
+      agreement, walked.size(), enum_sweep_s, enum_walk_s, walk_emitted, result.enum_speedup,
+      result.enum_work_ratio,
       walk_match ? "true" : "false", stats::percentile(select_us, 0.50),
       stats::percentile(select_us, 0.99), chunk_us.front(),
       stats::percentile(chunk_us, 0.50),
@@ -338,9 +349,12 @@ int run_rank_throughput() {
       line, sizeof(line),
       "{\"bench\":\"rank_throughput\",\"op\":\"summary\",\"gemm_speedup_vs_reference\":%.2f,"
       "\"min_ordering_agreement\":%.3f,\"conv_enum_speedup\":%.2f,"
-      "\"min_enum_speedup\":%.2f,\"all_walk_match\":%s,\"gemm_kernel\":\"%s\"}\n",
+      "\"min_enum_speedup\":%.2f,\"conv_enum_work_ratio\":%.2f,"
+      "\"min_enum_work_ratio\":%.2f,\"all_walk_match\":%s,\"gemm_kernel\":\"%s\"}\n",
       gemm_speedup, min_agreement, conv_res.enum_speedup,
       std::min({gemm_res.enum_speedup, conv_res.enum_speedup, bgemm_res.enum_speedup}),
+      conv_res.enum_work_ratio,
+      std::min({gemm_res.enum_work_ratio, conv_res.enum_work_ratio, bgemm_res.enum_work_ratio}),
       all_match ? "true" : "false",
       cpu::name(cpu::widest()));
   std::fputs(line, stdout);

@@ -181,35 +181,42 @@ void run(const Grid& g, const Output<T>& out, const MakeStager& make_stager) {
       [&](std::size_t lo, std::size_t hi) {
         T* sa = scratch<T>(a_elems + acc_elems);
         T* acc = sa + a_elems;
+        // Blocks run n fastest, then m, then the KG slice, then the batch
+        // member (the scheduling order the analyzer assumes for its reuse
+        // hints): decode the chunk's first block, then count on from it.
+        const auto first = static_cast<std::int64_t>(lo);
+        std::int64_t tn = first % grid_n;
+        std::int64_t tm = first / grid_n % grid_m;
+        std::int64_t slice = first / tiles % g.kg;
+        std::int64_t member = first / (tiles * g.kg);
         for (std::size_t bi = lo; bi < hi; ++bi) {
-          // n fastest, then m, then the KG slice, then the batch member (the
-          // scheduling order the analyzer assumes for its reuse hints).
-          const auto idx = static_cast<std::int64_t>(bi);
-          const std::int64_t tn = idx % grid_n;
-          const std::int64_t tm = (idx / grid_n) % grid_m;
-          const std::int64_t slice = (idx / tiles) % g.kg;
-          const std::int64_t member = idx / (tiles * g.kg);
           const std::int64_t k0 = slice * k_slice;
           const std::int64_t k1 = std::min(g.k, k0 + k_slice);
-          if (k0 >= k1) continue;  // empty slice (K not divisible by KG)
-
-          const Block blk{member, tm * g.ml, tn * g.nl,
-                          static_cast<int>(std::min<std::int64_t>(g.ml, g.m - tm * g.ml)),
-                          static_cast<int>(std::min<std::int64_t>(g.nl, g.n - tn * g.nl))};
-          const auto stage = make_stager(blk);
-          std::fill_n(acc, static_cast<std::size_t>(blk.nv) * g.ml, T(0));
-          for (std::int64_t kk = k0; kk < k1; kk += g.depth) {
-            const int dv = static_cast<int>(std::min<std::int64_t>(g.depth, k1 - kk));
-            multiply(blk.mv, blk.nv, dv, stage(kk, dv, sa), g.ml, acc);
+          if (k0 < k1) {  // else an empty slice (K not divisible by KG)
+            const Block blk{member, tm * g.ml, tn * g.nl,
+                            static_cast<int>(std::min<std::int64_t>(g.ml, g.m - tm * g.ml)),
+                            static_cast<int>(std::min<std::int64_t>(g.nl, g.n - tn * g.nl))};
+            const auto stage = make_stager(blk);
+            std::fill_n(acc, static_cast<std::size_t>(blk.nv) * g.ml, T(0));
+            for (std::int64_t kk = k0; kk < k1; kk += g.depth) {
+              const int dv = static_cast<int>(std::min<std::int64_t>(g.depth, k1 - kk));
+              multiply(blk.mv, blk.nv, dv, stage(kk, dv, sa), g.ml, acc);
+            }
+            if (split) {
+              const std::int64_t tile = member * tiles + tm * grid_n + tn;
+              std::lock_guard<std::mutex> guard(locks[static_cast<std::size_t>(tile % kNumLocks)]);
+              store_tile(out, blk, acc, g.ml, true);
+            } else {
+              store_tile(out, blk, acc, g.ml, false);
+            }
           }
-
-          if (split) {
-            const std::int64_t tile = member * tiles + tm * grid_n + tn;
-            std::lock_guard<std::mutex> guard(locks[static_cast<std::size_t>(tile % kNumLocks)]);
-            store_tile(out, blk, acc, g.ml, true);
-          } else {
-            store_tile(out, blk, acc, g.ml, false);
-          }
+          if (++tn < grid_n) continue;
+          tn = 0;
+          if (++tm < grid_m) continue;
+          tm = 0;
+          if (++slice < g.kg) continue;
+          slice = 0;
+          ++member;
         }
       },
       grain_for(block_flops));

@@ -87,8 +87,10 @@ GemmTuning conv_gemm_tuning(const ConvTuning& t) {
 
 bool validate(const ConvShape& shape, const ConvTuning& tuning,
               const gpusim::DeviceDescriptor& dev, std::string* why) {
-  auto fail = [&](const std::string& msg) {
-    if (why) *why = msg;
+  // The reason is built only when asked for: ranking validates every point
+  // of X̂ with why == nullptr.
+  const auto fail = [why](const char* reason) {
+    if (why) *why = reason;
     return false;
   };
   if (shape.n <= 0 || shape.c <= 0 || shape.k <= 0) return fail("empty problem");

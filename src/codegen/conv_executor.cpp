@@ -23,24 +23,30 @@ namespace isaac::codegen {
 namespace {
 
 /// One reduction index red = (c·R + r)·S + s of the implicit GEMM. `offset`
-/// is the I[c, r, s, 0] part of the gather address, c·H·W·N + r·W·N + s·N.
+/// is the I[c, r, s, 0] part of the gather address, c·H·W·N + r·W·N + s·N,
+/// and sn = s·N.
 struct RedEntry {
-  std::int64_t r, s, offset;
+  std::int64_t r, sn, offset;
 };
 
-/// A run of implicit-GEMM rows that share one (p, q), so one window: rows
-/// i0 … i0 + len − 1 of the block, n ascending (n fastest, then q, then p,
-/// matching O's layout). Their input elements are contiguous, so one bounds
-/// check covers the run. (h0, w0) is the window's top-left input coordinate
-/// and base the rest of the first row's gather address,
-/// (p·stride_h − pad_h)·W·N + (q·stride_w − pad_w)·N + n.
+/// A run of implicit-GEMM rows whose input elements are contiguous at every
+/// reduction index: rows i0 … i0 + len − 1 of the block, n fastest, then q
+/// (matching O's layout). With stride_w = 1 the rows of one output row p
+/// are contiguous in the input, so a run spans every q of row p the block
+/// holds; with stride_w > 1 it is one (p, q) window. h0 is the first row's
+/// input row at r = 0, and col = w0·N + n its input column position at
+/// s = 0, w0 = q·stride_w − pad_w, so its row l reads column position
+/// col + s·N + l; base = h0·W·N + col is the first row's gather address at
+/// red = 0. An `inside` run reads no padding at any reduction index.
 struct RowRun {
-  std::int64_t h0, w0, base;
+  std::int64_t h0, col, base;
   int i0, len;
+  bool inside;
 };
 
-/// dst[0, len) = src[0, len): a run is a few elements long, so it moves in
-/// fixed 16-byte pieces rather than through a library call.
+/// dst[0, len) = src[0, len): a run is at most one block's rows, a few to a
+/// few dozen elements, so it moves in fixed 16-byte pieces rather than
+/// through a library call.
 inline void copy_run(const float* src, int len, float* dst) {
   int l = 0;
   for (; l + 4 <= len; l += 4) std::memcpy(dst + l, src + l, 4 * sizeof(float));
@@ -89,9 +95,10 @@ void execute_conv(const ConvShape& shape, const ConvTuning& tuning, float alpha,
     const std::int64_t sx = i % shape.s;
     const std::int64_t r = (i / shape.s) % shape.r;
     const std::int64_t c = i / (shape.s * shape.r);
-    red[i] = {r, sx, c * hwn + r * wn + sx * shape.n};
+    red[i] = {r, sx * shape.n, c * hwn + r * wn + sx * shape.n};
   }
 
+  const bool span_q = shape.stride_w == 1;
   engine::run(grid, out, [&](const engine::Block& blk) {
     RowRun* runs = engine::scratch<RowRun>(static_cast<std::size_t>(grid.ml));
     int num_runs = 0;
@@ -102,24 +109,39 @@ void execute_conv(const ConvShape& shape, const ConvTuning& tuning, float alpha,
       const std::int64_t q = (row / shape.n) % q_extent;
       const std::int64_t p = row / (shape.n * q_extent);
       const std::int64_t h0 = p * shape.stride_h - shape.pad_h;
-      const std::int64_t w0 = q * shape.stride_w - shape.pad_w;
-      const int len = static_cast<int>(std::min<std::int64_t>(shape.n - n, blk.mv - i));
-      runs[num_runs++] = {h0, w0, h0 * wn + w0 * shape.n + n, i, len};
+      const std::int64_t col = (q * shape.stride_w - shape.pad_w) * shape.n + n;
+      const std::int64_t rest = span_q ? (q_extent - q) * shape.n - n : shape.n - n;
+      const int len = static_cast<int>(std::min<std::int64_t>(rest, blk.mv - i));
+      const bool inside = h0 >= 0 && h0 + shape.r <= shape.h && col >= 0 &&
+                          col + (shape.s - 1) * shape.n + len <= wn;
+      runs[num_runs++] = {h0, col, h0 * wn + col, i, len, inside};
       i += len;
     }
     return [&, runs, num_runs, n0 = blk.n0](std::int64_t k0, int dv, float* sa) {
       const RedEntry* e = red + k0;
       for (int u = 0; u < num_runs; ++u) {
         const RowRun& run = runs[u];
-        float* to = sa + run.i0;
-        for (int d = 0; d < dv; ++d) {
-          const std::int64_t hh = run.h0 + e[d].r;
-          const std::int64_t ww = run.w0 + e[d].s;
-          if (hh >= 0 && hh < shape.h && ww >= 0 && ww < shape.w) {
-            copy_run(input + (run.base + e[d].offset), run.len, to + d * grid.ml);
-          } else {
-            std::fill_n(to + d * grid.ml, run.len, 0.0f);  // padding
+        if (run.inside) {
+          for (int d = 0; d < dv; ++d) {
+            copy_run(input + (run.base + e[d].offset), run.len, sa + run.i0 + d * grid.ml);
           }
+          continue;
+        }
+        for (int d = 0; d < dv; ++d) {
+          float* to = sa + run.i0 + d * grid.ml;
+          const std::int64_t hh = run.h0 + e[d].r;
+          if (hh < 0 || hh >= shape.h) {
+            std::fill_n(to, run.len, 0.0f);  // padding rows
+            continue;
+          }
+          // Rows [lo, hi) read input columns inside [0, W); the rest are
+          // padding.
+          const std::int64_t at = run.col + e[d].sn;
+          const int lo = static_cast<int>(std::clamp<std::int64_t>(-at, 0, run.len));
+          const int hi = static_cast<int>(std::clamp<std::int64_t>(wn - at, lo, run.len));
+          std::fill_n(to, lo, 0.0f);
+          copy_run(input + (run.base + e[d].offset + lo), hi - lo, to + lo);
+          std::fill_n(to + hi, run.len - hi, 0.0f);
         }
       }
       return engine::Tiles<float>{sa, grid.ml, filters + k0 * nk + n0, nk, 1};

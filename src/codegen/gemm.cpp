@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/strings.hpp"
 #include "gpusim/occupancy.hpp"
@@ -92,8 +93,17 @@ int smem_bytes(const GemmShape& shape, const GemmTuning& tuning) {
 
 bool validate(const GemmShape& shape, const GemmTuning& tuning,
               const gpusim::DeviceDescriptor& dev, std::string* why) {
-  auto fail = [&](const std::string& msg) {
-    if (why) *why = msg;
+  // The reason is built only when asked for: ranking validates every point
+  // of X̂ with why == nullptr. A reason is a literal or a callable that
+  // formats one.
+  const auto fail = [why](const auto& reason) {
+    if (why) {
+      if constexpr (std::is_invocable_v<decltype(reason)>) {
+        *why = reason();
+      } else {
+        *why = reason;
+      }
+    }
     return false;
   };
 
@@ -114,8 +124,10 @@ bool validate(const GemmShape& shape, const GemmTuning& tuning,
 
   const int threads = tuning.threads_per_block();
   if (threads > dev.max_threads_per_block) {
-    return fail(strings::format("block of %d threads exceeds device limit %d", threads,
-                                dev.max_threads_per_block));
+    return fail([&] {
+      return strings::format("block of %d threads exceeds device limit %d", threads,
+                             dev.max_threads_per_block);
+    });
   }
   // Real ISAAC kernels launch warp-aligned blocks: sub-warp or ragged blocks
   // waste scheduler slots and are rejected as illegal.
@@ -144,8 +156,10 @@ bool validate(const GemmShape& shape, const GemmTuning& tuning,
       static_cast<std::int64_t>(tuning.u) *
       (static_cast<std::int64_t>(tuning.ms) * tuning.ns + tuning.ms + tuning.ns);
   if (unrolled_insts > 4096) {
-    return fail(strings::format("unrolled inner loop of %lld instructions exceeds budget",
-                                static_cast<long long>(unrolled_insts)));
+    return fail([&] {
+      return strings::format("unrolled inner loop of %lld instructions exceeds budget",
+                             static_cast<long long>(unrolled_insts));
+    });
   }
 
   // Reduction splits must leave every group at least one prefetch round.
@@ -163,20 +177,24 @@ bool validate(const GemmShape& shape, const GemmTuning& tuning,
 
   const int smem = smem_bytes(shape, tuning);
   if (smem > dev.smem_per_block_bytes) {
-    return fail(strings::format("shared memory %d B exceeds block limit %d B", smem,
-                                dev.smem_per_block_bytes));
+    return fail([&] {
+      return strings::format("shared memory %d B exceeds block limit %d B", smem,
+                             dev.smem_per_block_bytes);
+    });
   }
 
   const int regs = estimate_registers(shape, tuning);
   if (regs > dev.max_registers_per_thread) {
-    return fail(strings::format("estimated %d registers exceed limit %d", regs,
-                                dev.max_registers_per_thread));
+    return fail([&] {
+      return strings::format("estimated %d registers exceed limit %d", regs,
+                             dev.max_registers_per_thread);
+    });
   }
 
   // Must be schedulable: at least one block per SM.
   const auto occ = gpusim::occupancy(dev, threads, regs, smem);
   if (occ.blocks_per_sm <= 0) {
-    return fail(std::string("kernel cannot launch: ") + occ.limiter + " limit");
+    return fail([&] { return std::string("kernel cannot launch: ") + occ.limiter + " limit"; });
   }
   return true;
 }

@@ -95,6 +95,10 @@ TuneResult<typename OperationTraits<Op>::Tuning> tune(
 
   result.enumerated = strategy.stats().visited;
   result.legal = strategy.stats().legal;
+  if (result.top.empty() && resolved.cancel && resolved.cancel->load(std::memory_order_relaxed)) {
+    throw TuneCancelled(std::string("tune: ") + Traits::kind() + " search for shape " +
+                        shape.to_string() + " cancelled before its first measurement");
+  }
   if (result.top.empty()) {
     // The ranking found nothing measurable (every candidate illegal for
     // this degenerate shape, or the space empty): without this check the

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,13 @@ struct TuneResult {
                                        // loop; best is the anytime result
 };
 
+/// What tune<Op>() throws when SearchConfig::cancel stopped its search
+/// before a single candidate was measured: a cancelled search, not a shape
+/// without legal configurations.
+struct TuneCancelled : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 using GemmTuneResult = TuneResult<codegen::GemmTuning>;
 using ConvTuneResult = TuneResult<codegen::ConvTuning>;
 using BatchedGemmTuneResult = TuneResult<codegen::GemmTuning>;
@@ -65,8 +73,9 @@ using BatchedGemmPredictResult = PredictResult<codegen::GemmTuning>;
 /// Optimize the model over Op's tuning parameters for `shape` with the
 /// configured budget (zero-valued SearchConfig fields resolve against
 /// OperationTraits<Op>::default_search()). Throws std::runtime_error when no
-/// legal configuration exists and std::invalid_argument for an invalid
-/// config. Thread-safe: shares only const state and the global
+/// legal configuration exists, TuneCancelled when SearchConfig::cancel cut
+/// the search before its first measurement, and std::invalid_argument for
+/// an invalid config. Thread-safe: shares only const state and the global
 /// thread pool. `model` is borrowed for the whole call — a caller whose
 /// model can be hot-swapped (Context) pins one VersionedModel snapshot per
 /// tune and passes its regressor, so the returned ranking (TuneResult::top,

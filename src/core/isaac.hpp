@@ -666,6 +666,7 @@ void Context::maybe_refine(const std::string& key,
     }
     bool upgraded = false;
     bool failed = false;
+    bool cancelled = false;
     {
       // Scoped so the span record lands in the ring *before* the completion
       // notification below: drain_background() returning must imply the
@@ -717,6 +718,11 @@ void Context::maybe_refine(const std::string& key,
         }
         record_observations<Op>(*snapshot, shape, result);
         breaker_for(OperationTraits<Op>::kind()).record_success();
+      } catch (const TuneCancelled&) {
+        // ~Context cancelled the search before it measured anything: an
+        // outcome of teardown, not a fault of the shape or the device.
+        cancelled = true;
+        ISAAC_TM_COUNT("refine.cancelled");
       } catch (const std::exception& e) {
         failed = true;
         ISAAC_TM_COUNT("refine.failed");
@@ -741,7 +747,9 @@ void Context::maybe_refine(const std::string& key,
     }
     {
       sync::MutexLock lock(inflight_mutex_);
-      if (failed) {
+      if (cancelled) {
+        refining_.erase(key);  // teardown: release the key, count no attempt
+      } else if (failed) {
         refining_.erase(key);
         // Retry-then-drop: count this failure against the key's window. Under
         // the cap a later hit re-enqueues (refine.retry); at the cap the key

@@ -143,9 +143,11 @@ void require_exact_size(const SearchProblem<Op>& problem) {
 /// built on a pool thread and can run to megabytes, so its buffer is mapped
 /// from the OS and leaves no resident pages behind (PageAllocator); the
 /// per-chunk parts are small and stay plain vectors, so the walk makes no
-/// system call per growth step.
+/// system call per growth step. `emitted`, when set, receives the number of
+/// points the walk emitted, i.e. the points it validated.
 template <typename Op>
-PageVector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem) {
+PageVector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem,
+                                          std::size_t* emitted = nullptr) {
   require_exact_size(problem);
   const auto& domains = problem.space->domains();
   const tuning::ConstraintSet cs = core::OperationTraits<Op>::prefix_constraints(
@@ -153,13 +155,18 @@ PageVector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem) {
   const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
   const WalkChunkPlan plan = plan_legal_walk(domains, csp);
   std::vector<std::vector<std::uint64_t>> parts(plan.prefixes.size());
+  std::atomic<std::size_t> visits{0};
   ThreadPool::global().parallel_for_each(plan.prefixes.size(), [&](std::size_t ci) {
     auto& part = parts[ci];
+    std::size_t visited = 0;
     run_walk_chunk(domains, csp, plan, ci, [&](const Choice& c, std::uint64_t flat) {
+      ++visited;
       if (problem.legal(c)) part.push_back(flat);
       return true;
     });
+    visits.fetch_add(visited, std::memory_order_relaxed);
   });
+  if (emitted) *emitted = visits.load(std::memory_order_relaxed);
   std::size_t n = 0;
   for (const auto& part : parts) n += part.size();
   PageVector<std::uint64_t> legal;

@@ -361,6 +361,38 @@ ConvShape padded_single_image() {
   return s;
 }
 
+/// Padded by two columns against a five-wide filter: at s = 0 and 1 the
+/// first output columns read padding, at s = 3 and 4 the last ones do.
+ConvShape wide_padded() {
+  ConvShape s;
+  s.n = 2;
+  s.c = 2;
+  s.h = 6;
+  s.w = 7;
+  s.k = 5;
+  s.r = 3;
+  s.s = 5;
+  s.pad_h = 1;
+  s.pad_w = 2;
+  return s;
+}
+
+/// Strided along H only, so a run still spans the q of an output row.
+ConvShape row_strided() {
+  ConvShape s;
+  s.n = 3;
+  s.c = 5;
+  s.h = 12;
+  s.w = 11;
+  s.k = 6;
+  s.r = 3;
+  s.s = 3;
+  s.pad_h = 2;
+  s.pad_w = 1;
+  s.stride_h = 2;
+  return s;
+}
+
 ConvShape strided_pointwise() {
   ConvShape s = ConvShape::from_npq(3, 5, 4, 7, 6, 1, 1);
   s.h = 10;
@@ -372,14 +404,21 @@ ConvShape strided_pointwise() {
 
 TEST(ConvExecutor, BitIdenticalToOrderedSum) {
   // The filters are read in place; the im2col gather is staged in runs of
-  // rows that share a window, except for the 1×1, stride-1, unpadded conv,
-  // whose A is the input read in place. Ragged and padded-strided shapes,
-  // an N = 1 conv with padding (runs of one row, some zero-filled), a 1×1
+  // rows that are contiguous in the input, except for the 1×1, stride-1,
+  // unpadded conv, whose A is the input read in place. With stride_w = 1 a
+  // run spans every q of an output row the block holds, and a padded run
+  // splits per (r, s) into a zero head, one copy and a zero tail; with
+  // stride_w > 1 a run is one window. Unpadded shapes (runs over several q,
+  // blocks that end mid-row), an N = 1 conv with padding, a conv padded by
+  // two columns (whole rows of zeros at both edges), a stride_h = 2,
+  // stride_w = 1 conv, a stride-2 padded conv (per-window runs), a 1×1
   // conv read in place and a strided 1×1 conv that is gathered; CL = 1 and
   // 2, and block heights ML = 1 … 64 with a ragged last row block, on every
-  // micro-kernel variant the CPU supports. The last shape (19 MFLOP) is
-  // over the engine's inline threshold, so its blocks spread across the
-  // pool, at CL = 1 and 2.
+  // micro-kernel variant the CPU supports. ML = 1 and 2 (and the last
+  // blocks of ML ≥ 4) leave rows under one 16-byte vector, which multiply
+  // as column vectors over the filters' contiguous K. The last shape (19
+  // MFLOP) is over the engine's inline threshold, so its blocks spread
+  // across the pool, at CL = 1 and 2.
   std::vector<ConvTuning> by_cl;
   for (const int cl : {1, 2}) {
     auto t = tiny_tuning();
@@ -405,6 +444,8 @@ TEST(ConvExecutor, BitIdenticalToOrderedSum) {
                         {ConvShape::from_npq(3, 7, 5, 6, 5, 3, 3), sweep},
                         {strided_padded(), sweep},
                         {padded_single_image(), sweep},
+                        {wide_padded(), sweep},
+                        {row_strided(), sweep},
                         {ConvShape::from_npq(5, 6, 7, 11, 9, 1, 1), sweep},
                         {strided_pointwise(), sweep},
                         {ConvShape::from_npq(8, 16, 16, 32, 16, 3, 3), by_cl}};

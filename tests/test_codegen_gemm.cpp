@@ -448,8 +448,12 @@ TEST(GemmExecutor, BitIdenticalToOrderedSum) {
   // variant the CPU supports. The last shape (10 MFLOP) is over the engine's
   // inline threshold, so its blocks spread across the pool. The ML sweep
   // leaves a last row block of ML − 1 rows (ML > 1), which runs every
-  // register block of the vector chain and the scalar rows; its N leaves
-  // NL − 3 columns, so every column-group width runs too.
+  // register block of the vector chain and the leftover rows; its N leaves
+  // NL − 3 columns, so every column-group width runs too. Leftover rows (1,
+  // 2 or 3 under one 16-byte vector: ML = 1, 2 and 3, and the last blocks
+  // of the others) run as column vectors when B is transposed (b_j = 1) and
+  // as scalar chains when it is not; the ML = 1, NL = 128 tile runs the
+  // widest column-vector groups, and its ragged N their narrower tails.
   struct Case {
     std::int64_t m, n, k;
     GemmTuning tuning;
@@ -458,8 +462,9 @@ TEST(GemmExecutor, BitIdenticalToOrderedSum) {
                              {33, 31, 17, make_tuning(2, 2, 16, 8, 4, 4)},
                              {7, 100, 129, make_tuning(2, 4, 16, 32, 4)},
                              {130, 70, 300, make_tuning(4, 4, 64, 16, 2, 4)},
-                             {190, 210, 131, make_tuning(4, 4, 32, 32, 8)}};
-  for (const int ml : {1, 2, 4, 8, 16, 32, 64}) {
+                             {190, 210, 131, make_tuning(4, 4, 32, 32, 8)},
+                             {3, 253, 21, make_tuning(1, 4, 1, 128, 4)}};
+  for (const int ml : {1, 2, 3, 4, 8, 16, 32, 64}) {
     const int nl = ml % 16 == 0 ? 8 : 16;
     cases.push_back({ml == 1 ? 5 : 3 * ml - 1, 3 * nl - 3, 29, make_tuning(1, 1, ml, nl, 4, 2)});
   }

@@ -2,6 +2,7 @@
 // ISAAC API end-to-end (train → tune → execute → verify numerics).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -122,6 +123,25 @@ TEST(Inference, ImpossibleShapeThrows) {
   shape.m = shape.n = 64;
   shape.k = 2;  // below the smallest prefetch depth (U >= 4): no legal config
   EXPECT_THROW(tune<GemmOp>(shape, shared_model(), sim, fast_inference()), std::runtime_error);
+}
+
+TEST(Inference, CancelledSearchIsReportedAsCancelled) {
+  // A search cancelled before its first proposal measures nothing; tune
+  // reports the cancellation rather than a shape without legal points.
+  gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
+  codegen::GemmShape shape;
+  shape.m = shape.n = shape.k = 256;
+  std::atomic<bool> cancel{true};
+  search::SearchConfig cfg = fast_inference();
+  cfg.cancel = &cancel;
+  try {
+    tune<GemmOp>(shape, shared_model(), sim, cfg);
+    FAIL() << "a cancelled search returned a result";
+  } catch (const TuneCancelled& e) {
+    EXPECT_NE(std::string(e.what()).find("cancelled"), std::string::npos) << e.what();
+  }
+  cancel = false;
+  EXPECT_GT(tune<GemmOp>(shape, shared_model(), sim, cfg).measured, 0u);
 }
 
 // ------------------------------------------------------------ profile cache --
