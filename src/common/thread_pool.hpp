@@ -1,9 +1,9 @@
 // Fixed-size worker pool with a blocking parallel_for.
 //
 // The pool is the only threading primitive in the repo: the functional kernel
-// executors iterate GPU thread-blocks over it, the MLP trainer shards
-// minibatch GEMMs over it, and the runtime inference scores candidate kernels
-// over it. parallel_for captures chunk exceptions and rethrows the first (by
+// executors iterate GPU thread-blocks over it, the runtime inference scores
+// candidate kernels over it, and the online retrainer runs each warm-start
+// fit as one task on it (training itself is serial). parallel_for captures chunk exceptions and rethrows the first (by
 // index order) on the calling thread; an exception escaping a bare submit()
 // task has no caller to deliver to, so the worker swallows it and counts
 // `pool.task_exceptions` instead of letting the unwind terminate the process.

@@ -861,7 +861,8 @@ void Context::record_observations(
       if (!(candidate.measured_gflops > 0.0)) continue;
       tuning::Observation obs;
       obs.op = OperationTraits<Op>::kind();
-      obs.features = OperationTraits<Op>::featurize(shape, candidate.tuning);
+      obs.features.resize(tuning::kNumFeatures);
+      OperationTraits<Op>::featurize_into(shape, candidate.tuning, obs.features.data());
       obs.measured_gflops = candidate.measured_gflops;
       // The ranking scored every candidate with this pinned model.
       obs.predicted_gflops = candidate.predicted_gflops;

@@ -8,10 +8,11 @@
 //   Shape / Tuning / SearchSpace      — the op's input, config and X̂ types
 //   kind()                            — stable identifier ("gemm"), used in
 //                                       cache keys and on-disk records
-//   validate / analyze / featurize    — legality, lowering to KernelProfile,
-//                                       and the regression feature vector
-//   featurize_into(shape, t, out)     — in-place featurization for the
-//                                       allocation-free scoring pipeline
+//   validate / analyze                — legality and lowering to
+//                                       KernelProfile
+//   featurize_into(shape, t, out)     — the regression feature vector,
+//                                       written in place (kNumFeatures
+//                                       doubles)
 //   prefix_constraints(shape, dev,
 //                      space)         — the per-dimension partial-validity
 //                                       layer for the constraint-propagating
@@ -75,9 +76,6 @@ struct OperationTraits<GemmOp> {
                                        const gpusim::DeviceDescriptor& dev) {
     return codegen::analyze(s, t, dev);
   }
-  static std::vector<double> featurize(const Shape& s, const Tuning& t) {
-    return tuning::features(s, t);
-  }
   static void featurize_into(const Shape& s, const Tuning& t, double* out) {
     tuning::features_into(s, t, out);
   }
@@ -125,9 +123,6 @@ struct OperationTraits<ConvOp> {
                                        const gpusim::DeviceDescriptor& dev) {
     return codegen::analyze(s, t, dev);
   }
-  static std::vector<double> featurize(const Shape& s, const Tuning& t) {
-    return tuning::features(s, t);
-  }
   static void featurize_into(const Shape& s, const Tuning& t, double* out) {
     tuning::features_into(s, t, out);
   }
@@ -173,9 +168,6 @@ struct OperationTraits<BatchedGemmOp> {
   static gpusim::KernelProfile analyze(const Shape& s, const Tuning& t,
                                        const gpusim::DeviceDescriptor& dev) {
     return codegen::analyze(s, t, dev);
-  }
-  static std::vector<double> featurize(const Shape& s, const Tuning& t) {
-    return tuning::features(s, t);
   }
   static void featurize_into(const Shape& s, const Tuning& t, double* out) {
     tuning::features_into(s, t, out);

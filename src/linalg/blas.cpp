@@ -217,8 +217,8 @@ float dot_k(const float* __restrict__ x, const float* __restrict__ y, std::size_
   return ((s0 + s1) + (s2 + s3)) + tail;
 }
 
-/// Narrow-output fast path (n ≤ kSmallN — the MLP's scalar prediction head,
-/// and gemv): per-row dot products against k-contiguous B columns. Skips the
+/// Narrow-output fast path (n ≤ kSmallN — the MLP's scalar prediction head
+/// and its gradient): per-row dot products against k-contiguous B columns. Skips the
 /// panel machinery entirely; the packed tile kernel would spend nr/n of its
 /// work multiplying padding.
 void gemm_small_n(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
@@ -290,7 +290,7 @@ void gemm_blocked(const MicroKernel& mk, Trans trans_a, Trans trans_b, float alp
   const auto [m, n, k] = d;
   if (m == 0 || n == 0) return;
   if (k == 0 || alpha == 0.0f) {
-    scale(beta, c);
+    for (std::size_t i = 0; i < c.size(); ++i) c.data()[i] *= beta;
     return;
   }
   // Dispatch depends only on the problem shape, never on `threaded` or pool
@@ -371,44 +371,6 @@ void gemm_reference(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, 
       }
       c(i, j) = alpha * static_cast<float>(acc) + beta * c(i, j);
     }
-  }
-}
-
-void gemv(Trans trans_a, float alpha, const Matrix& a, const Matrix& x, float beta, Matrix& y) {
-  if (x.cols() != 1 || y.cols() != 1) throw std::invalid_argument("gemv: x/y must be column vectors");
-  gemm(trans_a, Trans::No, alpha, a, x, beta, y);
-}
-
-void axpy(float alpha, const Matrix& x, Matrix& y) {
-  if (x.rows() != y.rows() || x.cols() != y.cols()) {
-    throw std::invalid_argument("axpy: shape mismatch");
-  }
-  const float* xp = x.data();
-  float* yp = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) yp[i] += alpha * xp[i];
-}
-
-void scale(float alpha, Matrix& x) {
-  float* p = x.data();
-  for (std::size_t i = 0; i < x.size(); ++i) p[i] *= alpha;
-}
-
-Matrix col_sums(const Matrix& a) {
-  Matrix out(1, a.cols(), 0.0f);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const float* row = a.data() + r * a.cols();
-    for (std::size_t c = 0; c < a.cols(); ++c) out(0, c) += row[c];
-  }
-  return out;
-}
-
-void add_row_vector(Matrix& a, const Matrix& row) {
-  if (row.rows() != 1 || row.cols() != a.cols()) {
-    throw std::invalid_argument("add_row_vector: shape mismatch");
-  }
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    float* arow = a.data() + r * a.cols();
-    for (std::size_t c = 0; c < a.cols(); ++c) arow[c] += row(0, c);
   }
 }
 

@@ -1,7 +1,8 @@
-// Blocked, threaded BLAS-like routines on Matrix.
+// Blocked BLAS-like GEMM on Matrix.
 //
 // Only what the MLP and the reference checks need: GEMM with optional
-// transposes, GEMV, rank-agnostic elementwise ops, and row/col reductions.
+// transposes. The MLP's forward and backward passes, for scoring and for
+// training alike, run gemm_serial on the calling thread.
 //
 // The GEMM is a register-blocked panel kernel (see blas.cpp): op(A) is packed
 // into MR-interleaved row panels, op(B) into NR-wide column panels, and an
@@ -24,7 +25,9 @@ enum class Trans { No, Yes };
 /// op(A) is rows(A) x cols(A) after the optional transpose; shapes are
 /// validated against C. Parallelized over row blocks *and* column panels of C
 /// on the global pool; falls back to the serial kernel when the problem is
-/// too small to split.
+/// too small to split. No library path calls it: it is measured by
+/// perfbench's linalg.gemm_gflops layer and the rank gate's
+/// gemm_speedup_vs_reference (bench_inference_throughput).
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
           float beta, Matrix& c);
 
@@ -39,21 +42,6 @@ void gemm_serial(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, con
 /// Naive triple loop, serial; used to validate the blocked kernel.
 void gemm_reference(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
                     float beta, Matrix& c);
-
-/// y = alpha * op(A) * x + beta * y (x, y are n x 1 matrices).
-void gemv(Trans trans_a, float alpha, const Matrix& a, const Matrix& x, float beta, Matrix& y);
-
-/// y += alpha * x (elementwise over equal shapes).
-void axpy(float alpha, const Matrix& x, Matrix& y);
-
-/// x *= alpha.
-void scale(float alpha, Matrix& x);
-
-/// Per-column sum of rows: returns 1 x cols.
-Matrix col_sums(const Matrix& a);
-
-/// Broadcast-add a 1 x cols row vector onto every row of a.
-void add_row_vector(Matrix& a, const Matrix& row);
 
 namespace detail {
 

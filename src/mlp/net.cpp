@@ -38,33 +38,6 @@ std::size_t Mlp::num_parameters() const noexcept {
   return n;
 }
 
-Matrix Mlp::forward(const Matrix& x, Cache* cache) const {
-  if (x.cols() != static_cast<std::size_t>(config_.inputs)) {
-    throw std::invalid_argument("Mlp::forward: feature arity mismatch");
-  }
-  if (cache) {
-    cache->a.clear();
-    cache->z.clear();
-    cache->a.push_back(x);
-  }
-  Matrix a = x;
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    Matrix z(a.rows(), weights_[l].cols());
-    linalg::gemm(Trans::No, Trans::No, 1.0f, a, weights_[l], 0.0f, z);
-    linalg::add_row_vector(z, biases_[l]);
-    if (cache) cache->z.push_back(z);
-    const bool is_output = l + 1 == weights_.size();
-    if (!is_output) {
-      for (std::size_t i = 0; i < z.size(); ++i) {
-        z.data()[i] = z.data()[i] > 0.0f ? z.data()[i] : 0.0f;  // relu
-      }
-    }
-    if (cache) cache->a.push_back(z);
-    a = std::move(z);
-  }
-  return a;
-}
-
 const Matrix& Mlp::forward_into(Workspace& ws) const {
   if (ws.x.cols() != static_cast<std::size_t>(config_.inputs)) {
     throw std::invalid_argument("Mlp::forward_into: feature arity mismatch");
@@ -76,8 +49,7 @@ const Matrix& Mlp::forward_into(Workspace& ws) const {
     Matrix& z = ws.a[l];
     z.reshape(batch, weights_[l].cols());
     linalg::gemm_serial(Trans::No, Trans::No, 1.0f, *prev, weights_[l], 0.0f, z);
-    // Bias broadcast and ReLU fused into one pass over z (same value order as
-    // forward()'s add_row_vector-then-relu, so results stay bit-identical).
+    // Bias broadcast and ReLU fused into one pass over z.
     const float* bias = biases_[l].data();
     const std::size_t cols = z.cols();
     const bool is_output = l + 1 == weights_.size();
@@ -97,33 +69,41 @@ const Matrix& Mlp::forward_into(Workspace& ws) const {
   return ws.a.back();
 }
 
-void Mlp::backward(const Cache& cache, const Matrix& dLdy, std::vector<Matrix>& dW,
-                   std::vector<Matrix>& db) const {
+void Mlp::backward(const Workspace& ws, const Matrix& dLdy, Gradients& g) const {
   const std::size_t L = weights_.size();
-  if (cache.a.size() != L + 1 || cache.z.size() != L) {
-    throw std::invalid_argument("Mlp::backward: cache does not match network");
+  const std::size_t batch = ws.x.rows();
+  bool matches = ws.a.size() == L && dLdy.rows() == batch && dLdy.cols() == 1;
+  for (std::size_t l = 0; matches && l < L; ++l) {
+    matches = ws.a[l].rows() == batch && ws.a[l].cols() == weights_[l].cols();
   }
-  dW.assign(L, Matrix());
-  db.assign(L, Matrix());
-
-  Matrix delta = dLdy;  // gradient flowing backwards; starts at the output
+  if (!matches) throw std::invalid_argument("Mlp::backward: workspace does not match network");
+  g.dW.resize(L);
+  g.db.resize(L);
+  g.delta.resize(L - 1);
   for (std::size_t l = L; l-- > 0;) {
-    const bool is_output = l + 1 == L;
-    if (!is_output) {
-      // delta ⊙ relu'(z_l)
-      const Matrix& z = cache.z[l];
-      for (std::size_t i = 0; i < delta.size(); ++i) {
-        if (z.data()[i] <= 0.0f) delta.data()[i] = 0.0f;
+    // delta = dL/dz_l: dLdy at the output, else g.delta[l] ⊙ relu'(z_l).
+    if (l + 1 != L) {
+      const float* a = ws.a[l].data();
+      float* d = g.delta[l].data();
+      for (std::size_t i = 0; i < g.delta[l].size(); ++i) {
+        if (a[i] <= 0.0f) d[i] = 0.0f;
       }
     }
+    const Matrix& delta = l + 1 == L ? dLdy : g.delta[l];
     // dW_l = a_{l-1}^T · delta ; db_l = column sums of delta
-    dW[l] = Matrix(weights_[l].rows(), weights_[l].cols());
-    linalg::gemm(Trans::Yes, Trans::No, 1.0f, cache.a[l], delta, 0.0f, dW[l]);
-    db[l] = linalg::col_sums(delta);
+    const Matrix& input = l == 0 ? ws.x : ws.a[l - 1];
+    g.dW[l].reshape(weights_[l].rows(), weights_[l].cols());
+    linalg::gemm_serial(Trans::Yes, Trans::No, 1.0f, input, delta, 0.0f, g.dW[l]);
+    Matrix& db = g.db[l];
+    db.reshape(1, delta.cols());
+    db.set_zero();
+    for (std::size_t r = 0; r < batch; ++r) {
+      const float* row = delta.data() + r * delta.cols();
+      for (std::size_t c = 0; c < delta.cols(); ++c) db.data()[c] += row[c];
+    }
     if (l > 0) {
-      Matrix next(delta.rows(), weights_[l].rows());
-      linalg::gemm(Trans::No, Trans::Yes, 1.0f, delta, weights_[l], 0.0f, next);
-      delta = std::move(next);
+      g.delta[l - 1].reshape(batch, weights_[l].rows());
+      linalg::gemm_serial(Trans::No, Trans::Yes, 1.0f, delta, weights_[l], 0.0f, g.delta[l - 1]);
     }
   }
 }
@@ -131,26 +111,28 @@ void Mlp::backward(const Cache& cache, const Matrix& dLdy, std::vector<Matrix>& 
 Adam::Adam(double lr, double beta1, double beta2, double epsilon)
     : lr_(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {}
 
-void Adam::step(std::vector<linalg::Matrix*> params,
-                const std::vector<const linalg::Matrix*>& grads) {
-  if (params.size() != grads.size()) throw std::invalid_argument("Adam::step: arity mismatch");
+void Adam::step(Mlp& net, const Mlp::Gradients& grads) {
+  const std::size_t L = net.num_layers();
+  if (grads.dW.size() != L || grads.db.size() != L) {
+    throw std::invalid_argument("Adam::step: arity mismatch");
+  }
   if (m_.empty()) {
-    for (const auto* p : params) {
-      m_.emplace_back(p->rows(), p->cols(), 0.0f);
-      v_.emplace_back(p->rows(), p->cols(), 0.0f);
+    for (std::size_t l = 0; l < L; ++l) {
+      for (const Matrix* p : {&net.weights()[l], &net.biases()[l]}) {
+        m_.emplace_back(p->rows(), p->cols(), 0.0f);
+        v_.emplace_back(p->rows(), p->cols(), 0.0f);
+      }
     }
   }
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Matrix& p = *params[i];
-    const Matrix& g = *grads[i];
+  const auto update = [&](std::size_t slot, Matrix& p, const Matrix& g) {
     if (p.rows() != g.rows() || p.cols() != g.cols()) {
       throw std::invalid_argument("Adam::step: gradient shape mismatch");
     }
-    float* mp = m_[i].data();
-    float* vp = v_[i].data();
+    float* mp = m_[slot].data();
+    float* vp = v_[slot].data();
     float* pp = p.data();
     const float* gp = g.data();
     for (std::size_t j = 0; j < p.size(); ++j) {
@@ -160,6 +142,10 @@ void Adam::step(std::vector<linalg::Matrix*> params,
       const double vhat = vp[j] / bc2;
       pp[j] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + epsilon_));
     }
+  };
+  for (std::size_t l = 0; l < L; ++l) {
+    update(2 * l, net.weights()[l], grads.dW[l]);
+    update(2 * l + 1, net.biases()[l], grads.db[l]);
   }
 }
 

@@ -7,7 +7,11 @@
 // (eq. (2)-(3)); multiplicative relationships are handled by the log feature
 // transform applied upstream (§5.2).
 //
-// All math runs on the in-repo linalg BLAS — fittingly, MLP inference over
+// One forward body serves scoring and training: forward_into runs over a
+// caller-owned Workspace, and backward reads that workspace's activations
+// into caller-owned Gradients, so a training loop that reuses both allocates
+// nothing after its first minibatch. All math runs serially on the in-repo
+// linalg BLAS (linalg::gemm_serial) — fittingly, MLP inference over
 // ~15-feature vectors is itself the highly rectangular GEMM regime ISAAC
 // targets (§5: the system "could itself be bootstrapped").
 #pragma once
@@ -30,12 +34,6 @@ class Mlp {
  public:
   explicit Mlp(const MlpConfig& config);
 
-  /// Activations retained for backprop.
-  struct Cache {
-    std::vector<linalg::Matrix> a;  // a[0] = input, a[L] = output
-    std::vector<linalg::Matrix> z;  // pre-activations per layer
-  };
-
   /// Caller-owned forward-pass arena: the input matrix plus one activation
   /// buffer per layer, reshaped (never reallocated past their high-water
   /// mark) on every forward_into call. One workspace per thread lets a
@@ -47,19 +45,23 @@ class Mlp {
     std::vector<linalg::Matrix> a;  // per-layer activations, a.back() = output
   };
 
-  /// x: [batch × inputs]; returns [batch × 1] predictions.
-  linalg::Matrix forward(const linalg::Matrix& x, Cache* cache = nullptr) const;
+  /// Caller-owned backward-pass buffers, reshaped like Workspace's.
+  struct Gradients {
+    std::vector<linalg::Matrix> dW, db;  // same shapes as weights()/biases()
+    std::vector<linalg::Matrix> delta;   // dL/dz per hidden layer
+  };
 
   /// Allocation-free forward pass over ws.x (batch = ws.x.rows()): runs
   /// entirely on the calling thread (linalg::gemm_serial) and reuses the
   /// workspace's buffers. Returns ws.a.back(), valid until the next call.
-  /// Bit-identical to forward() on the same input.
   const linalg::Matrix& forward_into(Workspace& ws) const;
 
-  /// dLdy: [batch × 1] gradient of the loss w.r.t. the output. Fills
-  /// per-layer weight/bias gradients (same shapes as weights()/biases()).
-  void backward(const Cache& cache, const linalg::Matrix& dLdy,
-                std::vector<linalg::Matrix>& dW, std::vector<linalg::Matrix>& db) const;
+  /// Backpropagate dLdy ([batch × 1], the loss gradient w.r.t. the output)
+  /// through the activations the last forward_into(ws) on this network left
+  /// in `ws`, filling g.dW / g.db. Runs on the calling thread and reuses g's
+  /// buffers. ReLU's derivative is masked where the activation is ≤ 0, which
+  /// for any finite pre-activation is where the pre-activation is ≤ 0.
+  void backward(const Workspace& ws, const linalg::Matrix& dLdy, Gradients& g) const;
 
   std::size_t num_layers() const noexcept { return weights_.size(); }
   std::size_t num_parameters() const noexcept;
@@ -77,18 +79,20 @@ class Mlp {
   std::vector<linalg::Matrix> biases_;   // [1 × fan_out] per layer
 };
 
-/// Adam optimizer over the MLP's parameter list.
+/// Adam optimizer over an MLP's weights and biases.
 class Adam {
  public:
   explicit Adam(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
                 double epsilon = 1e-8);
 
-  void step(std::vector<linalg::Matrix*> params, const std::vector<const linalg::Matrix*>& grads);
+  /// One update of every layer's weights and biases, in place, from `grads`
+  /// (shapes must match the network's; std::invalid_argument otherwise).
+  void step(Mlp& net, const Mlp::Gradients& grads);
 
  private:
   double lr_, beta1_, beta2_, epsilon_;
   std::int64_t t_ = 0;
-  std::vector<linalg::Matrix> m_, v_;
+  std::vector<linalg::Matrix> m_, v_;  // per parameter: W0, b0, W1, b1, ...
 };
 
 }  // namespace isaac::mlp

@@ -9,29 +9,29 @@
 
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
-#include "linalg/blas.hpp"
 
 namespace isaac::mlp {
 
 using linalg::Matrix;
 
-void Scaler::fit(const std::vector<std::vector<double>>& rows) {
+void Scaler::fit(const tuning::FeatureBatch& rows) {
   if (rows.empty()) throw std::invalid_argument("Scaler::fit: empty data");
-  const std::size_t f = rows.front().size();
+  const std::size_t f = rows.arity();
+  const double n = static_cast<double>(rows.rows());
   mean.assign(f, 0.0);
   stddev.assign(f, 0.0);
-  for (const auto& row : rows) {
-    for (std::size_t i = 0; i < f; ++i) mean[i] += row[i];
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
+    for (std::size_t i = 0; i < f; ++i) mean[i] += rows.row(r)[i];
   }
-  for (double& m : mean) m /= static_cast<double>(rows.size());
-  for (const auto& row : rows) {
+  for (double& m : mean) m /= n;
+  for (std::size_t r = 0; r < rows.rows(); ++r) {
     for (std::size_t i = 0; i < f; ++i) {
-      const double d = row[i] - mean[i];
+      const double d = rows.row(r)[i] - mean[i];
       stddev[i] += d * d;
     }
   }
   for (double& s : stddev) {
-    s = std::sqrt(s / static_cast<double>(rows.size()));
+    s = std::sqrt(s / n);
     if (s < 1e-12) s = 1.0;  // constant feature: pass through centred
   }
 }
@@ -43,51 +43,50 @@ void Scaler::apply(std::vector<double>& row) const {
 
 namespace {
 
-std::vector<double> preprocess(const std::vector<double>& raw, bool log_features) {
-  std::vector<double> out = raw;
-  if (log_features) {
-    for (double& v : out) {
-      if (v <= 0.0) throw std::invalid_argument("log feature transform: non-positive feature");
-      v = std::log(v);
+/// The §5.2 feature transform of one raw value.
+double log_feature(double v) {
+  if (v <= 0.0) throw std::invalid_argument("log feature transform: non-positive feature");
+  return std::log(v);
+}
+
+/// The §5.2 target encode: log GFLOPS, standardized.
+double encode_target(double gflops, double y_mean, double y_std) {
+  return (std::log(std::max(gflops, 1e-6)) - y_mean) / y_std;
+}
+
+/// A dataset's feature rows as one flat batch; std::invalid_argument when a
+/// sample does not carry `arity` features.
+tuning::FeatureBatch gather_features(const tuning::Dataset& data, std::size_t arity,
+                                     const char* who) {
+  tuning::FeatureBatch batch(arity, data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (data[i].x.size() != arity) {
+      throw std::invalid_argument(strings::format("%s: sample arity mismatch", who));
     }
+    std::copy(data[i].x.begin(), data[i].x.end(), batch.row(i));
   }
-  return out;
+  return batch;
 }
 
-}  // namespace
-
-Regressor::Regressor(Mlp net, Scaler feature_scaler, double y_mean, double y_std,
-                     bool log_features)
-    : net_(std::move(net)),
-      feature_scaler_(std::move(feature_scaler)),
-      y_mean_(y_mean),
-      y_std_(y_std),
-      log_features_(log_features) {}
-
-double Regressor::predict_gflops(const std::vector<double>& raw_features) const {
-  tuning::FeatureBatch row(raw_features.size(), 1);
-  std::copy(raw_features.begin(), raw_features.end(), row.row(0));
-  double out = 0.0;
-  predict_gflops_rows(row, 0, 1, &out);
-  return out;
-}
-
-void Regressor::encode_rows(const tuning::FeatureBatch& batch, std::size_t begin,
-                            std::size_t end, Matrix& x) const {
-  if (batch.arity() != feature_scaler_.mean.size()) {
+/// The fused §5.2 encode of batch rows [begin, end) into `x`: log transform
+/// (when `log_features`), standardize by `scaler`, float cast. Throws
+/// std::invalid_argument when the batch's arity is not the scaler's; leaves
+/// `x` alone for an empty range. Scoring and training both encode here.
+void encode_rows(const Scaler& scaler, bool log_features, const tuning::FeatureBatch& batch,
+                 std::size_t begin, std::size_t end, Matrix& x) {
+  if (batch.arity() != scaler.mean.size()) {
     throw std::invalid_argument(
         strings::format("Regressor: batch arity %zu does not match the model's %zu features",
-                        batch.arity(), feature_scaler_.mean.size()));
+                        batch.arity(), scaler.mean.size()));
   }
   if (begin == end) return;
-  const std::size_t arity = feature_scaler_.mean.size();
-  const double* mean = feature_scaler_.mean.data();
-  const double* stddev = feature_scaler_.stddev.data();
+  const std::size_t arity = scaler.mean.size();
+  const double* mean = scaler.mean.data();
+  const double* stddev = scaler.stddev.data();
   x.reshape(end - begin, arity);
-  // Fused §5.2 pipeline: log transform, standardize, float cast — one loop,
-  // written straight into the input matrix. Same operation order as
-  // preprocess() + Scaler::apply(), which training uses; arity was validated
-  // above, once per call.
+  // One loop, written straight into the input matrix, in the same operation
+  // order as Scaler::apply on a logged row; arity was validated above, once
+  // per call.
   //
   // Enumerated candidate batches repeat values heavily down each column (the
   // shape features are constant, and adjacent candidates differ only in the
@@ -109,10 +108,7 @@ void Regressor::encode_rows(const tuning::FeatureBatch& batch, std::size_t begin
         continue;
       }
       if (memo) last_raw[c] = v;
-      if (log_features_) {
-        if (v <= 0.0) throw std::invalid_argument("log feature transform: non-positive feature");
-        v = std::log(v);
-      }
+      if (log_features) v = log_feature(v);
       const float enc = static_cast<float>((v - mean[c]) / stddev[c]);
       if (memo) last_enc[c] = enc;
       dst[c] = enc;
@@ -120,12 +116,30 @@ void Regressor::encode_rows(const tuning::FeatureBatch& batch, std::size_t begin
   }
 }
 
+}  // namespace
+
+Regressor::Regressor(Mlp net, Scaler feature_scaler, double y_mean, double y_std,
+                     bool log_features)
+    : net_(std::move(net)),
+      feature_scaler_(std::move(feature_scaler)),
+      y_mean_(y_mean),
+      y_std_(y_std),
+      log_features_(log_features) {}
+
+double Regressor::predict_gflops(const std::vector<double>& raw_features) const {
+  tuning::FeatureBatch row(raw_features.size(), 1);
+  std::copy(raw_features.begin(), raw_features.end(), row.row(0));
+  double out = 0.0;
+  predict_gflops_rows(row, 0, 1, &out);
+  return out;
+}
+
 void Regressor::predict_gflops_rows(const tuning::FeatureBatch& batch, std::size_t begin,
                                     std::size_t end, double* out) const {
   // One forward-pass arena per thread, reused across calls: after the first
   // block at a given size the pipeline performs no transient allocations.
   thread_local Mlp::Workspace ws;
-  encode_rows(batch, begin, end, ws.x);
+  encode_rows(feature_scaler_, log_features_, batch, begin, end, ws.x);
   if (begin == end) return;
   const Matrix& y = net_.forward_into(ws);
   for (std::size_t i = 0; i < end - begin; ++i) {
@@ -152,20 +166,13 @@ std::vector<double> Regressor::predict_gflops_chunked(const tuning::FeatureBatch
 
 double Regressor::mse(const tuning::Dataset& data) const {
   if (data.empty()) throw std::invalid_argument("Regressor::mse: empty dataset");
-  tuning::FeatureBatch batch(num_features());
-  for (const auto& s : data.samples()) {
-    if (s.x.size() != num_features()) {
-      throw std::invalid_argument("Regressor::mse: sample arity mismatch");
-    }
-    std::copy(s.x.begin(), s.x.end(), batch.append_row());
-  }
-  Matrix x;
-  encode_rows(batch, 0, batch.rows(), x);
-  const Matrix y = net_.forward(x);
+  Mlp::Workspace ws;
+  encode_rows(feature_scaler_, log_features_,
+              gather_features(data, num_features(), "Regressor::mse"), 0, data.size(), ws.x);
+  const Matrix& y = net_.forward_into(ws);
   double acc = 0.0;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    const double target = (std::log(std::max(data[i].y, 1e-6)) - y_mean_) / y_std_;
-    const double d = static_cast<double>(y(i, 0)) - target;
+    const double d = static_cast<double>(y(i, 0)) - encode_target(data[i].y, y_mean_, y_std_);
     acc += d * d;
   }
   return acc / static_cast<double>(data.size());
@@ -237,11 +244,21 @@ Regressor Regressor::load(std::istream& is) {
 namespace {
 
 /// The minibatch-Adam loop shared by cold training and warm-start training:
-/// optimize `net` in place over the already-encoded (x_all, y_all).
-void fit_minibatch(Mlp& net, const Matrix& x_all, const Matrix& y_all,
-                   const TrainConfig& config) {
-  const std::size_t n = x_all.rows();
-  const std::size_t width = x_all.cols();
+/// encode `data` through the §5.2 pipeline with the given statistics, then
+/// optimize `net` in place over it. Each minibatch is gathered into one
+/// reused forward workspace and backpropagated into one reused gradient set,
+/// so nothing is allocated after the first (largest) minibatch.
+void fit_minibatch(Mlp& net, const Scaler& scaler, bool log_features, double y_mean,
+                   double y_std, const tuning::FeatureBatch& features,
+                   const tuning::Dataset& data, const TrainConfig& config) {
+  const std::size_t n = data.size();
+  const std::size_t width = features.arity();
+  Matrix x_all;
+  encode_rows(scaler, log_features, features, 0, n, x_all);
+  std::vector<float> y_all(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    y_all[i] = static_cast<float>(encode_target(data[i].y, y_mean, y_std));
+  }
 
   Adam adam(config.learning_rate);
   Rng rng(config.seed ^ 0xABCD);
@@ -249,7 +266,9 @@ void fit_minibatch(Mlp& net, const Matrix& x_all, const Matrix& y_all,
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
 
   const std::size_t batch = static_cast<std::size_t>(std::max(config.batch_size, 1));
-  std::vector<Matrix> dW, db;
+  Mlp::Workspace ws;
+  Mlp::Gradients grads;
+  Matrix dLdy;
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     rng.shuffle(order);
@@ -257,38 +276,25 @@ void fit_minibatch(Mlp& net, const Matrix& x_all, const Matrix& y_all,
     std::size_t batches = 0;
 
     for (std::size_t start = 0; start < n; start += batch) {
-      const std::size_t end = std::min(n, start + batch);
-      const std::size_t bs = end - start;
-      Matrix xb(bs, width);
-      Matrix yb(bs, 1);
+      const std::size_t bs = std::min(n, start + batch) - start;
+      ws.x.reshape(bs, width);
       for (std::size_t i = 0; i < bs; ++i) {
-        const std::size_t src = order[start + i];
-        for (std::size_t c = 0; c < width; ++c) xb(i, c) = x_all(src, c);
-        yb(i, 0) = y_all(src, 0);
+        std::copy_n(x_all.data() + order[start + i] * width, width, ws.x.data() + i * width);
       }
 
-      Mlp::Cache cache;
-      const Matrix pred = net.forward(xb, &cache);
-      Matrix dLdy(bs, 1);
+      const Matrix& pred = net.forward_into(ws);
+      dLdy.reshape(bs, 1);
       double loss = 0.0;
       for (std::size_t i = 0; i < bs; ++i) {
-        const float d = pred(i, 0) - yb(i, 0);
+        const float d = pred(i, 0) - y_all[order[start + i]];
         loss += static_cast<double>(d) * d;
         dLdy(i, 0) = 2.0f * d / static_cast<float>(bs);
       }
       epoch_loss += loss / static_cast<double>(bs);
       ++batches;
 
-      net.backward(cache, dLdy, dW, db);
-      std::vector<Matrix*> params;
-      std::vector<const Matrix*> grads;
-      for (std::size_t l = 0; l < net.num_layers(); ++l) {
-        params.push_back(&net.weights()[l]);
-        grads.push_back(&dW[l]);
-        params.push_back(&net.biases()[l]);
-        grads.push_back(&db[l]);
-      }
-      adam.step(params, grads);
+      net.backward(ws, dLdy, grads);
+      adam.step(net, grads);
     }
 
     if (config.on_epoch) {
@@ -302,44 +308,34 @@ void fit_minibatch(Mlp& net, const Matrix& x_all, const Matrix& y_all,
 Regressor train(const tuning::Dataset& train_data, const TrainConfig& config) {
   if (train_data.empty()) throw std::invalid_argument("train: empty dataset");
 
-  // ---- fit preprocessing on training data ----
-  std::vector<std::vector<double>> rows;
-  rows.reserve(train_data.size());
-  std::vector<double> targets;
-  targets.reserve(train_data.size());
-  for (const auto& s : train_data.samples()) {
-    rows.push_back(preprocess(s.x, config.log_features));
-    targets.push_back(std::log(std::max(s.y, 1e-6)));
+  // ---- fit the §5.2 statistics on the training data ----
+  const tuning::FeatureBatch features =
+      gather_features(train_data, tuning::kNumFeatures, "train");
+  tuning::FeatureBatch logged = features;
+  if (config.log_features) {
+    double* v = logged.data();
+    for (std::size_t i = 0; i < logged.rows() * logged.arity(); ++i) v[i] = log_feature(v[i]);
   }
   Scaler scaler;
-  scaler.fit(rows);
-  for (auto& r : rows) scaler.apply(r);
+  scaler.fit(logged);
 
+  const double n = static_cast<double>(train_data.size());
   double y_mean = 0.0;
-  for (double t : targets) y_mean += t;
-  y_mean /= static_cast<double>(targets.size());
+  for (const auto& s : train_data.samples()) y_mean += std::log(std::max(s.y, 1e-6));
+  y_mean /= n;
   double y_var = 0.0;
-  for (double t : targets) y_var += (t - y_mean) * (t - y_mean);
-  const double y_std = std::max(std::sqrt(y_var / static_cast<double>(targets.size())), 1e-9);
+  for (const auto& s : train_data.samples()) {
+    const double d = std::log(std::max(s.y, 1e-6)) - y_mean;
+    y_var += d * d;
+  }
+  const double y_std = std::max(std::sqrt(y_var / n), 1e-9);
 
-  // ---- encode once ----
+  // ---- minibatch Adam from a fresh network ----
   MlpConfig net_cfg = config.net;
   net_cfg.inputs = static_cast<int>(tuning::kNumFeatures);
   net_cfg.seed = config.seed;
   Mlp net(net_cfg);
-
-  const std::size_t n = rows.size();
-  Matrix x_all(n, tuning::kNumFeatures);
-  Matrix y_all(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < tuning::kNumFeatures; ++c) {
-      x_all(i, c) = static_cast<float>(rows[i][c]);
-    }
-    y_all(i, 0) = static_cast<float>((targets[i] - y_mean) / y_std);
-  }
-
-  // ---- minibatch Adam ----
-  fit_minibatch(net, x_all, y_all, config);
+  fit_minibatch(net, scaler, config.log_features, y_mean, y_std, features, train_data, config);
 
   return Regressor(std::move(net), std::move(scaler), y_mean, y_std, config.log_features);
 }
@@ -347,26 +343,14 @@ Regressor train(const tuning::Dataset& train_data, const TrainConfig& config) {
 Regressor train_warm_start(const Regressor& base, const tuning::Dataset& delta,
                            const TrainConfig& config) {
   if (delta.empty()) throw std::invalid_argument("train_warm_start: empty dataset");
-  const std::size_t arity = base.num_features();
-
-  // ---- encode with base's frozen preprocessing ----
-  const Scaler& scaler = base.feature_scaler();
-  const std::size_t n = delta.size();
-  Matrix x_all(n, arity);
-  Matrix y_all(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> row = preprocess(delta[i].x, base.log_features());
-    scaler.apply(row);  // throws on arity mismatch with the base model
-    for (std::size_t c = 0; c < arity; ++c) x_all(i, c) = static_cast<float>(row[c]);
-    const double target = std::log(std::max(delta[i].y, 1e-6));
-    y_all(i, 0) = static_cast<float>((target - base.y_mean()) / base.y_std());
-  }
-
-  // ---- resume the optimizer from the copied network ----
+  // ---- resume the optimizer from the copied network, on base's frozen
+  //      preprocessing ----
   Mlp net = base.net();
-  fit_minibatch(net, x_all, y_all, config);
-
-  return Regressor(std::move(net), scaler, base.y_mean(), base.y_std(), base.log_features());
+  fit_minibatch(net, base.feature_scaler(), base.log_features(), base.y_mean(), base.y_std(),
+                gather_features(delta, base.num_features(), "train_warm_start"), delta,
+                config);
+  return Regressor(std::move(net), base.feature_scaler(), base.y_mean(), base.y_std(),
+                   base.log_features());
 }
 
 }  // namespace isaac::mlp

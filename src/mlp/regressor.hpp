@@ -3,6 +3,8 @@
 // Wraps the MLP with the §5.2 preprocessing pipeline:
 //   features:  x -> log(x) (unless ablated) -> standardize (train statistics)
 //   target:    y GFLOPS -> log(y) -> standardize
+// One fused encode loop (regressor.cpp) applies it for scoring, training and
+// mse alike.
 // Cross-validation MSE is reported in standardized log-target units — the
 // scale on which Table 2's 0.06–0.17 values live.
 #pragma once
@@ -34,11 +36,11 @@ struct Scaler {
   std::vector<double> mean;
   std::vector<double> stddev;
 
-  void fit(const std::vector<std::vector<double>>& rows);
-  /// Per-row entry point (throws on arity mismatch). The batched scoring
-  /// pipeline does not call this: it validates arity once per FeatureBatch
-  /// and fuses the standardization into its encode loop instead of paying
-  /// the check per candidate.
+  void fit(const tuning::FeatureBatch& rows);
+  /// Per-row standardization (throws on arity mismatch). Scoring and
+  /// training do not call this: they validate arity once per FeatureBatch
+  /// and fuse the standardization into Regressor's encode loop. It is the
+  /// plain form that loop is tested against (tests/support).
   void apply(std::vector<double>& row) const;
 };
 
@@ -90,13 +92,6 @@ class Regressor {
   static Regressor load(std::istream& is);
 
  private:
-  /// The fused §5.2 encode of batch rows [begin, end) into `x` (log
-  /// transform, standardize, float cast). Throws std::invalid_argument when
-  /// the batch's arity is not the model's; leaves `x` alone for an empty
-  /// range.
-  void encode_rows(const tuning::FeatureBatch& batch, std::size_t begin, std::size_t end,
-                   linalg::Matrix& x) const;
-
   Mlp net_;
   Scaler feature_scaler_;
   double y_mean_, y_std_;

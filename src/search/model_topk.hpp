@@ -52,6 +52,7 @@
 #include "search/strategy.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "tuning/dataset.hpp"
 #include "tuning/feature_batch.hpp"
 
 namespace isaac::search {
@@ -188,16 +189,13 @@ template <typename Op>
 void score_and_order(const SearchProblem<Op>& problem, const SearchConfig& config,
                      std::size_t top_k, RankedCandidates<Op>& out) {
   if (out.candidates.empty()) return;
-  // Size rows by the *op's* feature arity (probed once via the allocating
-  // featurize), not the model's: featurize_into writes the op's full width,
-  // and a model trained with a different feature set must surface as the
-  // scorer's clean arity throw, not as out-of-row writes.
-  const std::vector<double> probe =
-      problem.featurize(problem.space->decode(out.candidates.front()));
-  tuning::FeatureBatch batch(probe.size(), out.candidates.size());
-  std::copy(probe.begin(), probe.end(), batch.row(0));
-  ThreadPool::global().parallel_for_each(out.candidates.size() - 1, [&](std::size_t i) {
-    problem.featurize_into(problem.space->decode(out.candidates[i + 1]), batch.row(i + 1));
+  // Size rows by the *op's* feature arity (every featurize_into writes
+  // tuning::kNumFeatures), not the model's: a model trained with a different
+  // feature set must surface as the scorer's clean arity throw, not as
+  // out-of-row writes.
+  tuning::FeatureBatch batch(tuning::kNumFeatures, out.candidates.size());
+  ThreadPool::global().parallel_for_each(out.candidates.size(), [&](std::size_t i) {
+    problem.featurize_into(problem.space->decode(out.candidates[i]), batch.row(i));
   });
   const std::size_t chunk = config.batch > 0 ? config.batch : 8192;
   out.scores = problem.model->predict_gflops_chunked(batch, chunk);
@@ -308,10 +306,14 @@ class BlockRanker {
  public:
   using Tuning = typename SearchProblem<Op>::Tuning;
 
-  BlockRanker(const SearchProblem<Op>& problem, const ChoiceKeys& keys, std::size_t arity,
-              std::size_t block, std::size_t k)
+  /// Rows are sized by the *op's* feature arity (every featurize_into writes
+  /// tuning::kNumFeatures), not the model's: a model trained with a different
+  /// feature set must surface as the scorer's clean arity throw, not as
+  /// out-of-row writes.
+  BlockRanker(const SearchProblem<Op>& problem, const ChoiceKeys& keys, std::size_t block,
+              std::size_t k)
       : problem_(problem), keys_(keys), stage_(thread_stage()), top_(k) {
-    stage_.rows.reset(arity, block);
+    stage_.rows.reset(tuning::kNumFeatures, block);
     stage_.keys.resize(block);
     stage_.scores.resize(block);
     stage_.staged = 0;
@@ -389,13 +391,6 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
   const detail::ChoiceKeys keys(domains);
   const std::size_t block = config.batch > 0 ? config.batch : 8192;
   const std::size_t k = std::max<std::size_t>(top_k, 1);
-  // Rows are sized by the *op's* feature arity, probed on any point of X̂
-  // (featurization is pure arithmetic), not the model's: a model trained
-  // with a different feature set must surface as the scorer's clean arity
-  // throw, not as out-of-row writes.
-  const auto feature_arity = [&](const Choice& any) {
-    return problem.featurize(problem.decode(any)).size();
-  };
   std::vector<std::vector<detail::ScoredPoint>> parts;
 
   const std::size_t cap = config.max_candidates;
@@ -405,10 +400,9 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
     const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
     const WalkChunkPlan plan = plan_legal_walk(domains, csp);
     if (plan.prefixes.empty()) return out;
-    const std::size_t arity = feature_arity(plan.prefixes.front());
     std::atomic<std::size_t> legal{0};
     parts = detail::rank_slices(plan.prefixes.size(), [&](std::size_t begin, std::size_t end) {
-      detail::BlockRanker<Op> ranker(problem, keys, arity, block, k);
+      detail::BlockRanker<Op> ranker(problem, keys, block, k);
       std::size_t kept = 0;
       for (std::size_t ci = begin; ci < end; ++ci) {
         run_walk_chunk(domains, csp, plan, ci, [&](const Choice& c, std::uint64_t) {
@@ -429,7 +423,6 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
     const PageVector<std::uint64_t> legal = detail::enumerate_legal(problem);
     out.legal = legal.size();
     if (legal.empty()) return out;
-    const std::size_t arity = feature_arity(choice_from_flat(legal.front(), domains));
     // Stride oversized sets down to the cap: ascending, distinct picks, read
     // in place from the legal list (step 1 keeps every point).
     const bool subsample = legal.size() > cap;
@@ -440,7 +433,7 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
                          return legal[static_cast<std::size_t>(static_cast<double>(i) * step)];
                        });
     parts = detail::rank_slices(kept, [&](std::size_t begin, std::size_t end) {
-      detail::BlockRanker<Op> ranker(problem, keys, arity, block, k);
+      detail::BlockRanker<Op> ranker(problem, keys, block, k);
       Choice c;
       for (std::size_t i = begin; i < end; ++i) {
         choice_from_flat_into(picks[i], domains, c);
@@ -452,7 +445,7 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
     if (subsample) {
       // Re-append the seed grid so subsampling can never lose it: every
       // legal seed point not already picked, each once.
-      detail::BlockRanker<Op> ranker(problem, keys, arity, block, k);
+      detail::BlockRanker<Op> ranker(problem, keys, block, k);
       std::vector<std::uint64_t> seeds;
       Choice c;
       for (const auto& t : Traits::seed_grid()) {

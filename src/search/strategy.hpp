@@ -55,9 +55,8 @@ struct SearchProblem {
   /// Legality of an already-decoded point, for callers that reuse the one
   /// decode for featurization too.
   bool legal(const Tuning& t) const { return Traits::validate(*shape, t, *device); }
-  std::vector<double> featurize(const Tuning& t) const { return Traits::featurize(*shape, t); }
-
-  /// In-place featurization for the allocation-free ranking pipeline.
+  /// In-place featurization (tuning::kNumFeatures doubles) for the
+  /// allocation-free ranking pipeline.
   void featurize_into(const Tuning& t, double* out) const {
     Traits::featurize_into(*shape, t, out);
   }

@@ -80,7 +80,7 @@ search::RankedCandidates<Op> reference_rank(const search::SearchProblem<Op>& pro
 
   std::vector<std::vector<double>> rows(out.candidates.size());
   ThreadPool::global().parallel_for_each(out.candidates.size(), [&](std::size_t i) {
-    rows[i] = problem.featurize(problem.space->decode(out.candidates[i]));
+    rows[i] = tuning::features(*problem.shape, problem.space->decode(out.candidates[i]));
   });
   out.scores = predict_gflops_chunked(*problem.model, rows, config.batch);
   out.scored = out.candidates.size();

@@ -380,61 +380,5 @@ TEST(Gemm, TransposeIdentityProperty) {
   EXPECT_LT(Matrix::max_abs_diff(ab.transposed(), c2), 1e-4);
 }
 
-// ------------------------------------------------------------------- gemv --
-TEST(Gemv, MatchesGemm) {
-  Rng rng(7);
-  Matrix a(6, 4), x(4, 1), y(6, 1), y2(6, 1);
-  a.randomize_uniform(rng, -1, 1);
-  x.randomize_uniform(rng, -1, 1);
-  gemv(Trans::No, 1.0f, a, x, 0.0f, y);
-  gemm_reference(Trans::No, Trans::No, 1.0f, a, x, 0.0f, y2);
-  EXPECT_LT(Matrix::max_abs_diff(y, y2), 1e-5);
-}
-
-TEST(Gemv, RejectsNonVectors) {
-  Matrix a(3, 3), x(3, 2), y(3, 1);
-  EXPECT_THROW(gemv(Trans::No, 1.0f, a, x, 0.0f, y), std::invalid_argument);
-}
-
-// --------------------------------------------------------------- elementwise
-TEST(Axpy, Accumulates) {
-  Matrix x{{1, 2}}, y{{10, 20}};
-  axpy(0.5f, x, y);
-  EXPECT_FLOAT_EQ(y(0, 0), 10.5f);
-  EXPECT_FLOAT_EQ(y(0, 1), 21.0f);
-}
-
-TEST(Axpy, ShapeMismatchThrows) {
-  Matrix x(1, 2), y(2, 1);
-  EXPECT_THROW(axpy(1.0f, x, y), std::invalid_argument);
-}
-
-TEST(Scale, Scales) {
-  Matrix x{{2, 4}};
-  scale(0.25f, x);
-  EXPECT_FLOAT_EQ(x(0, 0), 0.5f);
-}
-
-TEST(ColSums, SumsColumns) {
-  Matrix a{{1, 2}, {3, 4}, {5, 6}};
-  Matrix s = col_sums(a);
-  EXPECT_EQ(s.rows(), 1u);
-  EXPECT_FLOAT_EQ(s(0, 0), 9.0f);
-  EXPECT_FLOAT_EQ(s(0, 1), 12.0f);
-}
-
-TEST(AddRowVector, Broadcasts) {
-  Matrix a{{1, 2}, {3, 4}};
-  Matrix r{{10, 20}};
-  add_row_vector(a, r);
-  EXPECT_FLOAT_EQ(a(0, 0), 11.0f);
-  EXPECT_FLOAT_EQ(a(1, 1), 24.0f);
-}
-
-TEST(AddRowVector, ShapeMismatchThrows) {
-  Matrix a(2, 2), r(1, 3);
-  EXPECT_THROW(add_row_vector(a, r), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace isaac::linalg

@@ -7,16 +7,52 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mlp/net.hpp"
 #include "mlp/regressor.hpp"
 #include "support/reference_scorer.hpp"
+#include "support/reference_trainer.hpp"
 #include "tuning/dataset.hpp"
 #include "tuning/feature_batch.hpp"
+
+// Allocation counting for the training-loop test below: every operator new
+// on a thread bumps that thread's counter. Sanitizers bring their own
+// allocator, so sanitized builds keep it and skip the test.
+#ifndef ISAAC_SANITIZED_BUILD
+namespace {
+thread_local std::size_t tl_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++tl_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++tl_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  ++tl_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#endif
 
 namespace isaac::mlp {
 namespace {
@@ -34,8 +70,9 @@ MlpConfig tiny_config() {
 // --------------------------------------------------------------------- net --
 TEST(Mlp, OutputShape) {
   Mlp net(tiny_config());
-  Matrix x(5, 4, 0.5f);
-  const Matrix y = net.forward(x);
+  Mlp::Workspace ws;
+  ws.x = Matrix(5, 4, 0.5f);
+  const Matrix& y = net.forward_into(ws);
   EXPECT_EQ(y.rows(), 5u);
   EXPECT_EQ(y.cols(), 1u);
 }
@@ -44,12 +81,6 @@ TEST(Mlp, ParameterCount) {
   Mlp net(tiny_config());
   // 4*8 + 8 + 8*8 + 8 + 8*1 + 1 = 121
   EXPECT_EQ(net.num_parameters(), 121u);
-}
-
-TEST(Mlp, ArityMismatchThrows) {
-  Mlp net(tiny_config());
-  Matrix x(5, 3);
-  EXPECT_THROW(net.forward(x), std::invalid_argument);
 }
 
 TEST(Mlp, DeterministicInit) {
@@ -66,7 +97,7 @@ TEST(Mlp, GradientsMatchFiniteDifferences) {
   target.randomize_uniform(rng, -1, 1);
 
   auto loss_value = [&]() {
-    const Matrix y = net.forward(x);
+    const Matrix y = reference::forward(net, x);
     double loss = 0.0;
     for (std::size_t i = 0; i < y.rows(); ++i) {
       const double d = y(i, 0) - target(i, 0);
@@ -76,14 +107,17 @@ TEST(Mlp, GradientsMatchFiniteDifferences) {
   };
 
   // Analytic gradients.
-  Mlp::Cache cache;
-  const Matrix y = net.forward(x, &cache);
+  Mlp::Workspace ws;
+  ws.x = x;
+  const Matrix& y = net.forward_into(ws);
   Matrix dLdy(3, 1);
   for (std::size_t i = 0; i < 3; ++i) {
     dLdy(i, 0) = 2.0f * (y(i, 0) - target(i, 0)) / 3.0f;
   }
-  std::vector<Matrix> dW, db;
-  net.backward(cache, dLdy, dW, db);
+  Mlp::Gradients grads;
+  net.backward(ws, dLdy, grads);
+  const std::vector<Matrix>& dW = grads.dW;
+  const std::vector<Matrix>& db = grads.db;
 
   // Spot-check several weights in each layer with central differences.
   const float eps = 1e-3f;
@@ -113,28 +147,67 @@ TEST(Mlp, GradientsMatchFiniteDifferences) {
   }
 }
 
+TEST(Mlp, BackwardRejectsWorkspaceFromAnotherNetwork) {
+  Mlp net(tiny_config());
+  MlpConfig wide = tiny_config();
+  wide.hidden = {16, 8};
+  Mlp::Workspace ws;
+  ws.x = Matrix(3, 4, 0.5f);
+  Mlp(wide).forward_into(ws);
+  Mlp::Gradients grads;
+  EXPECT_THROW(net.backward(ws, Matrix(3, 1), grads), std::invalid_argument);
+  net.forward_into(ws);
+  EXPECT_THROW(net.backward(ws, Matrix(2, 1), grads), std::invalid_argument);
+  EXPECT_NO_THROW(net.backward(ws, Matrix(3, 1), grads));
+}
+
+/// A one-layer net holding a single 1×1 weight (and a 1×1 bias).
+MlpConfig scalar_config() {
+  MlpConfig cfg;
+  cfg.inputs = 1;
+  cfg.hidden = {};
+  return cfg;
+}
+
 TEST(Adam, ReducesQuadraticLoss) {
-  // Minimize ||w - 3||^2 for a single 1x1 "weight matrix".
-  Matrix w(1, 1, 0.0f);
+  // Minimize ||w - 3||^2 for the single weight; the bias sees no gradient.
+  Mlp net(scalar_config());
+  float& w = net.weights()[0](0, 0);
+  w = 0.0f;
   Adam adam(0.1);
+  Mlp::Gradients g;
+  g.db = {Matrix(1, 1, 0.0f)};
   for (int i = 0; i < 300; ++i) {
-    Matrix g(1, 1, 2.0f * (w(0, 0) - 3.0f));
-    adam.step({&w}, {&g});
+    g.dW = {Matrix(1, 1, 2.0f * (w - 3.0f))};
+    adam.step(net, g);
   }
-  EXPECT_NEAR(w(0, 0), 3.0f, 0.05f);
+  EXPECT_NEAR(w, 3.0f, 0.05f);
+  EXPECT_EQ(net.biases()[0](0, 0), 0.0f);
 }
 
 TEST(Adam, ShapeMismatchThrows) {
-  Matrix w(2, 2), g(1, 1);
+  MlpConfig cfg = scalar_config();
+  cfg.inputs = 2;  // a 2×1 weight
+  Mlp net(cfg);
   Adam adam;
-  EXPECT_THROW(adam.step({&w}, {&g}), std::invalid_argument);
+  Mlp::Gradients g;
+  g.dW = {Matrix(1, 1)};
+  g.db = {Matrix(1, 1)};
+  EXPECT_THROW(adam.step(net, g), std::invalid_argument);
+  g.dW.clear();
+  EXPECT_THROW(adam.step(net, g), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ scaler --
+tuning::FeatureBatch batch_of(const std::vector<std::vector<double>>& rows) {
+  tuning::FeatureBatch batch(rows.front().size());
+  for (const auto& r : rows) std::copy(r.begin(), r.end(), batch.append_row());
+  return batch;
+}
+
 TEST(Scaler, StandardizesToZeroMeanUnitVar) {
-  std::vector<std::vector<double>> rows{{1, 10}, {3, 30}, {5, 50}};
   Scaler s;
-  s.fit(rows);
+  s.fit(batch_of({{1, 10}, {3, 30}, {5, 50}}));
   std::vector<double> r{3, 30};
   s.apply(r);
   EXPECT_NEAR(r[0], 0.0, 1e-12);
@@ -145,9 +218,8 @@ TEST(Scaler, StandardizesToZeroMeanUnitVar) {
 }
 
 TEST(Scaler, ConstantFeaturePassesThrough) {
-  std::vector<std::vector<double>> rows{{7, 1}, {7, 2}, {7, 3}};
   Scaler s;
-  s.fit(rows);
+  s.fit(batch_of({{7, 1}, {7, 2}, {7, 3}}));
   std::vector<double> r{7, 2};
   EXPECT_NO_THROW(s.apply(r));
   EXPECT_NEAR(r[0], 0.0, 1e-12);
@@ -238,7 +310,7 @@ TEST(Mlp, ForwardIntoMatchesForwardBitExact) {
     for (const std::size_t batch : {33u, 64u, 5u, 1u}) {
       Matrix x(batch, 4);
       x.randomize_uniform(rng, -2.0f, 2.0f);
-      const Matrix legacy = net.forward(x);
+      const Matrix legacy = reference::forward(net, x);
       ws.x = x;
       const Matrix& fast = net.forward_into(ws);
       ASSERT_EQ(fast.rows(), legacy.rows());
@@ -248,6 +320,96 @@ TEST(Mlp, ForwardIntoMatchesForwardBitExact) {
       }
     }
   }
+}
+
+/// Every weight and bias of `a` and `b` has the same bits.
+void expect_same_parameters(const Regressor& a, const Regressor& b, const char* what) {
+  ASSERT_EQ(a.net().num_layers(), b.net().num_layers()) << what;
+  for (std::size_t l = 0; l < a.net().num_layers(); ++l) {
+    for (const auto& [pa, pb] : {std::pair{&a.net().weights()[l], &b.net().weights()[l]},
+                                 std::pair{&a.net().biases()[l], &b.net().biases()[l]}}) {
+      ASSERT_EQ(pa->rows(), pb->rows()) << what << " layer " << l;
+      ASSERT_EQ(pa->cols(), pb->cols()) << what << " layer " << l;
+      EXPECT_EQ(std::memcmp(pa->data(), pb->data(), pa->size() * sizeof(float)), 0)
+          << what << " layer " << l;
+    }
+  }
+  std::ostringstream sa, sb;
+  a.save(sa);
+  b.save(sb);
+  EXPECT_EQ(sa.str(), sb.str()) << what;
+}
+
+TEST(Mlp, TrainingMatchesReferenceTrainerBitExact) {
+  // train and train_warm_start run the fused encode, forward_into, the
+  // workspace backward and reused buffers; the reference trainer runs the
+  // allocating forward with a Cache, the threaded GEMM and a row-by-row
+  // encode. Both sample counts leave a last minibatch shorter than the rest.
+  const auto base_data = synthetic_dataset(700, 0.05, 41);  // 256 + 256 + 188
+  const auto delta_source = synthetic_dataset(150, 0.05, 43);
+  tuning::Dataset delta;  // 32 × 4 + 22
+  for (auto s : delta_source.samples()) {
+    s.y *= 0.7;
+    delta.add(std::move(s));
+  }
+  for (const auto& hidden : std::vector<std::vector<int>>{{8, 8}, MlpConfig{}.hidden}) {
+    TrainConfig cfg;
+    cfg.net.hidden = hidden;
+    cfg.epochs = 3;
+    cfg.seed = 0x15AAC;
+    const Regressor fused = train(base_data, cfg);
+    expect_same_parameters(fused, reference::train(base_data, cfg), "train");
+
+    TrainConfig warm;
+    warm.epochs = 4;
+    warm.batch_size = 32;
+    warm.seed = 0x0911E;
+    expect_same_parameters(train_warm_start(fused, delta, warm),
+                           reference::train_warm_start(fused, delta, warm), "warm start");
+  }
+}
+
+TEST(Regressor, TrainingAllocatesNothingAfterTheFirstMinibatch) {
+#ifdef ISAAC_SANITIZED_BUILD
+  GTEST_SKIP() << "sanitized builds keep their own operator new";
+#else
+  // Allocations on this thread from the call to each epoch's end. Training
+  // runs on the calling thread, so this counts all of its allocations.
+  const auto allocations_by_epoch = [](const auto& fit, std::size_t samples,
+                                       TrainConfig cfg) {
+    const auto data = synthetic_dataset(samples, 0.05, 47);
+    std::vector<std::size_t> counts;
+    counts.reserve(static_cast<std::size_t>(cfg.epochs));
+    std::size_t before = 0;
+    cfg.on_epoch = [&](int, double) { counts.push_back(tl_allocations - before); };
+    before = tl_allocations;
+    fit(data, cfg);
+    return counts;
+  };
+  TrainConfig cfg;
+  cfg.epochs = 3;
+  cfg.net.hidden = {32, 16};
+  const auto cold = [](const tuning::Dataset& d, const TrainConfig& c) { return train(d, c); };
+  // 3 minibatches per epoch against 9: six more, no more allocations; and
+  // none at all in the epochs after the first. The GEMM's thread-local
+  // packing arenas grow once per thread, so a first run warms them.
+  allocations_by_epoch(cold, 3 * 256 - 50, cfg);
+  const auto few = allocations_by_epoch(cold, 3 * 256 - 50, cfg);
+  const auto many = allocations_by_epoch(cold, 9 * 256 - 50, cfg);
+  ASSERT_EQ(many.size(), 3u);
+  EXPECT_EQ(few[0], many[0]);
+  EXPECT_EQ(many[1], many[0]);
+  EXPECT_EQ(many[2], many[0]);
+
+  const Regressor base = train(synthetic_dataset(300, 0.05, 53), cfg);
+  const auto warm = [&](const tuning::Dataset& d, const TrainConfig& c) {
+    return train_warm_start(base, d, c);
+  };
+  const auto warm_few = allocations_by_epoch(warm, 3 * 256 - 50, cfg);
+  const auto warm_many = allocations_by_epoch(warm, 9 * 256 - 50, cfg);
+  EXPECT_EQ(warm_few[0], warm_many[0]);
+  EXPECT_EQ(warm_many[2], warm_many[0]);
+#endif
 }
 
 // Contraction canary: the exact output bits of the default network on a
