@@ -32,8 +32,8 @@ search::SearchConfig resolve_config(const search::SearchConfig& config) {
 
 }  // namespace
 
-/// One implementation for every operation: build the op's search problem,
-/// rank its legal space with the model, and spend the measurement budget
+/// One implementation for every operation: resolve the config, rank the
+/// op's legal space with the model, and spend the measurement budget
 /// re-timing the best predictions on the device. All op-specific behavior
 /// comes from OperationTraits<Op> — adding an operation adds no code here.
 template <typename Op>
@@ -47,6 +47,16 @@ TuneResult<typename OperationTraits<Op>::Tuning> tune(
   ISAAC_TM_COUNT("search.tune_runs");
   const std::uint64_t t0 = telemetry::enabled() ? telemetry::now_us() : 0;
   const search::SearchConfig resolved = resolve_config<Op>(config);
+  const auto cancelled_error = [&] {
+    return TuneCancelled(std::string("tune: ") + Traits::kind() + " search for shape " +
+                         shape.to_string() + " cancelled before its first measurement");
+  };
+  // A search cancelled before it starts (a refinement still queued at
+  // ~Context) must not pay for a ranking.
+  if (resolved.cancelled()) {
+    ISAAC_TM_COUNT("search.cancelled");
+    throw cancelled_error();
+  }
   const auto& dev = sim.device();
   const typename Traits::SearchSpace space;
 
@@ -55,50 +65,29 @@ TuneResult<typename OperationTraits<Op>::Tuning> tune(
   problem.device = &dev;
   problem.space = &space;
   problem.model = &model;
-  search::ModelGuidedTopK<Op> strategy(problem, resolved);
+  // Only the first `budget` ranks can ever be re-timed.
+  const auto ranked =
+      search::rank_legal_space(problem, resolved, std::max<std::size_t>(resolved.budget, 1));
 
   TuneResult<Tuning> result;
-  result.strategy = strategy.name();
   result.budget = resolved.budget;
-
+  result.enumerated = ranked.visited;
+  result.legal = ranked.legal;
   const auto measure = [&](const Tuning& t) {
     const auto profile = Traits::analyze(shape, t, dev);
     const auto timed = sim.launch_median(profile, resolved.reeval_reps);
     return timed.valid ? timed.tflops * 1000.0 : 0.0;
   };
-  // Deterministic tie-break, so equal-measuring winners agree across runs.
-  const auto better = [](const Candidate<Tuning>& a, const Candidate<Tuning>& b) {
-    if (a.measured_gflops != b.measured_gflops) return a.measured_gflops > b.measured_gflops;
-    return Traits::encode_tuning(a.tuning) < Traits::encode_tuning(b.tuning);
-  };
-  // The ranking proposes each legal point at most once, so result.top holds
+  // The ranking lists each legal point at most once, so result.top holds
   // distinct candidates.
   result.measured = search::drive(
-      strategy, resolved, measure,
-      [&](const search::Proposal<Tuning>& p, double gflops) {
-        Candidate<Tuning> c;
-        c.tuning = p.tuning;
-        c.predicted_gflops = p.predicted_gflops;
-        c.measured_gflops = gflops;
-        result.top.push_back(std::move(c));
-        // Keep memory bounded for huge budgets (an unlimited budget re-times
-        // the whole ranked legal space): prune back to the keep_top best
-        // whenever the buffer doubles past it.
-        if (resolved.keep_top < result.top.size() / 2) {
-          std::nth_element(result.top.begin(),
-                           result.top.begin() + static_cast<std::ptrdiff_t>(resolved.keep_top),
-                           result.top.end(), better);
-          result.top.resize(resolved.keep_top);
-        }
+      search::ranked_tunings(problem, ranked), resolved, measure,
+      [&](const search::RankedTuning<Tuning>& r, double gflops) {
+        result.top.push_back({r.tuning, r.predicted_gflops, gflops});
       },
       &result.stopped_early);
 
-  result.enumerated = strategy.stats().visited;
-  result.legal = strategy.stats().legal;
-  if (result.top.empty() && resolved.cancel && resolved.cancel->load(std::memory_order_relaxed)) {
-    throw TuneCancelled(std::string("tune: ") + Traits::kind() + " search for shape " +
-                        shape.to_string() + " cancelled before its first measurement");
-  }
+  if (result.top.empty() && resolved.cancelled()) throw cancelled_error();
   if (result.top.empty()) {
     // The ranking found nothing measurable (every candidate illegal for
     // this degenerate shape, or the space empty): without this check the
@@ -106,17 +95,25 @@ TuneResult<typename OperationTraits<Op>::Tuning> tune(
     // what was tried.
     throw std::runtime_error(std::string("tune: no legal ") + Traits::kind() +
                              " configuration for shape " + shape.to_string() + " (strategy " +
-                             result.strategy + ", " + std::to_string(result.legal) +
+                             kTuneSearchName + ", " + std::to_string(result.legal) +
                              " legal of " + std::to_string(result.enumerated) +
                              " visited points)");
   }
 
-  std::sort(result.top.begin(), result.top.end(), better);
+  // Deterministic tie-break, so equal-measuring winners agree across runs:
+  // a strict total order over distinct tunings.
+  std::sort(result.top.begin(), result.top.end(),
+            [](const Candidate<Tuning>& a, const Candidate<Tuning>& b) {
+              if (a.measured_gflops != b.measured_gflops) {
+                return a.measured_gflops > b.measured_gflops;
+              }
+              return Traits::encode_tuning(a.tuning) < Traits::encode_tuning(b.tuning);
+            });
   if (result.top.size() > resolved.keep_top) result.top.resize(resolved.keep_top);
   result.best = result.top.front();
   if (t0) ISAAC_TM_RECORD("search.tune_us", telemetry::now_us() - t0);
 
-  ISAAC_LOG_INFO() << "tuned " << Traits::kind() << " [" << result.strategy << ", budget "
+  ISAAC_LOG_INFO() << "tuned " << Traits::kind() << " [" << kTuneSearchName << ", budget "
                    << resolved.budget << "]: " << result.measured << " measured, "
                    << result.legal << " legal of " << result.enumerated
                    << " visited; best measured " << result.best.measured_gflops
@@ -125,7 +122,7 @@ TuneResult<typename OperationTraits<Op>::Tuning> tune(
 }
 
 /// Tier-1 dispatch: the model's argmax over a bounded, measurement-free probe
-/// of the legal space. Reuses ModelGuidedTopK's ranking core with k = 1; the
+/// of the legal space. Reuses tune<Op>()'s ranking core with k = 1; the
 /// strided probe bounds the work, the seed-grid re-append guarantees a sane
 /// candidate whenever any seed is legal, and the dense sweep is the last
 /// resort before declaring the shape untunable.

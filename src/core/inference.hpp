@@ -1,13 +1,13 @@
-// Runtime kernel inference (paper §6), on top of the search loop in
-// src/search/.
+// Runtime kernel inference (paper §6), on top of src/search/.
 //
 // With the input parameters fixed by the user, tune<Op>() optimizes over the
 // tuning parameters under an explicit measurement budget, always with the
-// paper's recipe (search::ModelGuidedTopK): rank the legal space with the
-// trained regression model ("guaranteed to find the global optimum within
-// the specified search range", "highly parallelizable" — batched through the
-// MLP), then re-time only the best predictions on the device to "smooth out
-// the inherent noise of our predictive model".
+// paper's recipe in two straight-line steps: rank the legal space with the
+// trained regression model (search::rank_legal_space — "guaranteed to find
+// the global optimum within the specified search range", "highly
+// parallelizable", batched through the MLP), then re-time only the best
+// predictions on the device (search::drive) to "smooth out the inherent
+// noise of our predictive model".
 //
 // The whole pipeline is one templated tune<Op>() over OperationTraits<Op>
 // (core/operation.hpp), with predict<Op>() as its zero-measurement sibling.
@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/operation.hpp"
@@ -39,11 +38,14 @@ struct TuneResult {
   std::size_t enumerated = 0;          // points of X̂ the ranking visited
   std::size_t legal = 0;               // subset that passed validation
   std::size_t measured = 0;            // device evaluations spent (≤ budget)
-  std::string strategy;                // "model_topk", for cache provenance
   std::size_t budget = 0;              // resolved evaluation budget
   bool stopped_early = false;          // deadline/cancellation cut the drive
                                        // loop; best is the anytime result
 };
+
+/// The name tune<Op>()'s search records as cache provenance
+/// (`strategy=model_topk`) and reports in its errors.
+inline constexpr char kTuneSearchName[] = "model_topk";
 
 /// What tune<Op>() throws when SearchConfig::cancel stopped its search
 /// before a single candidate was measured: a cancelled search, not a shape
@@ -74,7 +76,8 @@ using BatchedGemmPredictResult = PredictResult<codegen::GemmTuning>;
 /// configured budget (zero-valued SearchConfig fields resolve against
 /// OperationTraits<Op>::default_search()). Throws std::runtime_error when no
 /// legal configuration exists, TuneCancelled when SearchConfig::cancel cut
-/// the search before its first measurement, and std::invalid_argument for
+/// the search before its first measurement (a flag already set when tune is
+/// called stops it before ranking), and std::invalid_argument for
 /// an invalid config. Thread-safe: shares only const state and the global
 /// thread pool. `model` is borrowed for the whole call — a caller whose
 /// model can be hot-swapped (Context) pins one VersionedModel snapshot per
@@ -87,7 +90,7 @@ TuneResult<typename OperationTraits<Op>::Tuning> tune(
     const gpusim::Simulator& sim, const search::SearchConfig& config = {});
 
 /// The model's argmax over a bounded probe of the legal space — tune<Op>()'s
-/// tier-1 sibling, factored out of ModelGuidedTopK's ranking core. Spends
+/// tier-1 sibling, on the same ranking core (search/model_topk.hpp). Spends
 /// *zero* device measurements: at most SearchConfig::max_candidates legality
 /// checks (deterministic flat-index striding of X̂, seed grid always
 /// re-appended) plus one batched model pass, so a cold dispatch answers in

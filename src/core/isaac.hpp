@@ -706,7 +706,7 @@ void Context::maybe_refine(const std::string& key,
         refine_cfg.cancel = &cancel_requested_;
         const auto result = core::tune<Op>(shape, snapshot->regressor(), sim_, refine_cfg);
         upgraded = cache_.upgrade<Op>(device().name, shape, result.best.tuning,
-                                      ProfileCache::provenance(result.strategy,
+                                      ProfileCache::provenance(kTuneSearchName,
                                                                result.measured,
                                                                EntryTier::refined));
         tuning_runs_.fetch_add(1, std::memory_order_relaxed);

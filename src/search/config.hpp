@@ -65,10 +65,16 @@ struct SearchConfig {
   /// best-so-far instead of throwing.
   double timeout_ms = 0.0;
 
-  /// Cooperative cancellation (non-owning; nullptr = never cancelled). The
-  /// drive loop polls it between batches — Context points refinements at its
-  /// shutdown flag so teardown never waits out a full search.
+  /// Cooperative cancellation (non-owning; nullptr = never cancelled).
+  /// core::tune<Op>() checks it before ranking, the ranking before each walk
+  /// chunk and scoring slice, and the drive loop between batches — Context
+  /// points refinements at its shutdown flag so teardown never waits out a
+  /// full search.
   const std::atomic<bool>* cancel = nullptr;
+
+  bool cancelled() const noexcept {
+    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+  }
 
   /// Throw std::invalid_argument with the offending field for values that
   /// have no sane meaning (NaN/negative time budgets, negative retries).

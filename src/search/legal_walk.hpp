@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "search/strategy.hpp"
+#include "search/problem.hpp"
 
 namespace isaac::search {
 

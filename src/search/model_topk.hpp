@@ -1,12 +1,11 @@
-// ModelGuidedTopK: the paper's §6 runtime recipe, the one search
-// core::tune<Op>() runs. Rank the whole legal space with the trained
-// regressor (cheap: batched MLP forward passes in parallel), then spend the
-// measurement budget on the k best predictions only — the re-timing that
-// "smooths out the inherent noise of our predictive model".
+// The paper's §6 runtime ranking: score the legal space with the trained
+// regressor (cheap: batched MLP forward passes in parallel) and keep the best
+// predictions. core::tune<Op>() then re-times only those winners on the
+// device (search/driver.hpp) — the re-timing that "smooths out the inherent
+// noise of our predictive model".
 //
-// The ranking itself — enumerate/probe X̂, filter to the legal space, score
-// with the model, order best-first — is factored out as a reusable core:
-// `rank_legal_space` (dense, what the strategy drives) and
+// Two rankings share one scoring core: `rank_legal_space` (dense, the k
+// winners tune<Op>() re-times, decoded by `ranked_tunings`) and
 // `rank_strided_probe` (bounded-work, what the zero-measurement dispatch
 // fast path in core::predict<Op>() takes on cold shapes).
 //
@@ -34,39 +33,32 @@
 //
 // Ranking cost is bounded by SearchConfig::max_candidates: oversized legal
 // spaces are deterministically strided and the op's seed grid re-appended so
-// subsampling can never lose the well-known-good region.
+// subsampling can never lose the well-known-good region. The capped ranking
+// and the probe re-append the seed grid through one helper, by exact
+// flat-index membership in their ascending picks. Both rankings need an
+// exact |X̂|: a saturated size() throws std::length_error. The dense ranking
+// polls SearchConfig::cancel before each walk chunk and scoring slice, so a
+// cancelled search stops within one chunk.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <ranges>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "common/page_allocator.hpp"
 #include "common/thread_pool.hpp"
+#include "search/config.hpp"
 #include "search/legal_walk.hpp"
-#include "search/strategy.hpp"
+#include "search/problem.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "tuning/dataset.hpp"
 #include "tuning/feature_batch.hpp"
 
 namespace isaac::search {
-
-/// FNV-1a over the index vector: the key that de-duplicates the seed grid
-/// against already-ranked candidates.
-inline std::uint64_t choice_hash(const Choice& c) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::size_t v : c) {
-    h ^= static_cast<std::uint64_t>(v) + 0x9E3779B97F4A7C15ULL;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 /// A model-ranked slice of the legal space. `order` indexes `candidates`/
 /// `scores` best-first and is truncated to the requested k; `visited`/`legal`
@@ -107,29 +99,45 @@ inline Choice choice_from_flat(std::size_t flat,
   return c;
 }
 
+/// The flat lexicographic index of a choice: choice_from_flat's inverse.
+inline std::uint64_t flat_from_choice(const Choice& c,
+                                      const std::vector<tuning::ParameterDomain>& domains) {
+  std::uint64_t flat = 0;
+  for (std::size_t d = domains.size(); d-- > 0;) flat = flat * domains[d].values.size() + c[d];
+  return flat;
+}
+
 namespace detail {
 
-/// Append the op's seed grid to `candidates` (legality-checked, de-duplicated
-/// against what is already there) so no subsampled ranking can lose the
-/// well-known-good region.
-template <typename Op>
-void append_seed_grid(const SearchProblem<Op>& problem, std::vector<Choice>& candidates,
-                      std::unordered_set<std::uint64_t>& present) {
+/// Re-append the op's seed grid after a stride: call `fn(tuning, choice)`
+/// for every legal seed-grid point whose flat index is not among `picks`
+/// (ascending flat indices, found by binary search), each point once, in
+/// seed-grid order — so no subsampled ranking can lose the well-known-good
+/// region.
+template <typename Op, typename Picks, typename Fn>
+void for_each_unpicked_seed(const SearchProblem<Op>& problem, const Picks& picks, const Fn& fn) {
   using Traits = typename SearchProblem<Op>::Traits;
-  for (const auto& t : Traits::seed_grid()) {
-    Choice c;
-    if (!problem.space->encode(t, c)) continue;  // value outside this space's domains
-    if (!problem.legal(c)) continue;
-    if (present.insert(choice_hash(c)).second) candidates.push_back(std::move(c));
+  const auto& domains = problem.space->domains();
+  std::vector<std::uint64_t> seen;
+  Choice c;
+  for (const auto& seed : Traits::seed_grid()) {
+    if (!problem.space->encode(seed, c)) continue;  // value outside this space's domains
+    const auto t = problem.decode(c);
+    if (!problem.legal(t)) continue;
+    const std::uint64_t flat = flat_from_choice(c, domains);
+    if (std::ranges::binary_search(picks, flat)) continue;
+    if (std::ranges::find(seen, flat) != seen.end()) continue;
+    seen.push_back(flat);
+    fn(t, c);
   }
 }
 
-/// Dense ranking needs exact 64-bit flat indices (and choice keys); a
-/// saturated size() has none.
+/// Ranking needs exact 64-bit flat indices (and choice keys); a saturated
+/// size() has none.
 template <typename Op>
 void require_exact_size(const SearchProblem<Op>& problem) {
   if (problem.space->size() == std::numeric_limits<std::size_t>::max()) {
-    throw std::length_error("dense ranking: search space too large for 64-bit flat indices");
+    throw std::length_error("ranking: search space too large for 64-bit flat indices");
   }
 }
 
@@ -145,10 +153,13 @@ void require_exact_size(const SearchProblem<Op>& problem) {
 /// from the OS and leaves no resident pages behind (PageAllocator); the
 /// per-chunk parts are small and stay plain vectors, so the walk makes no
 /// system call per growth step. `emitted`, when set, receives the number of
-/// points the walk emitted, i.e. the points it validated.
+/// points the walk emitted, i.e. the points it validated. A set `cancel`
+/// skips every chunk not yet started, so a cancelled enumeration returns a
+/// partial list within one chunk.
 template <typename Op>
 PageVector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem,
-                                          std::size_t* emitted = nullptr) {
+                                          std::size_t* emitted = nullptr,
+                                          const std::atomic<bool>* cancel = nullptr) {
   require_exact_size(problem);
   const auto& domains = problem.space->domains();
   const tuning::ConstraintSet cs = core::OperationTraits<Op>::prefix_constraints(
@@ -158,6 +169,7 @@ PageVector<std::uint64_t> enumerate_legal(const SearchProblem<Op>& problem,
   std::vector<std::vector<std::uint64_t>> parts(plan.prefixes.size());
   std::atomic<std::size_t> visits{0};
   ThreadPool::global().parallel_for_each(plan.prefixes.size(), [&](std::size_t ci) {
+    if (cancel && cancel->load(std::memory_order_relaxed)) return;
     auto& part = parts[ci];
     std::size_t visited = 0;
     run_walk_chunk(domains, csp, plan, ci, [&](const Choice& c, std::uint64_t flat) {
@@ -367,20 +379,24 @@ std::vector<std::vector<ScoredPoint>> rank_slices(std::size_t n, const Fn& rank_
 
 }  // namespace detail
 
-/// Dense ranking — the strategy's path, one streaming pass: the pool-chunked
+/// Dense ranking — tune<Op>()'s path, one streaming pass: the pool-chunked
 /// pruned walk decodes, validates, featurizes and scores every legal point
 /// in config.batch-row blocks, each chunk keeping a bounded top k, and the
 /// chunk survivors merge into the best-first k winners (see the file
 /// comment). With config.max_candidates set and exceeded, the legal flat
 /// indices are enumerated first, strided down to the cap, and the picks plus
 /// the seed grid streamed through the same blocks. Requires problem.model,
-/// pinned for the whole pass (see score_and_order).
+/// pinned for the whole pass (see score_and_order). A set config.cancel
+/// skips the walk chunks and scoring slices not yet started; `scored`
+/// counts what was scored before the cancel.
 template <typename Op>
 RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
                                       const SearchConfig& config, std::size_t top_k) {
   telemetry::Span span("rank.dense");
   ISAAC_TM_COUNT("rank.dense");
-  using Traits = typename SearchProblem<Op>::Traits;
+  if (problem.model == nullptr) {
+    throw std::invalid_argument("rank_legal_space: ranking requires a trained model");
+  }
   detail::require_exact_size(problem);
   RankedCandidates<Op> out;
   // The walk conceptually covers all of X̂ (pruned subtrees are rejected
@@ -404,7 +420,7 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
     parts = detail::rank_slices(plan.prefixes.size(), [&](std::size_t begin, std::size_t end) {
       detail::BlockRanker<Op> ranker(problem, keys, block, k);
       std::size_t kept = 0;
-      for (std::size_t ci = begin; ci < end; ++ci) {
+      for (std::size_t ci = begin; ci < end && !config.cancelled(); ++ci) {
         run_walk_chunk(domains, csp, plan, ci, [&](const Choice& c, std::uint64_t) {
           const auto t = problem.decode(c);
           if (problem.legal(t)) {
@@ -420,7 +436,8 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
     out.legal = legal.load();
     out.scored = out.legal;
   } else {
-    const PageVector<std::uint64_t> legal = detail::enumerate_legal(problem);
+    const PageVector<std::uint64_t> legal =
+        detail::enumerate_legal(problem, nullptr, config.cancel);
     out.legal = legal.size();
     if (legal.empty()) return out;
     // Stride oversized sets down to the cap: ascending, distinct picks, read
@@ -432,36 +449,27 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
                        std::views::transform([&](std::size_t i) {
                          return legal[static_cast<std::size_t>(static_cast<double>(i) * step)];
                        });
+    std::atomic<std::size_t> scored{0};
     parts = detail::rank_slices(kept, [&](std::size_t begin, std::size_t end) {
+      if (config.cancelled()) return std::vector<detail::ScoredPoint>{};
       detail::BlockRanker<Op> ranker(problem, keys, block, k);
       Choice c;
       for (std::size_t i = begin; i < end; ++i) {
         choice_from_flat_into(picks[i], domains, c);
         ranker.add(problem.decode(c), c);
       }
+      scored.fetch_add(end - begin, std::memory_order_relaxed);
       return ranker.finish();
     });
-    out.scored = kept;
+    out.scored = scored.load();
     if (subsample) {
-      // Re-append the seed grid so subsampling can never lose it: every
-      // legal seed point not already picked, each once.
+      // Re-append the seed grid so subsampling can never lose it.
       detail::BlockRanker<Op> ranker(problem, keys, block, k);
-      std::vector<std::uint64_t> seeds;
-      Choice c;
-      for (const auto& t : Traits::seed_grid()) {
-        if (!problem.space->encode(t, c)) continue;  // value outside this space's domains
-        if (!problem.legal(c)) continue;
-        std::uint64_t flat = 0;
-        for (std::size_t d = domains.size(); d-- > 0;) {
-          flat = flat * domains[d].values.size() + c[d];
-        }
-        if (std::ranges::binary_search(picks, flat)) continue;
-        if (std::find(seeds.begin(), seeds.end(), flat) != seeds.end()) continue;
-        seeds.push_back(flat);
-        ranker.add(problem.decode(c), c);
-      }
+      detail::for_each_unpicked_seed(problem, picks, [&](const auto& t, const Choice& c) {
+        ranker.add(t, c);
+        ++out.scored;
+      });
       parts.push_back(ranker.finish());
-      out.scored += seeds.size();
     }
   }
 
@@ -482,20 +490,37 @@ RankedCandidates<Op> rank_legal_space(const SearchProblem<Op>& problem,
   return out;
 }
 
+/// A ranking's winners, best first, decoded once into the list
+/// search::drive() re-times.
+template <typename Op>
+std::vector<RankedTuning<typename SearchProblem<Op>::Tuning>> ranked_tunings(
+    const SearchProblem<Op>& problem, const RankedCandidates<Op>& ranked) {
+  std::vector<RankedTuning<typename SearchProblem<Op>::Tuning>> list;
+  list.reserve(ranked.order.size());
+  for (const std::size_t i : ranked.order) {
+    list.push_back({problem.decode(ranked.candidates[i]), ranked.scores[i]});
+  }
+  return list;
+}
+
 /// Bounded-work ranking — the dispatch fast path: instead of sweeping all of
 /// X̂, probe at most config.max_candidates points by deterministic flat-index
 /// striding, filter those to the legal space, and always re-append the seed
 /// grid. Total work is O(cap) legality checks plus one batched model pass, no
 /// matter how large X̂ is — this is what lets a cold `select()` answer in
-/// microseconds-to-milliseconds rather than sweep-the-space time. The
-/// returned `order` may be empty for degenerate shapes whose sparse legal set
-/// the stride misses; callers fall back to `rank_legal_space` (and from
-/// there, to reporting "no legal configuration").
+/// microseconds-to-milliseconds rather than sweep-the-space time.
+/// `candidates` holds every probed legal point in stride order, then every
+/// legal seed-grid point the stride missed. The returned `order` may be
+/// empty for degenerate shapes whose sparse legal set the stride misses;
+/// callers fall back to `rank_legal_space` (and from there, to reporting
+/// "no legal configuration"). Needs an exact |X̂|: a saturated size() throws
+/// std::length_error.
 template <typename Op>
 RankedCandidates<Op> rank_strided_probe(const SearchProblem<Op>& problem,
                                         const SearchConfig& config, std::size_t top_k) {
   telemetry::Span span("rank.probe");
   ISAAC_TM_COUNT("rank.probe");
+  detail::require_exact_size(problem);
   RankedCandidates<Op> out;
   const auto& domains = problem.space->domains();
   const std::size_t total = problem.space->size();
@@ -504,95 +529,40 @@ RankedCandidates<Op> rank_strided_probe(const SearchProblem<Op>& problem,
   const tuning::ConstraintSet cs = core::OperationTraits<Op>::prefix_constraints(
       *problem.shape, *problem.device, *problem.space);
 
-  std::unordered_set<std::uint64_t> present;
-  if (total == std::numeric_limits<std::size_t>::max()) {
-    // Saturated size(): no exact flat index exists to stride over. Probe the
-    // pruned walk instead — the first `cap` legal points in flat order.
-    // Still deterministic, and still bounded work: the walk skips illegal
-    // subtrees rather than striding across an X̂ it cannot even measure.
-    tuning::walk_legal(domains, cs.empty() ? nullptr : &cs,
-                       [&](const Choice& walked, std::uint64_t) {
-                         ++out.visited;
-                         if (!problem.legal(walked)) return true;
-                         ++out.legal;
-                         if (present.insert(choice_hash(walked)).second) {
-                           out.candidates.push_back(walked);
-                         }
-                         return out.candidates.size() < cap;
-                       });
-  } else {
-    // The stride arithmetic below is exact only because product_size
-    // saturates instead of wrapping (guarded above).
-    assert(total < std::numeric_limits<std::size_t>::max());
-    // Cheap necessary-condition pre-gate in front of the full validate.
-    // Predicates can only reject points validate would also reject, so the
-    // probed candidate set is bit-identical to the unfiltered probe's — the
-    // definite failures just skip the decode + validate.
-    std::vector<int> values(domains.size());
-    const auto plausible = [&](const Choice& probe) {
-      if (cs.empty()) return true;
-      for (std::size_t d = 0; d < domains.size(); ++d) {
-        values[d] = domains[d].values[probe[d]];
-      }
-      return cs.accepts(values.data());
-    };
-    const double step =
-        static_cast<double>(total) / static_cast<double>(std::max<std::size_t>(cap, 1));
-    Choice c;
-    for (std::size_t i = 0; i < cap; ++i) {
-      choice_from_flat_into(static_cast<std::size_t>(i * step), domains, c);
-      ++out.visited;
-      if (!plausible(c)) continue;
-      if (!problem.legal(c)) continue;
-      ++out.legal;
-      if (present.insert(choice_hash(c)).second) out.candidates.push_back(c);
+  // Cheap necessary-condition pre-gate in front of the full validate.
+  // Predicates can only reject points validate would also reject, so the
+  // probed candidate set is bit-identical to the unfiltered probe's — the
+  // definite failures just skip the decode + validate.
+  std::vector<int> values(domains.size());
+  const auto plausible = [&](const Choice& probe) {
+    if (cs.empty()) return true;
+    for (std::size_t d = 0; d < domains.size(); ++d) {
+      values[d] = domains[d].values[probe[d]];
     }
+    return cs.accepts(values.data());
+  };
+  // step ≥ 1, so the picks are ascending and distinct.
+  const double step =
+      static_cast<double>(total) / static_cast<double>(std::max<std::size_t>(cap, 1));
+  const auto picks = std::views::iota(std::size_t{0}, cap) |
+                     std::views::transform([&](std::size_t i) {
+                       return static_cast<std::size_t>(static_cast<double>(i) * step);
+                     });
+  Choice c;
+  for (const std::size_t flat : picks) {
+    choice_from_flat_into(flat, domains, c);
+    ++out.visited;
+    if (!plausible(c)) continue;
+    if (!problem.legal(c)) continue;
+    ++out.legal;
+    out.candidates.push_back(c);
   }
-  detail::append_seed_grid(problem, out.candidates, present);
+  detail::for_each_unpicked_seed(problem, picks, [&](const auto&, const Choice& seed) {
+    out.candidates.push_back(seed);
+  });
 
   detail::score_and_order(problem, config, top_k, out);
   return out;
 }
-
-template <typename Op>
-class ModelGuidedTopK final : public SearchStrategy<Op> {
- public:
-  using Base = SearchStrategy<Op>;
-  using Tuning = typename Base::Tuning;
-
-  ModelGuidedTopK(const SearchProblem<Op>& problem, const SearchConfig& config)
-      : Base(problem, config) {
-    if (this->problem_.model == nullptr) {
-      throw std::invalid_argument("model_topk: this strategy requires a trained model");
-    }
-  }
-
-  const char* name() const override { return "model_topk"; }
-
-  std::vector<Proposal<Tuning>> propose(std::size_t max_batch) override {
-    if (!ranked_) rank();
-    std::vector<Proposal<Tuning>> out;
-    while (out.size() < max_batch && next_ < ranked_space_.order.size()) {
-      const std::size_t i = ranked_space_.order[next_++];
-      out.push_back(
-          this->make_proposal(ranked_space_.candidates[i], ranked_space_.scores[i]));
-    }
-    return out;
-  }
-
- private:
-  void rank() {
-    ranked_ = true;
-    // Only the first `budget` ranks can ever be proposed.
-    ranked_space_ = rank_legal_space(this->problem_, this->config_,
-                                     std::max<std::size_t>(this->config_.budget, 1));
-    this->stats_.visited += ranked_space_.visited;
-    this->stats_.legal += ranked_space_.legal;
-  }
-
-  bool ranked_ = false;
-  RankedCandidates<Op> ranked_space_;
-  std::size_t next_ = 0;
-};
 
 }  // namespace isaac::search

@@ -1,13 +1,13 @@
-// ExhaustiveSearch: the test-side ground truth for the search loop. It walks
-// every point of X̂ in lexicographic (odometer) order and proposes the legal
-// ones, so driving it through search::drive() with an unlimited budget
-// measures the entire legal space X. With a finite budget it measures the
-// first `budget` legal points.
+// The test-side ground truth for the measured loop: every legal point of X̂
+// in flat (odometer) order, as the list search::drive() re-times. Driving it
+// with an unlimited budget measures the entire legal space X through the
+// production loop; with a finite budget it measures the first `budget` legal
+// points.
 #pragma once
 
 #include <vector>
 
-#include "search/strategy.hpp"
+#include "search/problem.hpp"
 
 namespace isaac::search {
 
@@ -22,38 +22,20 @@ inline bool advance_choice(Choice& c, const std::vector<tuning::ParameterDomain>
   return false;
 }
 
+/// Every legal point of X̂, in flat order, by generate-and-test over the
+/// whole space (no model, no prefix constraints); predicted GFLOPS stay 0.
 template <typename Op>
-class ExhaustiveSearch final : public SearchStrategy<Op> {
- public:
-  using Base = SearchStrategy<Op>;
-  using Tuning = typename Base::Tuning;
-
-  using Base::Base;
-
-  const char* name() const override { return "exhaustive"; }
-
-  std::vector<Proposal<Tuning>> propose(std::size_t max_batch) override {
-    std::vector<Proposal<Tuning>> out;
-    if (done_ || max_batch == 0) return out;
-    const auto& domains = this->problem_.space->domains();
-    if (odometer_.empty()) odometer_.assign(domains.size(), 0);
-    while (out.size() < max_batch) {
-      ++this->stats_.visited;
-      if (this->problem_.legal(odometer_)) {
-        ++this->stats_.legal;
-        out.push_back(this->make_proposal(odometer_));
-      }
-      if (!advance_choice(odometer_, domains)) {
-        done_ = true;
-        break;
-      }
-    }
-    return out;
-  }
-
- private:
-  Choice odometer_;
-  bool done_ = false;
-};
+std::vector<RankedTuning<typename SearchProblem<Op>::Tuning>> exhaustive_legal(
+    const SearchProblem<Op>& problem) {
+  std::vector<RankedTuning<typename SearchProblem<Op>::Tuning>> list;
+  const auto& domains = problem.space->domains();
+  if (problem.space->size() == 0) return list;
+  Choice c(domains.size(), 0);
+  do {
+    const auto t = problem.decode(c);
+    if (problem.legal(t)) list.push_back({t, 0.0});
+  } while (advance_choice(c, domains));
+  return list;
+}
 
 }  // namespace isaac::search

@@ -12,6 +12,7 @@
 #include "core/isaac.hpp"
 #include "core/profile_cache.hpp"
 #include "gpusim/device.hpp"
+#include "telemetry/metrics.hpp"
 #include "tuning/collector.hpp"
 
 namespace isaac::core {
@@ -126,7 +127,7 @@ TEST(Inference, ImpossibleShapeThrows) {
 }
 
 TEST(Inference, CancelledSearchIsReportedAsCancelled) {
-  // A search cancelled before its first proposal measures nothing; tune
+  // A search cancelled before it starts neither ranks nor measures; tune
   // reports the cancellation rather than a shape without legal points.
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
   codegen::GemmShape shape;
@@ -134,14 +135,21 @@ TEST(Inference, CancelledSearchIsReportedAsCancelled) {
   std::atomic<bool> cancel{true};
   search::SearchConfig cfg = fast_inference();
   cfg.cancel = &cancel;
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  const telemetry::Counter& ranks = telemetry::counter("rank.dense");
+  const std::uint64_t ranks_before = ranks.value();
   try {
     tune<GemmOp>(shape, shared_model(), sim, cfg);
-    FAIL() << "a cancelled search returned a result";
+    ADD_FAILURE() << "a cancelled search returned a result";
   } catch (const TuneCancelled& e) {
     EXPECT_NE(std::string(e.what()).find("cancelled"), std::string::npos) << e.what();
   }
+  EXPECT_EQ(ranks.value(), ranks_before);  // no ranking ran
   cancel = false;
   EXPECT_GT(tune<GemmOp>(shape, shared_model(), sim, cfg).measured, 0u);
+  EXPECT_EQ(ranks.value(), ranks_before + 1);
+  telemetry::set_enabled(was_enabled);
 }
 
 // ------------------------------------------------------------ profile cache --

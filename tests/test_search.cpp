@@ -1,8 +1,9 @@
-// Tests for the search subsystem (src/search/): constraint-aware proposals,
-// exact budget semantics and the drive loop's failure handling (for both the
-// runtime's ModelGuidedTopK and the test-side ExhaustiveSearch reference),
-// the ModelGuidedTopK ↔ ExhaustiveSearch agreement criterion, and the
-// ranking's bit-for-bit parity with the generate-and-test reference.
+// Tests for the search subsystem (src/search/): legal ranked lists, exact
+// budget semantics and the drive loop's failure handling (over both the
+// runtime's model-ranked list and the test-side exhaustive list), the model
+// top-k ↔ exhaustive agreement criterion, cancellation inside the ranking,
+// and the rankings' bit-for-bit parity with the generate-and-test
+// references.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +11,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -160,103 +160,10 @@ search::SearchConfig search_config(std::size_t budget) {
   return cfg;
 }
 
-/// The strategies the loop-level tests hold to the SearchStrategy contract:
-/// the runtime's model top-k and the test-side exhaustive reference.
-template <typename Op>
-std::vector<std::unique_ptr<search::SearchStrategy<Op>>> every_strategy(
-    const search::SearchProblem<Op>& problem, const search::SearchConfig& config) {
-  std::vector<std::unique_ptr<search::SearchStrategy<Op>>> out;
-  out.push_back(std::make_unique<search::ModelGuidedTopK<Op>>(problem, config));
-  out.push_back(std::make_unique<search::ExhaustiveSearch<Op>>(problem, config));
-  return out;
-}
-
-TEST(ModelGuidedTopK, RequiresModel) {
-  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
-  const auto shape = gemm_shape(512, 512, 512);
-  const tuning::GemmSearchSpace space;
-  search::SearchProblem<core::GemmOp> problem;  // no model attached
-  problem.shape = &shape;
-  problem.device = &dev;
-  problem.space = &space;
-  EXPECT_THROW(search::ModelGuidedTopK<core::GemmOp>(problem, search_config(8)),
-               std::invalid_argument);
-  // The exhaustive reference is model-free and must construct.
-  EXPECT_NO_THROW(search::ExhaustiveSearch<core::GemmOp>(problem, search_config(8)));
-}
-
-// ------------------------------------------------------- constraint-aware ----
-TEST(SearchStrategies, ProposalsAreLegalBeforeAnyBudgetIsSpent) {
-  // Strategies consult codegen::validate while proposing, so everything they
-  // hand the driver is already inside the legal space X.
-  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
-  const auto shape = gemm_shape(2560, 16, 2560);
-  const tuning::GemmSearchSpace space;
-  search::SearchProblem<core::GemmOp> problem;
-  problem.shape = &shape;
-  problem.device = &dev;
-  problem.space = &space;
-  problem.model = &shared_model();
-
-  for (const auto& strategy : every_strategy(problem, search_config(16))) {
-    const std::string name = strategy->name();
-    const auto proposals = strategy->propose(16);
-    ASSERT_FALSE(proposals.empty()) << name;
-    for (const auto& p : proposals) {
-      EXPECT_TRUE(codegen::validate(shape, p.tuning, dev)) << name;
-    }
-    // X̂ traffic is accounted: everything legal was first visited.
-    EXPECT_GE(strategy->stats().visited, strategy->stats().legal) << name;
-    EXPECT_GE(strategy->stats().legal, proposals.size()) << name;
-  }
-}
-
-// ----------------------------------------------------------------- budgets ----
-TEST(SearchStrategies, EveryStrategyRespectsTheBudgetExactly) {
-  gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
-  const auto shape = gemm_shape(512, 512, 512);  // legal space ≫ budget
-  constexpr std::size_t kBudget = 24;
-  const auto result =
-      core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(kBudget));
-  EXPECT_EQ(result.measured, kBudget);
-  EXPECT_EQ(result.top.size(), kBudget);  // each ranked point is measured once
-  EXPECT_EQ(result.budget, kBudget);
-  EXPECT_EQ(result.strategy, "model_topk");
-  EXPECT_GT(result.best.measured_gflops, 0.0);
-
-  // The same loop spends exactly the budget for every strategy.
-  const tuning::GemmSearchSpace space;
-  search::SearchProblem<core::GemmOp> problem;
-  problem.shape = &shape;
-  problem.device = &sim.device();
-  problem.space = &space;
-  problem.model = &shared_model();
-  for (const auto& strategy : every_strategy(problem, search_config(kBudget))) {
-    std::size_t sunk = 0;
-    const std::size_t measured = search::drive(
-        *strategy, search_config(kBudget), [](const codegen::GemmTuning&) { return 1.0; },
-        [&](const auto&, double) { ++sunk; });
-    EXPECT_EQ(measured, kBudget) << strategy->name();
-    EXPECT_EQ(sunk, kBudget) << strategy->name();
-  }
-}
-
-TEST(SearchStrategies, AnytimeBestIsBestOfMeasuredPrefix) {
-  // Doubling the budget can only improve (or tie) the best — the measured
-  // prefix of the ranking is itself a valid run.
-  gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
-  const auto shape = gemm_shape(2560, 32, 2560);
-  const auto small = core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(16));
-  const auto large = core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(64));
-  EXPECT_GE(large.best.measured_gflops, small.best.measured_gflops);
-}
-
-// ------------------------------------------- the paper's recipe, budgeted ----
-
 /// The coarse always-good region every hand-tuned library lives in (the
 /// OperationTraits seed grids), expressed as restricted search spaces. This
 /// is the comparison universe for the agreement criterion: exhaustive
-/// measurement of all of it is tractable, so ExhaustiveSearch provides exact
+/// measurement of all of it is tractable, so the exhaustive list provides exact
 /// ground truth, and a 64-evaluation budget is a genuine fraction (~30-60%)
 /// of its legal space rather than a rounding error of the 10^7-point X̂ —
 /// where no regression model could pin down the single global argmax.
@@ -276,28 +183,133 @@ struct SeedCoreConvSpace : tuning::ConvSearchSpace {
   }
 };
 
-/// Drive one strategy over an explicit problem (mirrors core/inference.cpp's
+template <typename Op>
+using RankedList = std::vector<search::RankedTuning<typename core::OperationTraits<Op>::Tuning>>;
+
+/// The model's ranked winners for `config`'s budget, best first: the list
+/// core::tune<Op>() re-times.
+template <typename Op>
+RankedList<Op> model_topk(const search::SearchProblem<Op>& problem,
+                          const search::SearchConfig& config) {
+  return search::ranked_tunings(
+      problem, search::rank_legal_space(problem, config, std::max<std::size_t>(config.budget, 1)));
+}
+
+/// The lists the loop-level tests drive: the runtime's model top-k and the
+/// test-side exhaustive list.
+template <typename Op>
+std::vector<std::pair<std::string, RankedList<Op>>> every_list(
+    const search::SearchProblem<Op>& problem, const search::SearchConfig& config) {
+  std::vector<std::pair<std::string, RankedList<Op>>> out;
+  out.emplace_back("model_topk", model_topk(problem, config));
+  out.emplace_back("exhaustive", search::exhaustive_legal(problem));
+  return out;
+}
+
+TEST(RankLegalSpace, RequiresModel) {
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const auto shape = gemm_shape(512, 512, 512);
+  const tuning::GemmSearchSpace space;
+  search::SearchProblem<core::GemmOp> problem;  // no model attached
+  problem.shape = &shape;
+  problem.device = &dev;
+  problem.space = &space;
+  EXPECT_THROW(search::rank_legal_space(problem, search_config(8), 8), std::invalid_argument);
+  // The exhaustive reference is model-free.
+  const SeedCoreGemmSpace seed_space;
+  problem.space = &seed_space;
+  EXPECT_FALSE(search::exhaustive_legal(problem).empty());
+}
+
+// ------------------------------------------------------- constraint-aware ----
+TEST(SearchDriver, ListsAreLegalBeforeAnyBudgetIsSpent) {
+  // The ranking consults codegen::validate on every point it keeps, so
+  // everything the driver is handed is already inside the legal space X.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const auto shape = gemm_shape(2560, 16, 2560);
+  const SeedCoreGemmSpace space;  // small enough for the exhaustive list
+  search::SearchProblem<core::GemmOp> problem;
+  problem.shape = &shape;
+  problem.device = &dev;
+  problem.space = &space;
+  problem.model = &shared_model();
+
+  const auto ranked = search::rank_legal_space(problem, search_config(16), 16);
+  EXPECT_GE(ranked.visited, ranked.legal);  // everything legal was first visited
+  EXPECT_GE(ranked.legal, ranked.order.size());
+  for (const auto& [name, list] : every_list(problem, search_config(16))) {
+    ASSERT_FALSE(list.empty()) << name;
+    EXPECT_LE(list.size(), ranked.legal) << name;
+    for (const auto& entry : list) {
+      EXPECT_TRUE(codegen::validate(shape, entry.tuning, dev)) << name;
+    }
+  }
+}
+
+// ----------------------------------------------------------------- budgets ----
+TEST(SearchDriver, EveryListRespectsTheBudgetExactly) {
+  gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
+  const auto shape = gemm_shape(512, 512, 512);  // legal space ≫ budget
+  constexpr std::size_t kBudget = 24;
+  const auto result =
+      core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(kBudget));
+  EXPECT_EQ(result.measured, kBudget);
+  EXPECT_EQ(result.top.size(), kBudget);  // each ranked point is measured once
+  EXPECT_EQ(result.budget, kBudget);
+  EXPECT_GT(result.best.measured_gflops, 0.0);
+
+  // The same loop spends exactly the budget for every list.
+  const SeedCoreGemmSpace space;  // legal space > budget, small enough to list
+  search::SearchProblem<core::GemmOp> problem;
+  problem.shape = &shape;
+  problem.device = &sim.device();
+  problem.space = &space;
+  problem.model = &shared_model();
+  for (const auto& [name, list] : every_list(problem, search_config(kBudget))) {
+    ASSERT_GT(list.size(), kBudget - 1) << name;
+    std::size_t sunk = 0;
+    const std::size_t measured = search::drive(
+        list, search_config(kBudget), [](const codegen::GemmTuning&) { return 1.0; },
+        [&](const auto&, double) { ++sunk; });
+    EXPECT_EQ(measured, kBudget) << name;
+    EXPECT_EQ(sunk, kBudget) << name;
+  }
+}
+
+TEST(SearchDriver, AnytimeBestIsBestOfMeasuredPrefix) {
+  // Doubling the budget can only improve (or tie) the best — the measured
+  // prefix of the ranking is itself a valid run.
+  gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
+  const auto shape = gemm_shape(2560, 32, 2560);
+  const auto small = core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(16));
+  const auto large = core::tune<core::GemmOp>(shape, shared_model(), sim, search_config(64));
+  EXPECT_GE(large.best.measured_gflops, small.best.measured_gflops);
+}
+
+// ------------------------------------------- the paper's recipe, budgeted ----
+
+/// Drive one list over an explicit problem (mirrors core/inference.cpp's
 /// loop, including its deterministic tie-break) and return the winner.
 template <typename Op>
-std::pair<typename core::OperationTraits<Op>::Tuning, std::size_t> run_strategy(
-    search::SearchStrategy<Op>& strategy, const search::SearchProblem<Op>& problem,
+std::pair<typename core::OperationTraits<Op>::Tuning, std::size_t> run_list(
+    const RankedList<Op>& list, const search::SearchProblem<Op>& problem,
     const gpusim::Simulator& sim, const search::SearchConfig& config) {
   using Traits = core::OperationTraits<Op>;
   using Tuning = typename Traits::Tuning;
   Tuning best{};
   double best_gflops = -1.0;
   const std::size_t measured = search::drive(
-      strategy, config,
+      list, config,
       [&](const Tuning& t) {
         const auto timed =
             sim.launch_median(Traits::analyze(*problem.shape, t, sim.device()), 1);
         return timed.valid ? timed.tflops * 1000.0 : 0.0;
       },
-      [&](const auto& proposal, double gflops) {
+      [&](const auto& entry, double gflops) {
         if (gflops > best_gflops ||
             (gflops == best_gflops &&
-             Traits::encode_tuning(proposal.tuning) < Traits::encode_tuning(best))) {
-          best = proposal.tuning;
+             Traits::encode_tuning(entry.tuning) < Traits::encode_tuning(best))) {
+          best = entry.tuning;
           best_gflops = gflops;
         }
       });
@@ -305,9 +317,9 @@ std::pair<typename core::OperationTraits<Op>::Tuning, std::size_t> run_strategy(
   return {best, measured};
 }
 
-TEST(SearchStrategies, UnlimitedBudgetTerminatesAtSpaceSize) {
-  // budget = SIZE_MAX means "unlimited": the driver clamps it to |X̂|, and
-  // every strategy runs out of fresh legal points before that.
+TEST(SearchDriver, UnlimitedBudgetMeasuresTheWholeList) {
+  // budget = SIZE_MAX means "unlimited": the model ranks every legal point,
+  // and the driver re-times each list once, all of X.
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.0, 7);
   const gpusim::DeviceDescriptor& dev = sim.device();
   const auto shape = gemm_shape(512, 512, 512);
@@ -318,18 +330,19 @@ TEST(SearchStrategies, UnlimitedBudgetTerminatesAtSpaceSize) {
   problem.space = &space;
   problem.model = &shared_model();
   const auto cfg = search_config(kUnlimited);
-  for (const auto& strategy : every_strategy(problem, cfg)) {
-    const auto [best, measured] = run_strategy<core::GemmOp>(*strategy, problem, sim, cfg);
-    EXPECT_LE(measured, space.size()) << strategy->name();
-    EXPECT_EQ(measured, strategy->stats().legal) << strategy->name();  // all of X, once
-    EXPECT_TRUE(codegen::validate(shape, best, dev)) << strategy->name();
+  const std::size_t legal = search::rank_legal_space(problem, cfg, kUnlimited).legal;
+  for (const auto& [name, list] : every_list(problem, cfg)) {
+    const auto [best, measured] = run_list<core::GemmOp>(list, problem, sim, cfg);
+    EXPECT_LE(measured, space.size()) << name;
+    EXPECT_EQ(measured, legal) << name;  // all of X, once
+    EXPECT_TRUE(codegen::validate(shape, best, dev)) << name;
   }
 }
 
-TEST(SearchStrategies, EmptyLegalSpaceProposesNothingEverywhere) {
-  // A degenerate shape with no legal configuration: every strategy must let
-  // the driver return 0 measured instead of proposing illegal points or
-  // spinning. (Over the small seed-core space so the exhaustive sweep stays
+TEST(SearchDriver, EmptyLegalSpaceMeasuresNothing) {
+  // A degenerate shape with no legal configuration: both lists are empty and
+  // the driver returns 0 measured instead of measuring illegal points or
+  // spinning. (Over the small seed-core space so the exhaustive list stays
   // cheap; the full-space behavior is identical.)
   const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
   const auto shape = gemm_shape(64, 64, 2);  // below the smallest prefetch depth
@@ -340,18 +353,19 @@ TEST(SearchStrategies, EmptyLegalSpaceProposesNothingEverywhere) {
   problem.space = &space;
   problem.model = &shared_model();
 
-  for (const auto& strategy : every_strategy(problem, search_config(8))) {
+  EXPECT_EQ(search::rank_legal_space(problem, search_config(8), 8).legal, 0u);
+  for (const auto& [name, list] : every_list(problem, search_config(8))) {
+    EXPECT_TRUE(list.empty()) << name;
     std::size_t sunk = 0;
     const std::size_t measured = search::drive(
-        *strategy, search_config(8), [](const codegen::GemmTuning&) { return 1.0; },
+        list, search_config(8), [](const codegen::GemmTuning&) { return 1.0; },
         [&](const auto&, double) { ++sunk; });
-    EXPECT_EQ(measured, 0u) << strategy->name();
-    EXPECT_EQ(sunk, 0u) << strategy->name();
-    EXPECT_EQ(strategy->stats().legal, 0u) << strategy->name();
+    EXPECT_EQ(measured, 0u) << name;
+    EXPECT_EQ(sunk, 0u) << name;
   }
 }
 
-TEST(SearchStrategies, EmptyLegalSpaceThrowsDescriptively) {
+TEST(SearchDriver, EmptyLegalSpaceThrowsDescriptively) {
   // …and tune<Op>() turns that empty drive into a loud, descriptive error —
   // not a value-initialized "best".
   gpusim::Simulator sim(gpusim::tesla_p100(), 0.03, 7);
@@ -370,11 +384,12 @@ TEST(SearchStrategies, EmptyLegalSpaceThrowsDescriptively) {
 TEST(SearchDriver, MeasureExceptionPropagatesToCaller) {
   // A measure() throw inside the driver's parallel measurement must reach
   // the caller (not terminate, not get scored as 0.0), and nothing from the
-  // failed batch may leak into the sink. The test needs only proposals, so
-  // an untrained model serves and keeps this suite free of a training run.
+  // failed batch may leak into the sink. The test needs only a ranked list,
+  // so an untrained model serves and keeps this suite free of a training
+  // run.
   const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
   const auto shape = gemm_shape(512, 512, 512);
-  const tuning::GemmSearchSpace space;
+  const SeedCoreGemmSpace space;
   const mlp::Regressor model = untrained_model(/*constant=*/false);
   search::SearchProblem<core::GemmOp> problem;
   problem.shape = &shape;
@@ -384,18 +399,19 @@ TEST(SearchDriver, MeasureExceptionPropagatesToCaller) {
 
   auto cfg = search_config(32);
   cfg.retry_backoff_ms = 0.0;  // the default retries run, without sleeping
-  for (const auto& strategy : every_strategy(problem, cfg)) {
+  for (const auto& [name, list] : every_list(problem, cfg)) {
+    ASSERT_GT(list.size(), 1u) << name;  // a parallel batch
     std::size_t sunk = 0;
     EXPECT_THROW(
         search::drive(
-            *strategy, cfg,
+            list, cfg,
             [](const codegen::GemmTuning&) -> double {
               throw std::runtime_error("device fault");
             },
             [&](const auto&, double) { ++sunk; }),
         std::runtime_error)
-        << strategy->name();
-    EXPECT_EQ(sunk, 0u) << strategy->name();
+        << name;
+    EXPECT_EQ(sunk, 0u) << name;
   }
 }
 
@@ -412,15 +428,14 @@ TEST(SearchDriver, HugeRetryCountKeepsBackoffDefined) {
   problem.device = &dev;
   problem.space = &space;
 
-  auto cfg = search_config(1);  // one proposal: every attempt is its retry
+  auto cfg = search_config(1);  // one measurement: every attempt is its retry
   cfg.measure_retries = 40;
   cfg.retry_backoff_ms = 0.0;
   cfg.retry_backoff_cap_ms = 0.0;
-  search::ExhaustiveSearch<core::GemmOp> exhaustive(problem, cfg);
   std::atomic<int> attempts{0};
   std::size_t sunk = 0;
   EXPECT_THROW(search::drive(
-                   exhaustive, cfg,
+                   search::exhaustive_legal(problem), cfg,
                    [&](const codegen::GemmTuning&) -> double {
                      ++attempts;
                      throw std::runtime_error("device fault");
@@ -431,17 +446,41 @@ TEST(SearchDriver, HugeRetryCountKeepsBackoffDefined) {
   EXPECT_EQ(sunk, 0u);
 }
 
-TEST(ModelGuidedTopK, MatchesExhaustiveOnSeedShapeGrid) {
+TEST(SearchDriver, CancelStopsBeforeTheFirstBatch) {
+  // Cancellation is polled before every batch: a preset flag measures
+  // nothing and reports the early stop.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const auto shape = gemm_shape(512, 512, 512);
+  const SeedCoreGemmSpace space;
+  search::SearchProblem<core::GemmOp> problem;
+  problem.shape = &shape;
+  problem.device = &dev;
+  problem.space = &space;
+  const std::atomic<bool> cancel{true};
+  auto cfg = search_config(8);
+  cfg.cancel = &cancel;
+  bool stopped_early = false;
+  std::size_t sunk = 0;
+  EXPECT_EQ(search::drive(
+                search::exhaustive_legal(problem), cfg,
+                [](const codegen::GemmTuning&) { return 1.0; },
+                [&](const auto&, double) { ++sunk; }, &stopped_early),
+            0u);
+  EXPECT_EQ(sunk, 0u);
+  EXPECT_TRUE(stopped_early);
+}
+
+TEST(ModelTopK, MatchesExhaustiveOnSeedShapeGrid) {
   // Acceptance criterion: with a budget of 64 measured evaluations per shape,
-  // ModelGuidedTopK must select the same tuning as an unbudgeted
-  // ExhaustiveSearch sweep on ≥ 80% of the GEMM/conv shape grid, over the
+  // the model top-k must select the same tuning as re-timing the whole
+  // exhaustive list on ≥ 80% of the GEMM/conv shape grid, over the
   // seed-grid core spaces above. Noise-free simulator: ground truth is the
   // device model's exact argmax, not a lottery over measurement noise.
   gpusim::Simulator sim(gpusim::tesla_p100(), /*noise_sigma=*/0.0, 7);
   const auto& dev = sim.device();
 
   search::SearchConfig exhaustive;
-  exhaustive.budget = kUnlimited;  // sweep all of X: the ground truth
+  exhaustive.budget = kUnlimited;  // measure all of X: the ground truth
 
   search::SearchConfig topk;
   topk.budget = 64;
@@ -458,10 +497,9 @@ TEST(ModelGuidedTopK, MatchesExhaustiveOnSeedShapeGrid) {
     problem.device = &dev;
     problem.space = &space;
     problem.model = &shared_model();
-    search::ExhaustiveSearch<Op> sweep(problem, exhaustive);
-    search::ModelGuidedTopK<Op> ranked(problem, topk);
-    const auto [truth, truth_measured] = run_strategy<Op>(sweep, problem, sim, exhaustive);
-    const auto [fast, fast_measured] = run_strategy<Op>(ranked, problem, sim, topk);
+    const auto [truth, truth_measured] =
+        run_list<Op>(search::exhaustive_legal(problem), problem, sim, exhaustive);
+    const auto [fast, fast_measured] = run_list<Op>(model_topk(problem, topk), problem, sim, topk);
     EXPECT_LE(fast_measured, 64u) << shape.to_string();
     EXPECT_GE(truth_measured, fast_measured) << shape.to_string();  // full sweep ⊇ top-k
     ++total;
@@ -896,6 +934,10 @@ TEST(SearchSpaceSize, SaturatesInsteadOfWrapping) {
   problem.space = &huge;
   problem.model = &shared_model();
   EXPECT_THROW(search::rank_legal_space(problem, search::SearchConfig{}, 8), std::length_error);
+  // So does the strided probe: its stride is a flat index too.
+  search::SearchConfig probe_cfg;
+  probe_cfg.max_candidates = 64;
+  EXPECT_THROW(search::rank_strided_probe(problem, probe_cfg, 1), std::length_error);
   // Ordinary spaces stay exact.
   EXPECT_LT(tuning::GemmSearchSpace().size(), std::numeric_limits<std::size_t>::max());
   EXPECT_LT(tuning::ConvSearchSpace().size(), std::numeric_limits<std::size_t>::max());
@@ -923,6 +965,66 @@ TEST(RankStridedProbe, ReusableOdometerKeepsProbeDeterministic) {
   ASSERT_FALSE(a.order.empty());
   for (std::size_t i = 0; i < a.order.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.scores[a.order[i]], b.scores[b.order[i]]);
+  }
+}
+
+TEST(RankStridedProbe, MatchesReferenceProbe) {
+  // The tier-1 probe against its generate-and-test oracle: the reference
+  // validates every stride pick (no prefix pre-gate) and de-duplicates the
+  // seed grid by hash, so equal candidates also show the pre-gate rejects
+  // only points validate rejects. Candidates, order, score bits and the X̂
+  // accounting must all match, over every op's grid.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const tuning::GemmSearchSpace gemm_space;
+  const tuning::ConvSearchSpace conv_space;
+  const tuning::BatchedGemmSearchSpace batched_space;
+  search::SearchConfig cfg;
+  cfg.max_candidates = 20000;
+
+  const auto compare = [&](auto op_tag, const auto& space, const auto& shape) {
+    using Op = std::decay_t<decltype(op_tag)>;
+    search::SearchProblem<Op> problem;
+    problem.shape = &shape;
+    problem.device = &dev;
+    problem.space = &space;
+    problem.model = &shared_model();
+    const std::string label = shape.to_string();
+    const auto truth = reference::reference_probe(problem, cfg, kUnlimited);
+    const auto fast = search::rank_strided_probe(problem, cfg, kUnlimited);
+    EXPECT_EQ(fast.visited, truth.visited) << label;
+    EXPECT_EQ(fast.legal, truth.legal) << label;
+    EXPECT_EQ(fast.scored, truth.scored) << label;
+    ASSERT_EQ(fast.candidates, truth.candidates) << label;
+    EXPECT_EQ(fast.order, truth.order) << label;
+    ASSERT_EQ(first_difference(best_first(fast), best_first(truth)), truth.order.size()) << label;
+  };
+
+  for (const auto& shape : gemm_grid()) compare(core::GemmOp{}, gemm_space, shape);
+  for (const auto& shape : conv_grid()) compare(core::ConvOp{}, conv_space, shape);
+  for (const auto& shape : batched_grid()) compare(core::BatchedGemmOp{}, batched_space, shape);
+}
+
+TEST(RankLegalSpace, PresetCancelScoresNothing) {
+  // The ranking polls SearchConfig::cancel before each walk chunk, each
+  // enumeration chunk and each scoring slice: a flag set before the call
+  // skips them all, dense or capped.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const tuning::GemmSearchSpace space;
+  const auto shape = gemm_shape(512, 512, 512);
+  search::SearchProblem<core::GemmOp> problem;
+  problem.shape = &shape;
+  problem.device = &dev;
+  problem.space = &space;
+  problem.model = &shared_model();
+  const std::atomic<bool> cancel{true};
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{20000}}) {
+    search::SearchConfig cfg;
+    cfg.max_candidates = cap;
+    cfg.cancel = &cancel;
+    const auto ranked = search::rank_legal_space(problem, cfg, 64);
+    EXPECT_EQ(ranked.scored, 0u) << "cap " << cap;
+    EXPECT_EQ(ranked.legal, 0u) << "cap " << cap;
+    EXPECT_TRUE(ranked.candidates.empty()) << "cap " << cap;
   }
 }
 

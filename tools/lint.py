@@ -12,13 +12,16 @@ DESIGN.md (fenced blocks following ``<!-- lint:telemetry-keys -->``,
 Failures (exit 1):
   * a key/span/site used in src/ but absent from its registry;
   * a registered failpoint site no longer present in src/ (dead chaos hook);
+  * a registered telemetry key or span name no longer present in src/
+    (a dead registry line), unless it is a ``.*`` family;
   * a malformed name (uppercase, spaces, leading/trailing dots);
   * a histogram key not ending in ``_us`` (microseconds) or ``_pct``.
 
 Registry entries ending in ``.*`` are dynamic families (e.g.
 ``breaker.opened.*`` — one counter per named breaker): they match any used
 key with that prefix and are exempt from the unused check, since their
-concrete names only exist at runtime.
+concrete names only exist at runtime. Every other key and span is a literal
+the scanner sees, so a registered one that src/ no longer uses is stale.
 
 Run from the repo root (the lint_registries ctest entry does):
     python3 tools/lint.py
@@ -104,7 +107,6 @@ def registry_match(name: str, registry: list[str]) -> bool:
 
 def main() -> int:
     errors: list[str] = []
-    warnings: list[str] = []
 
     used_keys, used_spans, used_sites = scan_sources()
     reg_keys = parse_registry("telemetry-keys")
@@ -150,18 +152,18 @@ def main() -> int:
             errors.append(f"failpoint site '{entry}' is registered in DESIGN.md "
                           "but no ISAAC_FAILPOINT site in src/ uses it")
 
-    # Stale key/span entries are only warnings: purely dynamic names may be
-    # invisible to this scanner, and a doc-ahead-of-code registry entry
-    # shouldn't break the build.
+    # A registered key or span that src/ no longer uses is a dead registry
+    # line: removing an instrument must remove its entry too. Dynamic
+    # families are exempt (their concrete names only exist at runtime).
     for entry in reg_keys:
         if entry not in used_keys and not entry.endswith(".*"):
-            warnings.append(f"telemetry key '{entry}' is registered but not found in src/")
+            errors.append(f"telemetry key '{entry}' is registered in DESIGN.md "
+                          "but not found in src/")
     for entry in reg_spans:
-        if entry not in used_spans:
-            warnings.append(f"span name '{entry}' is registered but not found in src/")
+        if entry not in used_spans and not entry.endswith(".*"):
+            errors.append(f"span name '{entry}' is registered in DESIGN.md "
+                          "but not found in src/")
 
-    for w in warnings:
-        print(f"lint.py: warning: {w}")
     for e in errors:
         print(f"lint.py: error: {e}")
     if errors:
