@@ -137,7 +137,7 @@ bool fired_slow(std::string_view name);
 
 /// Throw-style failpoint: when armed and firing, throws FailpointError. The
 /// static reference caches the registry lookup after the first armed pass
-/// (mirrors ISAAC_TM_COUNT); disarmed cost is one relaxed load + branch.
+/// (mirrors ISAAC_TM_RECORD); disarmed cost is one relaxed load + branch.
 #define ISAAC_FAILPOINT(name)                                       \
   do {                                                              \
     if (::isaac::failpoint::any_armed()) {                          \

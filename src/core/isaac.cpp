@@ -24,12 +24,6 @@ const gpusim::DeviceDescriptor& with_env_init(const gpusim::DeviceDescriptor& de
   return device;
 }
 
-std::uint64_t steady_now_us() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
-
 void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(std::string("ContextOptions: ") + what);
 }
@@ -94,6 +88,12 @@ Context::~Context() {
   telemetry::dump_configured();
 }
 
+std::uint64_t Context::steady_now_us() {
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
+                                        std::chrono::steady_clock::now().time_since_epoch())
+                                        .count());
+}
+
 CircuitBreaker& Context::breaker_for(std::string_view kind) {
   sync::MutexLock lock(breaker_mutex_);
   const auto it = breakers_.find(kind);
@@ -145,7 +145,6 @@ void Context::set_model(mlp::Regressor model) {
   }
   // `versioned` now holds the predecessor (nullptr on first install).
   if (versioned) {
-    model_swaps_.fetch_add(1, std::memory_order_relaxed);
     ISAAC_TM_COUNT("model.swaps");
     drift_.reset();
   }
@@ -161,7 +160,6 @@ void Context::install_model(std::shared_ptr<const mlp::VersionedModel> model) {
   // `model` now holds the predecessor; dropping it here (outside the lock)
   // frees the old version only once every pinned reader has also let go.
   if (model) {
-    model_swaps_.fetch_add(1, std::memory_order_relaxed);
     ISAAC_TM_COUNT("model.swaps");
     // The successor starts with clean error windows: drift is judged per
     // version, not across the swap.
@@ -179,7 +177,7 @@ void Context::maybe_schedule_retrain(bool drift_tripped) {
   if (!online.enabled) return;
   if (!drift_tripped) {
     if (online.retrain_every == 0) return;
-    const std::uint64_t total = observations_recorded_.load(std::memory_order_relaxed);
+    const std::uint64_t total = observations_.total_appended();
     const std::uint64_t mark = last_retrain_mark_.load(std::memory_order_relaxed);
     if (total - mark < online.retrain_every) return;
   }
@@ -203,8 +201,7 @@ bool Context::schedule_retrain() {
     return false;
   }
   if (retrain_inflight_.exchange(true, std::memory_order_acq_rel)) return false;
-  last_retrain_mark_.store(observations_recorded_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
+  last_retrain_mark_.store(observations_.total_appended(), std::memory_order_relaxed);
   {
     sync::MutexLock lock(background_mutex_);
     ++background_pending_;
@@ -228,8 +225,7 @@ bool Context::schedule_retrain() {
 bool Context::retrain_now() {
   if (!options_.online.enabled) return false;
   if (retrain_inflight_.exchange(true, std::memory_order_acq_rel)) return false;
-  last_retrain_mark_.store(observations_recorded_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
+  last_retrain_mark_.store(observations_.total_appended(), std::memory_order_relaxed);
   return run_retrain(telemetry::current_span());
 }
 
@@ -250,7 +246,6 @@ bool Context::run_retrain(std::uint64_t parent_span) {
         ISAAC_LOG_INFO() << "retrained model v" << base->version() << " -> v" << next->version()
                          << " on " << next->provenance().samples << " observations";
         install_model(std::move(next));
-        retrains_.fetch_add(1, std::memory_order_relaxed);
         ISAAC_TM_COUNT("model.retrains");
         swapped = true;
       }

@@ -237,31 +237,10 @@ class Context {
   /// have completed (explicit tune<Op>() calls are not counted) — with
   /// single-flight dispatch and exactly-once refinement this converges to
   /// one per distinct cold shape once drained, no matter how many threads
-  /// raced.
+  /// raced. Every other dispatch event (tier-1 predictions, upgrades,
+  /// fallbacks, sheds, drops, swaps, retrains, drift trips) is counted once,
+  /// process-wide, in its telemetry counter (DESIGN.md, "Runtime telemetry").
   std::size_t tuning_runs() const noexcept { return tuning_runs_.load(); }
-
-  /// Tier-1 selections served: cold shapes answered with the model's instant
-  /// argmax.
-  std::size_t predictions() const noexcept { return predictions_.load(); }
-
-  /// Background refinements that completed and upgraded their entry.
-  std::size_t refinements() const noexcept { return refinements_.load(); }
-
-  // ---- fault-tolerance observability (tests) ----
-
-  /// Seed-grid fallback selections minted while the leader path was failing.
-  std::size_t fallbacks_served() const noexcept { return fallbacks_.load(); }
-
-  /// Leaders refused outright by an open breaker (served fallback instantly).
-  std::size_t breaker_short_circuits() const noexcept {
-    return breaker_short_circuits_.load();
-  }
-
-  /// Refinements shed by admission control (queue already at max pending).
-  std::size_t refinements_shed() const noexcept { return refinements_shed_.load(); }
-
-  /// Refinements dropped after exhausting their retry attempts.
-  std::size_t refinements_dropped() const noexcept { return refinements_dropped_.load(); }
 
   /// Background refinements currently pending (enqueued or running).
   std::size_t refinements_pending() const noexcept {
@@ -291,15 +270,6 @@ class Context {
   /// Synchronous retrain on the calling thread (deterministic tests and
   /// benches). Returns true when a successor version was swapped in.
   bool retrain_now();
-
-  /// Hot swaps performed (installs that replaced a live model).
-  std::size_t model_swaps() const noexcept { return model_swaps_.load(); }
-
-  /// Warm-start retrains that completed and swapped a successor in.
-  std::size_t retrains() const noexcept { return retrains_.load(); }
-
-  /// Drift-detector trips (each schedules a retrain unless one is pending).
-  std::size_t drift_trips() const noexcept { return drift_trips_.load(); }
 
   /// A background retrain is currently running.
   bool retrain_in_flight() const noexcept {
@@ -356,6 +326,10 @@ class Context {
   /// holding at least retrain.min_observations records.
   void maybe_schedule_retrain(bool drift_tripped);
 
+  /// Steady-clock microseconds: the time base of the refinement backoff and
+  /// the retrain backoff.
+  static std::uint64_t steady_now_us();
+
   /// Exactly-once gate + pool submission; false when one is already pending.
   bool schedule_retrain();
 
@@ -394,9 +368,13 @@ class Context {
   };
   std::unordered_map<std::string, RefineBackoff> refine_backoff_
       ISAAC_GUARDED_BY(inflight_mutex_);
+  /// The reset-window rule: `backoff`'s failure streak is forgiven once
+  /// refine_retry_reset_ms has passed since its last failure.
+  bool backoff_expired(const RefineBackoff& backoff, std::uint64_t now_us) const {
+    return now_us - backoff.last_failure_us >=
+           static_cast<std::uint64_t>(options_.fault.refine_retry_reset_ms * 1000.0);
+  }
   std::atomic<std::size_t> tuning_runs_{0};
-  std::atomic<std::size_t> predictions_{0};
-  std::atomic<std::size_t> refinements_{0};
 
   // Fault-tolerance state. One breaker per op kind: a conv-specific fault
   // (say, a poisoned conv ranking) must not degrade gemm dispatch.
@@ -408,10 +386,6 @@ class Context {
   std::map<std::string, CircuitBreaker, std::less<>> breakers_
       ISAAC_GUARDED_BY(breaker_mutex_);
   std::atomic<std::size_t> refine_pending_{0};
-  std::atomic<std::size_t> fallbacks_{0};
-  std::atomic<std::size_t> breaker_short_circuits_{0};
-  std::atomic<std::size_t> refinements_shed_{0};
-  std::atomic<std::size_t> refinements_dropped_{0};
   /// Set by ~Context before draining: background refinements poll it between
   /// search batches (SearchConfig::cancel) and abandon cooperatively, so
   /// teardown never waits out a long search or an injected hang.
@@ -425,11 +399,8 @@ class Context {
   tuning::DriftDetector drift_;
   tuning::Retrainer retrainer_;
   std::atomic<bool> retrain_inflight_{false};
-  std::atomic<std::size_t> model_swaps_{0};
-  std::atomic<std::size_t> retrains_{0};
-  std::atomic<std::size_t> drift_trips_{0};
   std::atomic<std::uint64_t> last_retrain_us_{0};
-  std::atomic<std::uint64_t> observations_recorded_{0};
+  /// observations_.total_appended() when the last retrain was scheduled.
   std::atomic<std::uint64_t> last_retrain_mark_{0};
 
   // Outstanding background tasks — warmup selections, refinements and
@@ -525,24 +496,21 @@ typename OperationTraits<Op>::Tuning Context::select(
           // instantly. The entry is stored (so followers and future callers
           // hit), tiered `fallback`, and upgradeable once the breaker lets a
           // refinement through again.
-          breaker_short_circuits_.fetch_add(1, std::memory_order_relaxed);
           ISAAC_TM_COUNT("breaker.short_circuit");
           winner = fallback_tuning<Op>(shape);
           cache_.store<Op>(dev, shape, *winner,
                            ProfileCache::provenance("fallback", 0, EntryTier::fallback));
-          fallbacks_.fetch_add(1, std::memory_order_relaxed);
           ISAAC_TM_COUNT("breaker.fallbacks");
           winner_tier = EntryTier::fallback;
         } else {
           try {
             // Tier 1: the model's argmax, zero measurements on this thread.
             telemetry::Span predict_span("select.predict");
-            ISAAC_TM_COUNT("dispatch.leader_predict");
             const auto pred = core::predict<Op>(shape, snapshot->regressor(), sim_.device(),
                                                 options_.search);
             cache_.store<Op>(dev, shape, pred.tuning,
                              ProfileCache::provenance("predict", 0, EntryTier::provisional));
-            predictions_.fetch_add(1, std::memory_order_relaxed);
+            ISAAC_TM_COUNT("dispatch.leader_predict");
             winner = pred.tuning;
             winner_tier = EntryTier::provisional;
             // Report before enqueueing the refinement: a leader holding the
@@ -565,7 +533,6 @@ typename OperationTraits<Op>::Tuning Context::select(
             winner = fallback_tuning<Op>(shape);
             cache_.store<Op>(dev, shape, *winner,
                              ProfileCache::provenance("fallback", 0, EntryTier::fallback));
-            fallbacks_.fetch_add(1, std::memory_order_relaxed);
             ISAAC_TM_COUNT("breaker.fallbacks");
             winner_tier = EntryTier::fallback;
             maybe_refine<Op>(key, shape);
@@ -613,17 +580,12 @@ void Context::maybe_refine(const std::string& key,
     ISAAC_TM_COUNT("refine.skipped_open");
     return;
   }
-  const std::uint64_t now_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  const std::uint64_t reset_us =
-      static_cast<std::uint64_t>(options_.fault.refine_retry_reset_ms * 1000.0);
+  const std::uint64_t now_us = steady_now_us();
   {
     sync::MutexLock lock(inflight_mutex_);
     const auto backoff = refine_backoff_.find(key);
     if (backoff != refine_backoff_.end()) {
-      if (now_us - backoff->second.last_failure_us >= reset_us) {
+      if (backoff_expired(backoff->second, now_us)) {
         // The reset window passed without a new failure: forgive the streak
         // and let refinement try again.
         refine_backoff_.erase(backoff);
@@ -641,7 +603,6 @@ void Context::maybe_refine(const std::string& key,
   if (options_.fault.refine_max_pending > 0 &&
       already_pending >= options_.fault.refine_max_pending) {
     refine_pending_.fetch_sub(1, std::memory_order_acq_rel);
-    refinements_shed_.fetch_add(1, std::memory_order_relaxed);
     ISAAC_TM_COUNT("refine.shed");
     sync::MutexLock lock(inflight_mutex_);
     refining_.erase(key);
@@ -711,7 +672,6 @@ void Context::maybe_refine(const std::string& key,
                                                                EntryTier::refined));
         tuning_runs_.fetch_add(1, std::memory_order_relaxed);
         if (upgraded) {
-          refinements_.fetch_add(1, std::memory_order_relaxed);
           ISAAC_TM_COUNT("refine.upgraded");
         } else {
           ISAAC_TM_COUNT("refine.rejected");
@@ -755,17 +715,11 @@ void Context::maybe_refine(const std::string& key,
         // the cap a later hit re-enqueues (refine.retry); at the cap the key
         // is dropped until the reset window forgives it (refine.dropped).
         auto& backoff = refine_backoff_[key];
-        const std::uint64_t fail_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-        const std::uint64_t reset_us =
-            static_cast<std::uint64_t>(options_.fault.refine_retry_reset_ms * 1000.0);
-        if (fail_us - backoff.last_failure_us >= reset_us) backoff.attempts = 0;
+        const std::uint64_t fail_us = steady_now_us();
+        if (backoff_expired(backoff, fail_us)) backoff.attempts = 0;
         ++backoff.attempts;
         backoff.last_failure_us = fail_us;
         if (backoff.attempts >= options_.fault.refine_max_attempts) {
-          refinements_dropped_.fetch_add(1, std::memory_order_relaxed);
           ISAAC_TM_COUNT("refine.dropped");
         } else {
           ISAAC_TM_COUNT("refine.retry");
@@ -855,7 +809,7 @@ void Context::record_observations(
     // result.top is exactly the search's measured set (every distinct
     // candidate `search.measure` timed, best first) — the (shape, tuning,
     // gflops) triples PR 3 used to throw away.
-    std::size_t appended = 0;
+    bool appended = false;
     bool tripped = false;
     for (const auto& candidate : result.top) {
       if (!(candidate.measured_gflops > 0.0)) continue;
@@ -869,16 +823,12 @@ void Context::record_observations(
       obs.model_version = model.version();
       if (drift_.observe(obs.op, obs.predicted_gflops, obs.measured_gflops)) {
         tripped = true;
-        drift_trips_.fetch_add(1, std::memory_order_relaxed);
         ISAAC_TM_COUNT("model.drift_trips");
       }
       observations_.append(std::move(obs));
-      ++appended;
+      appended = true;
     }
-    if (appended) {
-      observations_recorded_.fetch_add(appended, std::memory_order_relaxed);
-      maybe_schedule_retrain(tripped);
-    }
+    if (appended) maybe_schedule_retrain(tripped);
   } catch (const std::exception& e) {
     ISAAC_LOG_WARN() << "observation recording failed: " << e.what();
   }

@@ -1,6 +1,5 @@
 #include "core/profile_cache.hpp"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,10 +20,6 @@
 namespace isaac::core {
 
 namespace {
-
-std::filesystem::path cache_file(const std::string& directory) {
-  return std::filesystem::path(directory) / "isaac_profiles.txt";
-}
 
 /// Serialize one entry in the current schema (two columns when there is no
 /// provenance) — shared by the append path and the compactor so both always
@@ -66,7 +61,12 @@ bool parse_line(const std::string& line, std::string& key, std::string& value,
 
 }  // namespace
 
-ProfileCache::ProfileCache(std::string directory) : directory_(std::move(directory)) {
+ProfileCache::ProfileCache(std::string directory)
+    : directory_(std::move(directory)),
+      // Chaos site: a full disk / revoked mount / flock contention storm, all
+      // surfaced as "the write failed" so the degrade path is what runs.
+      disk_(directory_, "isaac_profiles.txt",
+            [] { return ISAAC_FAILPOINT_FIRED("cache.write_fail"); }) {
   if (!directory_.empty()) load_from_disk();
 }
 
@@ -77,12 +77,13 @@ EntryTier ProfileCache::tier_from_meta(const std::string& meta) {
 }
 
 void ProfileCache::load_from_disk() {
-  const std::filesystem::path file = cache_file(directory_);
+  const std::filesystem::path& file = disk_.path();
 
   // Parse into one ordered map first (last-wins), then distribute across the
   // shards; the single-threaded constructor needs no locks yet.
   std::map<std::string, Entry> live;
   std::size_t lines = 0;
+  std::uint64_t corrupt = 0;
 
 #if ISAAC_HAVE_FLOCK
   // Hold the same exclusive flock the appenders take for the whole
@@ -112,7 +113,7 @@ void ProfileCache::load_from_disk() {
         // Quarantine, never fatal: a torn tail or foreign garbage costs the
         // one line, not the cache. Counted below; compaction (which rewrites
         // only parsed entries) heals the file.
-        ++load_corrupt_;
+        ++corrupt;
         continue;
       }
       const EntryTier entry_tier = tier_from_meta(meta);
@@ -162,7 +163,7 @@ void ProfileCache::load_from_disk() {
     if (line.empty()) continue;
     ++lines;
     if (!parse_line(line, key, value, meta)) {
-      ++load_corrupt_;
+      ++corrupt;
       continue;
     }
     const EntryTier entry_tier = tier_from_meta(meta);
@@ -179,10 +180,10 @@ void ProfileCache::load_from_disk() {
     shard.entries.emplace(key, std::move(entry));
   }
   ISAAC_TM_COUNT_N("cache.loaded_entries", live.size());
-  if (load_corrupt_ > 0) {
-    ISAAC_TM_COUNT_N("cache.load_corrupt", load_corrupt_);
-    ISAAC_LOG_WARN() << "profile cache: quarantined " << load_corrupt_
-                     << " malformed line(s) in " << file.string();
+  if (corrupt > 0) {
+    ISAAC_TM_COUNT_N("cache.load_corrupt", corrupt);
+    ISAAC_LOG_WARN() << "profile cache: quarantined " << corrupt << " malformed line(s) in "
+                     << file.string();
   }
   ISAAC_LOG_INFO() << "profile cache: loaded " << live.size() << " entries from "
                    << file.string();
@@ -200,74 +201,29 @@ std::string ProfileCache::provenance(const std::string& strategy, std::size_t bu
   return provenance(strategy, budget) + ";tier=" + name;
 }
 
-bool ProfileCache::write_line_to_disk(const std::string& line) const {
-  std::error_code ec;
-  std::filesystem::create_directories(directory_, ec);
-  const std::filesystem::path file = cache_file(directory_);
-  // Chaos site: a full disk / revoked mount / flock contention storm, all
-  // surfaced as "the write failed" so the degrade path below is what runs.
-  if (ISAAC_FAILPOINT_FIRED("cache.write_fail")) return false;
-#if ISAAC_HAVE_FLOCK
-  // Exclusive-flocked O_APPEND write of the whole line in one syscall, so
-  // concurrent writers (threads or separate processes) cannot tear it.
-  const int fd = ::open(file.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd < 0) return false;
-  bool ok = false;
-  if (::flock(fd, LOCK_EX) == 0) {
-    std::size_t written = 0;
-    ok = true;
-    while (written < line.size()) {
-      const ssize_t n = ::write(fd, line.data() + written, line.size() - written);
-      if (n <= 0) {
-        ok = false;
-        break;
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    ::flock(fd, LOCK_UN);
-  }
-  ::close(fd);
-  return ok;
-#else
-  std::ofstream os(file, std::ios::app);
-  if (!os) return false;
-  os << line;
-  return static_cast<bool>(os);
-#endif
-}
-
 void ProfileCache::append_to_disk(const std::string& key, const std::string& value,
-                                  const std::string& meta) const {
+                                  const std::string& meta) {
   if (directory_.empty()) return;
-  const std::uint64_t now = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  // Degraded: serve memory-only, but re-probe the disk once per retry
-  // interval — a transient outage (disk filled, then freed) heals itself
-  // without a restart. Entries written while degraded are lost to the file
-  // (memory keeps them); last-wins replay semantics make that safe.
-  if (disk_degraded_.load(std::memory_order_relaxed) &&
-      now < disk_retry_at_us_.load(std::memory_order_relaxed)) {
-    disk_writes_skipped_.fetch_add(1, std::memory_order_relaxed);
-    ISAAC_TM_COUNT("cache.disk_write_skipped");
-    return;
-  }
-  if (write_line_to_disk(format_line(key, value, meta))) {
-    if (disk_degraded_.exchange(false, std::memory_order_relaxed)) {
+  // Entries skipped while degraded are lost to the file only (memory keeps
+  // them); last-wins replay semantics make that safe.
+  switch (disk_.append(format_line(key, value, meta))) {
+    case AppendFile::Outcome::written:
+      break;
+    case AppendFile::Outcome::recovered:
       ISAAC_TM_COUNT("cache.disk_recovered");
       ISAAC_LOG_INFO() << "profile cache: disk writes recovered, leaving memory-only mode";
-    }
-    return;
-  }
-  disk_retry_at_us_.store(now + disk_retry_us_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  if (!disk_degraded_.exchange(true, std::memory_order_relaxed)) {
-    ISAAC_TM_COUNT("cache.disk_degraded");
-    ISAAC_LOG_WARN() << "profile cache: disk append failed; degrading to memory-only with "
-                     << "periodic re-probe";
-  } else {
-    ISAAC_TM_COUNT("cache.disk_reprobe_failed");
+      break;
+    case AppendFile::Outcome::skipped:
+      ISAAC_TM_COUNT("cache.disk_write_skipped");
+      break;
+    case AppendFile::Outcome::degraded:
+      ISAAC_TM_COUNT("cache.disk_degraded");
+      ISAAC_LOG_WARN() << "profile cache: disk append failed; degrading to memory-only with "
+                       << "periodic re-probe";
+      break;
+    case AppendFile::Outcome::reprobe_failed:
+      ISAAC_TM_COUNT("cache.disk_reprobe_failed");
+      break;
   }
 }
 

@@ -3,9 +3,9 @@
 //
 // One keyed store for every operation: entries are (key, encoded tuning,
 // provenance) strings, where the key is device|kind|shape-fields, the codec
-// comes from OperationTraits<Op>, and the provenance records which search
-// strategy and budget produced the tuning (so cached selections stay
-// auditable once several strategies coexist). Typed accessors
+// comes from OperationTraits<Op>, and the provenance records the search name,
+// the measurement budget and the tier that produced the tuning (so every
+// cached selection says where it came from). Typed accessors
 // lookup<Op>/store<Op> decode on the way out, so adding an operation adds no
 // code here.
 //
@@ -22,14 +22,14 @@
 //
 // Failure domains: load_from_disk() quarantines malformed/torn lines (a
 // corrupt cache degrades capacity, never correctness — counted in
-// load_corrupt() and `cache.load_corrupt`), and a failing disk
-// append flips the cache into memory-only mode with a periodic re-probe
-// instead of hammering a dead disk on every store.
+// `cache.load_corrupt`), and a failing disk append flips the cache into
+// memory-only mode with a periodic re-probe instead of hammering a dead disk
+// on every store (common/append_file.hpp, shared with the observation log).
 //
 // Thread-safe and sharded: keys hash onto independent buckets, each guarded
 // by its own shared_mutex, so hot-path lookups from many threads stop
-// contending on one global lock. Disk appends go through a flocked O_APPEND
-// write so concurrent processes (or threads racing in one process) cannot
+// contending on one global lock. Disk appends go through AppendFile's flocked
+// O_APPEND write so concurrent processes (or threads racing in one process) cannot
 // interleave half-written lines; appends happen under the owning shard's
 // exclusive lock, so the file's last-writer order matches the in-memory
 // last-writer order per key. load_from_disk() compacts the append-only file
@@ -38,13 +38,13 @@
 
 #include <any>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
 
+#include "common/append_file.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/operation.hpp"
 #include "telemetry/metrics.hpp"
@@ -183,11 +183,6 @@ class ProfileCache {
     return total;
   }
 
-  /// Malformed lines quarantined by the constructor's load. Hits, misses,
-  /// stores and upgrades are counted once, in the `cache.*` telemetry
-  /// counters.
-  std::uint64_t load_corrupt() const noexcept { return load_corrupt_; }
-
   /// Key derivation, exposed for tests: device|kind|shape-fields.
   template <typename Op>
   static std::string key(const std::string& device,
@@ -204,22 +199,13 @@ class ProfileCache {
 
   /// True while the cache is running memory-only because an append failed;
   /// it re-probes the disk once per retry interval and clears itself on the
-  /// first successful write.
-  bool disk_degraded() const noexcept {
-    return disk_degraded_.load(std::memory_order_relaxed);
-  }
-
-  /// Disk appends skipped while degraded (between re-probes).
-  std::uint64_t disk_writes_skipped() const noexcept {
-    return disk_writes_skipped_.load(std::memory_order_relaxed);
-  }
+  /// first successful write. Hits, misses, stores, upgrades and every disk
+  /// event are counted once, in the `cache.*` telemetry counters.
+  bool disk_degraded() const noexcept { return disk_.degraded(); }
 
   /// How long a failed disk stays quarantined before the next write re-probes
-  /// it (default 1 s; tests and the chaos bench shrink it).
-  void set_disk_retry_ms(double ms) noexcept {
-    disk_retry_us_.store(ms > 0.0 ? static_cast<std::uint64_t>(ms * 1000.0) : 0,
-                         std::memory_order_relaxed);
-  }
+  /// it (default 1 s; tests shrink it).
+  void set_disk_retry_ms(double ms) noexcept { disk_.set_retry_ms(ms); }
 
  private:
   /// The encoded form is authoritative (it is what reaches disk); `decoded`
@@ -248,23 +234,14 @@ class ProfileCache {
   }
 
   void load_from_disk();
+  /// Append one entry line through disk_ (a no-op for an in-memory cache)
+  /// and count what happened.
   void append_to_disk(const std::string& key, const std::string& value,
-                      const std::string& meta) const;
-  /// The raw write (open + flock + single write(2)); false on any failure.
-  bool write_line_to_disk(const std::string& line) const;
+                      const std::string& meta);
 
   std::string directory_;
   mutable std::array<Shard, kShards> shards_;  // mutable: lookup memoizes decodes
-
-  // Disk health: a failed append flips degraded_ and the cache serves from
-  // memory alone; the next append after the retry interval re-probes. All
-  // mutations happen under the owning shard's exclusive lock (appends only),
-  // so the atomics are for cross-shard visibility, not for write races.
-  mutable std::atomic<bool> disk_degraded_{false};
-  mutable std::atomic<std::uint64_t> disk_retry_at_us_{0};
-  mutable std::atomic<std::uint64_t> disk_retry_us_{1000000};  // 1 s
-  mutable std::atomic<std::uint64_t> disk_writes_skipped_{0};
-  std::uint64_t load_corrupt_ = 0;  // set once, in the constructor's load
+  AppendFile disk_;
 };
 
 }  // namespace isaac::core

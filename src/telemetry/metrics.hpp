@@ -3,14 +3,16 @@
 //
 // Overhead contract (see DESIGN.md, "Runtime telemetry"):
 //
-//  * Disabled (the default): every record path is one relaxed atomic load and
-//    a predictable branch — no clock reads, no registry lookups, no atomic
-//    RMW. The ISAAC_TM_* macros additionally skip the one-time registry
-//    lookup, so a cold call site pays nothing until telemetry is enabled.
-//  * Enabled: counters are striped across cache-line-padded per-thread slots
-//    (relaxed fetch_add on a slot other threads rarely touch); histograms are
-//    one relaxed fetch_add on a fixed bucket plus min/max CAS loops. Nothing
-//    on the record path allocates, locks, or formats text.
+//  * Counters always count: each event is one relaxed fetch_add on a
+//    cache-line-padded per-thread stripe (a slot other threads rarely touch),
+//    whether or not telemetry is enabled, so every runtime event has exactly
+//    one count and it is always live.
+//  * Histograms and gauges record only while telemetry is enabled. Disabled
+//    (the default), their record path is one relaxed atomic load and a
+//    predictable branch — no clock reads, no registry lookups, no atomic
+//    RMW, and ISAAC_TM_RECORD skips its one-time registry lookup. Enabled, a
+//    histogram sample is one relaxed fetch_add on a fixed bucket plus min/max
+//    CAS loops. Nothing on any record path allocates, locks, or formats text.
 //
 // Registration is by name ("dispatch.select_us"): the first call creates the
 // instrument under a mutex, later calls return the same address, and
@@ -34,8 +36,9 @@
 
 namespace isaac::telemetry {
 
-/// Global on/off for metric recording. Off (default) makes every record call
-/// a relaxed load + branch. Enabled automatically when ISAAC_TELEMETRY is set
+/// Global on/off for histograms, gauges and the clock reads behind them
+/// (counters always count). Off (default) makes each of those record calls a
+/// relaxed load + branch. Enabled automatically when ISAAC_TELEMETRY is set
 /// (see telemetry.hpp) or explicitly by benches/tests.
 bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
@@ -53,12 +56,12 @@ inline void set_enabled(bool on) noexcept {
 
 /// Monotonically increasing count, striped across cache-line-padded slots so
 /// concurrent increments from different threads do not share a cache line.
-/// value() sums the stripes (racing increments may or may not be included —
-/// the usual relaxed-snapshot semantics; nothing is ever lost).
+/// Counts whether or not telemetry is enabled. value() sums the stripes
+/// (racing increments may or may not be included — the usual relaxed-snapshot
+/// semantics; nothing is ever lost).
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    if (!enabled()) return;
     stripes_[detail::thread_index() & (kStripes - 1)].v.fetch_add(
         n, std::memory_order_relaxed);
   }
@@ -190,18 +193,16 @@ void reset_for_testing();
 
 }  // namespace isaac::telemetry
 
-// Hot-path macros: when telemetry is disabled the whole statement is one
-// relaxed load + branch; the registry lookup happens once, on the first
-// enabled pass through the call site.
+// Hot-path macros: the registry lookup happens once per call site, on its
+// first pass (for ISAAC_TM_RECORD, its first enabled pass). A count is then
+// one striped relaxed add; a disabled record is one relaxed load + branch.
 #define ISAAC_TM_COUNT(name) ISAAC_TM_COUNT_N(name, 1)
 
 #define ISAAC_TM_COUNT_N(name, n)                                           \
   do {                                                                      \
-    if (::isaac::telemetry::enabled()) {                                    \
-      static ::isaac::telemetry::Counter& isaac_tm_c =                      \
-          ::isaac::telemetry::counter(name);                                \
-      isaac_tm_c.add(n);                                                    \
-    }                                                                       \
+    static ::isaac::telemetry::Counter& isaac_tm_c =                        \
+        ::isaac::telemetry::counter(name);                                  \
+    isaac_tm_c.add(n);                                                      \
   } while (0)
 
 #define ISAAC_TM_RECORD(name, value)                                        \

@@ -1,10 +1,7 @@
 #include "tuning/observation_log.hpp"
 
 #include <charconv>
-#include <chrono>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <istream>
 #include <limits>
 #include <sstream>
@@ -15,20 +12,9 @@
 #include "common/strings.hpp"
 #include "telemetry/metrics.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-#define ISAAC_HAVE_FLOCK 1
-#endif
-
 namespace isaac::tuning {
 
 namespace {
-
-std::filesystem::path log_file(const std::string& directory) {
-  return std::filesystem::path(directory) / ObservationLog::filename();
-}
 
 /// One observation per line:
 ///   op \t model_version \t predicted \t measured \t f0,f1,...,f14
@@ -80,7 +66,11 @@ bool parse_line(const std::string& line, Observation& obs) {
 }  // namespace
 
 ObservationLog::ObservationLog(std::size_t capacity, std::string directory)
-    : capacity_(capacity == 0 ? 1 : capacity), directory_(std::move(directory)) {}
+    : capacity_(capacity == 0 ? 1 : capacity),
+      directory_(std::move(directory)),
+      // Chaos site: disk-full / revoked-mount storms surface here as a failed
+      // write, exercising the memory-only degrade.
+      disk_(directory_, filename(), [] { return ISAAC_FAILPOINT_FIRED("obslog.write_fail"); }) {}
 
 void ObservationLog::append(Observation obs) {
   append_to_disk(obs);
@@ -145,72 +135,29 @@ std::vector<Observation> ObservationLog::load(std::istream& is) {
   return out;
 }
 
-bool ObservationLog::write_line_to_disk(const std::string& line) const {
-  std::error_code ec;
-  std::filesystem::create_directories(directory_, ec);
-  const std::filesystem::path file = log_file(directory_);
-  // Chaos site: disk-full / revoked-mount storms surface here as a failed
-  // write, exercising the memory-only degrade below.
-  if (ISAAC_FAILPOINT_FIRED("obslog.write_fail")) return false;
-#if ISAAC_HAVE_FLOCK
-  // Exclusive-flocked O_APPEND write of the whole line in one syscall, so
-  // concurrent writers (threads or separate processes) cannot tear it.
-  const int fd = ::open(file.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd < 0) return false;
-  bool ok = false;
-  if (::flock(fd, LOCK_EX) == 0) {
-    std::size_t written = 0;
-    ok = true;
-    while (written < line.size()) {
-      const ssize_t n = ::write(fd, line.data() + written, line.size() - written);
-      if (n <= 0) {
-        ok = false;
-        break;
-      }
-      written += static_cast<std::size_t>(n);
-    }
-    ::flock(fd, LOCK_UN);
-  }
-  ::close(fd);
-  return ok;
-#else
-  std::ofstream os(file, std::ios::app);
-  if (!os) return false;
-  os << line;
-  return static_cast<bool>(os);
-#endif
-}
-
-void ObservationLog::append_to_disk(const Observation& obs) const {
+void ObservationLog::append_to_disk(const Observation& obs) {
   if (directory_.empty()) return;
-  const std::uint64_t now = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
   // Degraded: keep only the in-memory ring until the next re-probe window —
   // a sick disk must not slow or break the measurement path. Skipped records
   // are lost to the replay file but still reach training through the ring.
-  if (disk_degraded_.load(std::memory_order_relaxed) &&
-      now < disk_retry_at_us_.load(std::memory_order_relaxed)) {
-    disk_writes_skipped_.fetch_add(1, std::memory_order_relaxed);
-    ISAAC_TM_COUNT("obslog.disk_write_skipped");
-    return;
-  }
-  if (write_line_to_disk(format_line(obs))) {
-    if (disk_degraded_.exchange(false, std::memory_order_relaxed)) {
+  switch (disk_.append(format_line(obs))) {
+    case AppendFile::Outcome::written:
+      break;
+    case AppendFile::Outcome::recovered:
       ISAAC_TM_COUNT("obslog.disk_recovered");
       ISAAC_LOG_INFO() << "observation log: disk writes recovered, leaving memory-only mode";
-    }
-    return;
-  }
-  disk_retry_at_us_.store(now + disk_retry_us_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  if (!disk_degraded_.exchange(true, std::memory_order_relaxed)) {
-    ISAAC_TM_COUNT("obslog.disk_degraded");
-    ISAAC_LOG_WARN() << "observation log: disk append failed; degrading to memory-only with "
-                     << "periodic re-probe";
-  } else {
-    ISAAC_TM_COUNT("obslog.disk_reprobe_failed");
+      break;
+    case AppendFile::Outcome::skipped:
+      ISAAC_TM_COUNT("obslog.disk_write_skipped");
+      break;
+    case AppendFile::Outcome::degraded:
+      ISAAC_TM_COUNT("obslog.disk_degraded");
+      ISAAC_LOG_WARN() << "observation log: disk append failed; degrading to memory-only with "
+                       << "periodic re-probe";
+      break;
+    case AppendFile::Outcome::reprobe_failed:
+      ISAAC_TM_COUNT("obslog.disk_reprobe_failed");
+      break;
   }
 }
 

@@ -9,19 +9,20 @@
 //
 // The in-memory log is a drop-oldest ring (bounded: an immortal server must
 // not grow without bound); when a directory is configured every observation
-// is additionally appended to `isaac_observations.txt` under an exclusive
-// flock — the same single-syscall O_APPEND discipline as the profile cache —
-// so concurrent threads and processes interleave whole lines, never torn
-// ones, and offline analysis can replay production traffic.
+// is additionally appended to `isaac_observations.txt` through the same
+// AppendFile as the profile cache (common/append_file.hpp) — one flocked
+// O_APPEND write per line — so concurrent threads and processes interleave
+// whole lines, never torn ones, and offline analysis can replay production
+// traffic.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "common/append_file.hpp"
 #include "common/thread_annotations.hpp"
 #include "tuning/dataset.hpp"
 
@@ -49,7 +50,8 @@ class ObservationLog {
   /// Records currently retained in the ring (≤ capacity).
   std::size_t size() const;
   std::size_t capacity() const noexcept { return capacity_; }
-  /// Records ever appended, including ones the ring has since dropped.
+  /// Records ever appended, including ones the ring has since dropped — the
+  /// retrain_every cadence reads this.
   std::uint64_t total_appended() const;
 
   std::vector<Observation> snapshot() const;
@@ -71,18 +73,14 @@ class ObservationLog {
   /// Disk-write health: a failed append degrades the log to memory-only, with
   /// one re-probe per retry interval (default 1s). The ring is unaffected —
   /// training never stalls on a sick disk, only the durable replay file does.
-  bool disk_degraded() const noexcept { return disk_degraded_.load(std::memory_order_relaxed); }
-  std::uint64_t disk_writes_skipped() const noexcept {
-    return disk_writes_skipped_.load(std::memory_order_relaxed);
-  }
-  void set_disk_retry_ms(double ms) noexcept {
-    disk_retry_us_.store(ms <= 0.0 ? 0 : static_cast<std::uint64_t>(ms * 1000.0),
-                         std::memory_order_relaxed);
-  }
+  /// Disk events are counted in the `obslog.disk_*` telemetry counters.
+  bool disk_degraded() const noexcept { return disk_.degraded(); }
+  void set_disk_retry_ms(double ms) noexcept { disk_.set_retry_ms(ms); }
 
  private:
-  void append_to_disk(const Observation& obs) const;
-  bool write_line_to_disk(const std::string& line) const;
+  /// Append one record line through disk_ (a no-op without a directory) and
+  /// count what happened.
+  void append_to_disk(const Observation& obs);
 
   // obslog is a leaf-side rank: append() writes the disk line *before*
   // taking it, so no failpoint/telemetry/logging lock ever nests inside.
@@ -91,10 +89,7 @@ class ObservationLog {
   std::size_t capacity_;
   std::string directory_;
   std::uint64_t total_ ISAAC_GUARDED_BY(mutex_) = 0;
-  mutable std::atomic<bool> disk_degraded_{false};
-  mutable std::atomic<std::uint64_t> disk_retry_at_us_{0};
-  std::atomic<std::uint64_t> disk_retry_us_{1000000};
-  mutable std::atomic<std::uint64_t> disk_writes_skipped_{0};
+  AppendFile disk_;
 };
 
 }  // namespace isaac::tuning

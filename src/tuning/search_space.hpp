@@ -65,21 +65,11 @@ class ConstraintSet {
                  std::function<bool(const int*)> check);
 
   bool empty() const noexcept { return count_ == 0; }
-  std::size_t num_predicates() const noexcept { return count_; }
 
-  /// Every predicate that becomes decidable when `dim` binds passes?
-  bool check_at(std::size_t dim, const int* values) const {
-    if (dim >= by_dim_.size()) return true;
-    for (const auto& p : by_dim_[dim]) {
-      if (!p.check(values)) return false;
-    }
-    return true;
-  }
-
-  /// check_at restricted to multi-dimension predicates — the walker's inner
-  /// loop, paired with the value_masks() fast path for the unary ones. The
-  /// multi checks live in their own bucket list so this never touches (or
-  /// flag-tests) the unary entries.
+  /// Every multi-dimension predicate that becomes decidable when `dim` binds
+  /// passes? The walker's inner loop, paired with the value_masks() fast
+  /// path for the unary ones. The multi checks live in their own bucket list
+  /// so this never touches (or flag-tests) the unary entries.
   bool check_multi_at(std::size_t dim, const int* values) const {
     if (dim >= multi_by_dim_.size()) return true;
     for (const auto& f : multi_by_dim_[dim]) {
@@ -116,14 +106,6 @@ class ConstraintSet {
   bool has_unary_ = false;
 };
 
-/// Point accounting for one pruned walk: `emitted + pruned` is the number of
-/// X̂ points covered (exactly |X̂| when a walk over all dimensions runs to
-/// completion) — each pruned prefix accounts for its whole subtree in bulk.
-struct WalkStats {
-  std::uint64_t emitted = 0;  // points that reached the callback
-  std::uint64_t pruned = 0;   // points skipped under failing prefixes
-};
-
 /// Per-dimension strides of the flat (odometer) index — dimension 0 least
 /// significant, matching for_each order. Wraps modularly for
 /// spaces past 2^64; callers doing exact flat arithmetic must bound |X̂|
@@ -143,29 +125,22 @@ bool descend(const std::vector<ParameterDomain>& domains, const ConstraintSet* c
              const std::vector<std::vector<unsigned char>>* masks,
              const std::vector<std::uint64_t>& stride, std::size_t level, std::size_t stop,
              std::vector<std::size_t>& choice, std::vector<int>& values,
-             std::uint64_t flat_base, const Fn& fn, WalkStats* stats) {
+             std::uint64_t flat_base, const Fn& fn) {
   const auto& vals = domains[level].values;
   const unsigned char* mask = masks ? (*masks)[level].data() : nullptr;
   for (std::size_t i = 0; i < vals.size(); ++i) {
     // Unary predicates were pre-evaluated into the mask: one lookup replaces
     // their std::function calls on every node of this level.
-    if (mask && !mask[i]) {
-      if (stats) stats->pruned += stride[level];
-      continue;
-    }
+    if (mask && !mask[i]) continue;
     choice[level] = i;
     values[level] = vals[i];
-    if (constraints && !constraints->check_multi_at(level, values.data())) {
-      if (stats) stats->pruned += stride[level];
-      continue;
-    }
+    if (constraints && !constraints->check_multi_at(level, values.data())) continue;
     const std::uint64_t flat = flat_base + i * stride[level];
     if (level == stop) {
-      if (stats) ++stats->emitted;
       if (!fn(choice, flat)) return false;
     } else {
       if (!descend(domains, constraints, masks, stride, level - 1, stop, choice, values, flat,
-                   fn, stats)) {
+                   fn)) {
         return false;
       }
     }
@@ -179,13 +154,12 @@ bool descend(const std::vector<ParameterDomain>& domains, const ConstraintSet* c
 /// above `from` already bound in choice/values (their partial flat index
 /// passed as flat_base); emits at `stop`. The building block the chunked
 /// parallel walk (search/legal_walk.hpp) splits prefixes/subtrees with —
-/// most callers want walk_legal below. WalkStats::emitted counts callback
-/// hits, i.e. points only when stop == 0.
+/// most callers want walk_legal below.
 template <typename Fn>
 bool walk_legal_levels(const std::vector<ParameterDomain>& domains,
                        const ConstraintSet* constraints, std::size_t from, std::size_t stop,
                        std::vector<std::size_t>& choice, std::vector<int>& values,
-                       std::uint64_t flat_base, const Fn& fn, WalkStats* stats = nullptr) {
+                       std::uint64_t flat_base, const Fn& fn) {
   const std::vector<std::uint64_t> stride = flat_strides(domains);
   std::vector<std::vector<unsigned char>> masks;
   const std::vector<std::vector<unsigned char>>* mp = nullptr;
@@ -194,7 +168,7 @@ bool walk_legal_levels(const std::vector<ParameterDomain>& domains,
     if (!masks.empty()) mp = &masks;
   }
   return walk_detail::descend(domains, constraints, mp, stride, from, stop, choice, values,
-                              flat_base, fn, stats);
+                              flat_base, fn);
 }
 
 /// The constraint-propagating lazy enumeration: visit every point of X̂ that
@@ -207,15 +181,14 @@ bool walk_legal_levels(const std::vector<ParameterDomain>& domains,
 /// function returns false iff the callback stopped the walk.
 template <typename Fn>
 bool walk_legal(const std::vector<ParameterDomain>& domains, const ConstraintSet* constraints,
-                const Fn& fn, WalkStats* stats = nullptr) {
+                const Fn& fn) {
   if (domains.empty()) return true;
   for (const auto& d : domains) {
     if (d.values.empty()) return true;  // some domain empty: X̂ itself is empty
   }
   std::vector<std::size_t> choice(domains.size(), 0);
   std::vector<int> values(domains.size(), 0);
-  return walk_legal_levels(domains, constraints, domains.size() - 1, 0, choice, values, 0, fn,
-                           stats);
+  return walk_legal_levels(domains, constraints, domains.size() - 1, 0, choice, values, 0, fn);
 }
 
 /// Generic cartesian-product space driven by per-parameter domains, with a

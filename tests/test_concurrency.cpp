@@ -21,6 +21,7 @@
 #include "common/thread_pool.hpp"
 #include "core/isaac.hpp"
 #include "gpusim/device.hpp"
+#include "support/counter_delta.hpp"
 #include "support/latency_bounds.hpp"
 #include "tuning/collector.hpp"
 
@@ -100,6 +101,7 @@ double max_abs_diff(const std::vector<float>& got, const std::vector<float>& wan
 }
 
 TEST(ConcurrentDispatch, StressMatchesSerialReferenceAndTunesOnce) {
+  const test::CounterDelta predictions("dispatch.leader_predict");
   Context ctx(gpusim::tesla_p100(), fast_options());
   ctx.set_model(shared_model());
 
@@ -152,7 +154,7 @@ TEST(ConcurrentDispatch, StressMatchesSerialReferenceAndTunesOnce) {
   // each; the refinement is what tuning_runs counts.)
   ctx.drain_background();
   EXPECT_EQ(ctx.tuning_runs(), problems.size());
-  EXPECT_EQ(ctx.predictions(), problems.size());
+  EXPECT_EQ(predictions.value(), problems.size());
 }
 
 TEST(ConcurrentDispatch, ColdShapeBurstPredictsOnceRefinesOnce) {
@@ -160,6 +162,8 @@ TEST(ConcurrentDispatch, ColdShapeBurstPredictsOnceRefinesOnce) {
   // leader serves the provisional model prediction (zero measurements on its
   // thread), exactly one background refinement runs, and the cache entry
   // ends refined.
+  const test::CounterDelta predictions("dispatch.leader_predict");
+  const test::CounterDelta refinements("refine.upgraded");
   Context ctx(gpusim::tesla_p100(), fast_options());
   ctx.set_model(shared_model());
 
@@ -186,11 +190,11 @@ TEST(ConcurrentDispatch, ColdShapeBurstPredictsOnceRefinesOnce) {
   go.store(true);
   for (auto& th : threads) th.join();
 
-  EXPECT_EQ(ctx.predictions(), 1u);  // exactly one provisional prediction
-  EXPECT_EQ(cold_calls.load(), 1);   // exactly one leader paid for it
+  EXPECT_EQ(predictions.value(), 1u);  // exactly one provisional prediction
+  EXPECT_EQ(cold_calls.load(), 1);     // exactly one leader paid for it
 
   ctx.drain_background();
-  EXPECT_EQ(ctx.refinements(), 1u);  // exactly one background refinement
+  EXPECT_EQ(refinements.value(), 1u);  // exactly one background refinement
   EXPECT_EQ(ctx.tuning_runs(), 1u);
   EntryTier tier = EntryTier::provisional;
   const auto final_entry = ctx.cache().lookup<GemmOp>(ctx.device().name, shape, &tier);
@@ -278,11 +282,18 @@ TEST(ConcurrentDispatch, ColdSelectIsTenfoldBelowTuneAtP99) {
   constexpr int kReps = 3;
   std::vector<double> select_us, tune_us;
   std::size_t agree = 0;
+  // ctx's own predictions and refinements: the cold Contexts below count in
+  // the same process-wide counters, so only ctx's select + drain is read.
+  std::uint64_t predictions = 0, refinements = 0;
   for (const auto& shape : shapes) {
+    const test::CounterDelta predicted("dispatch.leader_predict");
+    const test::CounterDelta upgraded("refine.upgraded");
     double select_min = time_us([&] { ctx.select<GemmOp>(shape); });
     // Land the refinement outside the timed sections: each sample measures
     // one path alone, not a race with a background search for cores.
     ctx.drain_background();
+    predictions += predicted.value();
+    refinements += upgraded.value();
     for (int rep = 1; rep < kReps; ++rep) {
       // A fresh Context keeps the shape cold; tearing it down right away
       // cancels the refinement its select() enqueued.
@@ -299,8 +310,8 @@ TEST(ConcurrentDispatch, ColdSelectIsTenfoldBelowTuneAtP99) {
     tune_us.push_back(tune_min);
     if (ctx.cache().lookup<GemmOp>(ctx.device().name, shape) == truth) ++agree;
   }
-  EXPECT_EQ(ctx.predictions(), shapes.size());
-  EXPECT_EQ(ctx.refinements(), shapes.size());
+  EXPECT_EQ(predictions, shapes.size());
+  EXPECT_EQ(refinements, shapes.size());
   const double select_p99 = stats::percentile(select_us, 0.99);
   const double tune_p99 = stats::percentile(tune_us, 0.99);
   EXPECT_GE(tune_p99 / select_p99, 10.0)
@@ -309,6 +320,7 @@ TEST(ConcurrentDispatch, ColdSelectIsTenfoldBelowTuneAtP99) {
 }
 
 TEST(ConcurrentDispatch, WarmupPreTunesAsynchronously) {
+  const test::CounterDelta predictions("dispatch.leader_predict");
   Context ctx(gpusim::tesla_p100(), fast_options());
   ctx.set_model(shared_model());
 
@@ -318,7 +330,7 @@ TEST(ConcurrentDispatch, WarmupPreTunesAsynchronously) {
   done.wait();
   // The warmup future resolves once every shape is cached (provisionally at
   // least); draining also lands the refinements.
-  EXPECT_EQ(ctx.predictions(), shapes.size());
+  EXPECT_EQ(predictions.value(), shapes.size());
   ctx.drain_background();
   EXPECT_EQ(ctx.tuning_runs(), shapes.size());
 
@@ -356,6 +368,7 @@ TEST(ConcurrentDispatch, TeardownWithPendingRefinementTouchesNoFreedMutex) {
   // builds with lock-rank checks) races with the next constructor, which
   // ThreadSanitizer reports; sync::Mutex's release rule forbids it.
   for (int i = 0; i < 16; ++i) {
+    const test::CounterDelta predictions("dispatch.leader_predict");
     Context ctx(gpusim::tesla_p100(), fast_options());
     ctx.set_model(shared_model());
     codegen::GemmShape shape;
@@ -363,11 +376,12 @@ TEST(ConcurrentDispatch, TeardownWithPendingRefinementTouchesNoFreedMutex) {
     shape.n = 24;
     shape.k = 64;
     ctx.select<GemmOp>(shape);  // cold: provisional answer, refinement enqueued
-    EXPECT_EQ(ctx.predictions(), 1u);
+    EXPECT_EQ(predictions.value(), 1u);
   }  // ~Context cancels and drains the refinement at every iteration
 }
 
 TEST(ConcurrentDispatch, BatchedGemmSingleFlight) {
+  const test::CounterDelta predictions("dispatch.leader_predict");
   Context ctx(gpusim::tesla_p100(), fast_options());
   ctx.set_model(shared_model());
 
@@ -404,7 +418,7 @@ TEST(ConcurrentDispatch, BatchedGemmSingleFlight) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(ctx.predictions(), 1u);
+  EXPECT_EQ(predictions.value(), 1u);
   ctx.drain_background();
   EXPECT_EQ(ctx.tuning_runs(), 1u);
 }
@@ -431,6 +445,8 @@ TEST(ConcurrentDispatch, DiskLoadedProvisionalEntryIsRefinedOnHit) {
 
   auto opts = fast_options();
   opts.cache_dir = dir;
+  const test::CounterDelta predictions("dispatch.leader_predict");
+  const test::CounterDelta refinements("refine.upgraded");
   Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(shared_model());
 
@@ -441,8 +457,8 @@ TEST(ConcurrentDispatch, DiskLoadedProvisionalEntryIsRefinedOnHit) {
   EXPECT_EQ(tier, EntryTier::provisional);
 
   ctx.drain_background();
-  EXPECT_EQ(ctx.predictions(), 0u);  // no new prediction, just the re-armed refinement
-  EXPECT_EQ(ctx.refinements(), 1u);
+  EXPECT_EQ(predictions.value(), 0u);  // no new prediction, just the re-armed refinement
+  EXPECT_EQ(refinements.value(), 1u);
   EXPECT_EQ(ctx.cache().tier(ProfileCache::key<GemmOp>(dev, shape)), EntryTier::refined);
   std::filesystem::remove_all(dir);
 }
@@ -519,6 +535,7 @@ TEST(ConcurrentDispatch, HotSwapDuringDispatchIsRaceFree) {
   // shared_ptr<const VersionedModel> per operation, so a writer thread
   // hammering set_model() while kThreads dispatch cold shapes must be clean
   // under TSan and never wrong: each select still returns a legal tuning.
+  const test::CounterDelta model_swaps("model.swaps");
   Context ctx(gpusim::tesla_p100(), fast_options());
   ctx.set_model(shared_model());
   const std::uint64_t first_version = ctx.model_snapshot()->version();
@@ -559,7 +576,7 @@ TEST(ConcurrentDispatch, HotSwapDuringDispatchIsRaceFree) {
   // Every install bumped the monotonic version; swaps of a live model count.
   EXPECT_EQ(ctx.model_snapshot()->version(),
             first_version + static_cast<std::uint64_t>(swaps.load()));
-  EXPECT_EQ(ctx.model_swaps(), static_cast<std::size_t>(swaps.load()));
+  EXPECT_EQ(model_swaps.value(), static_cast<std::uint64_t>(swaps.load()));
 }
 
 }  // namespace

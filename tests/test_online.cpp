@@ -20,6 +20,7 @@
 #include "gpusim/simulator.hpp"
 #include "mlp/regressor.hpp"
 #include "mlp/versioned_model.hpp"
+#include "support/counter_delta.hpp"
 #include "support/latency_bounds.hpp"
 #include "tuning/collector.hpp"
 #include "tuning/dataset.hpp"
@@ -340,6 +341,8 @@ core::ContextOptions dispatch_options() {
 }
 
 TEST(OnlineContext, DisabledLifecycleRecordsNothing) {
+  const test::CounterDelta drift_trips("model.drift_trips");
+  const test::CounterDelta model_swaps("model.swaps");
   core::ContextOptions opts;
   opts.search.budget = 8;
   opts.search.reeval_reps = 2;
@@ -354,9 +357,9 @@ TEST(OnlineContext, DisabledLifecycleRecordsNothing) {
   ctx.drain_background();
 
   EXPECT_EQ(ctx.observation_log().total_appended(), 0u);
-  EXPECT_EQ(ctx.drift_trips(), 0u);
+  EXPECT_EQ(drift_trips.value(), 0u);
   EXPECT_FALSE(ctx.retrain_now());  // lifecycle off: never retrains
-  EXPECT_EQ(ctx.model_swaps(), 0u);
+  EXPECT_EQ(model_swaps.value(), 0u);
   EXPECT_EQ(ctx.model_snapshot()->version(), 1u);
 }
 
@@ -370,6 +373,9 @@ TEST(OnlineContext, DriftOnPerturbedDeviceRetrainsAndHotSwaps) {
   const auto& probe = degraded_probe();
   const double err_stale = mean_rel_error(dispatch_model(), probe);
 
+  const test::CounterDelta drift_trips("model.drift_trips");
+  const test::CounterDelta retrains("model.retrains");
+  const test::CounterDelta model_swaps("model.swaps");
   core::ContextOptions opts = dispatch_options();
   opts.online.enabled = true;
   opts.online.drift.threshold = 0.35;
@@ -408,14 +414,14 @@ TEST(OnlineContext, DriftOnPerturbedDeviceRetrainsAndHotSwaps) {
   }
 
   EXPECT_GT(ctx.observation_log().total_appended(), 0u);
-  EXPECT_GE(ctx.drift_trips(), 1u);
-  EXPECT_GE(ctx.retrains(), 1u);
-  EXPECT_GE(ctx.model_swaps(), 1u);
+  EXPECT_GE(drift_trips.value(), 1u);
+  EXPECT_GE(retrains.value(), 1u);
+  EXPECT_GE(model_swaps.value(), 1u);
   EXPECT_FALSE(ctx.retrain_in_flight());
   EXPECT_GT(ctx.last_retrain_us(), 0u);
 
   const auto current = ctx.model_snapshot();
-  EXPECT_EQ(current->version(), 1u + ctx.retrains());
+  EXPECT_EQ(current->version(), 1u + retrains.value());
   EXPECT_EQ(current->provenance().source, "warm_start");
   EXPECT_GE(current->provenance().samples, opts.online.retrain.min_observations);
 
@@ -437,6 +443,7 @@ TEST(OnlineContext, RetrainNeverBlocksHotSelect) {
   opts.online.drift.threshold = 1e9;  // retrain only on explicit request
   opts.online.retrain.min_observations = 32;
   opts.online.retrain.epochs = 150;  // a deliberately wide retrain window
+  const test::CounterDelta retrains("model.retrains");
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(mlp::Regressor(dispatch_model()));
   std::vector<codegen::GemmShape> shapes;
@@ -485,7 +492,7 @@ TEST(OnlineContext, RetrainNeverBlocksHotSelect) {
     during_us.push_back(time_select_us(i));
   }
   ctx.drain_background();
-  ASSERT_EQ(ctx.retrains(), 1u);
+  ASSERT_EQ(retrains.value(), 1u);
   ASSERT_GT(during_us.size(), 0u);
 
   // Bracket the window with a second idle baseline and keep the worse of
@@ -508,6 +515,7 @@ TEST(OnlineContext, RequestRetrainFoldsTheLogOnDemand) {
   opts.online.drift.threshold = 1e9;  // drift never trips on its own
   opts.online.retrain.min_observations = 8;
   opts.online.retrain.epochs = 4;
+  const test::CounterDelta retrains("model.retrains");
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(mlp::Regressor(dispatch_model()));
 
@@ -518,11 +526,11 @@ TEST(OnlineContext, RequestRetrainFoldsTheLogOnDemand) {
   ctx.select<core::GemmOp>(shape);
   ctx.drain_background();
   ASSERT_GE(ctx.observation_log().size(), 8u);
-  ASSERT_EQ(ctx.retrains(), 0u);  // nothing scheduled without drift or cadence
+  ASSERT_EQ(retrains.value(), 0u);  // nothing scheduled without drift or cadence
 
   EXPECT_TRUE(ctx.request_retrain());
   ctx.drain_background();
-  EXPECT_EQ(ctx.retrains(), 1u);
+  EXPECT_EQ(retrains.value(), 1u);
   EXPECT_EQ(ctx.model_snapshot()->version(), 2u);
   // The fold drained the ring: the same rows never train two successors.
   EXPECT_EQ(ctx.observation_log().size(), 0u);

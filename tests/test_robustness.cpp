@@ -23,6 +23,7 @@
 #include "gpusim/device.hpp"
 #include "mlp/regressor.hpp"
 #include "search/config.hpp"
+#include "support/counter_delta.hpp"
 #include "support/latency_bounds.hpp"
 #include "tuning/dataset.hpp"
 #include "tuning/observation_log.hpp"
@@ -111,8 +112,9 @@ TEST_F(RobustnessTest, CacheLoadQuarantinesGarbageLines) {
     os << "\x01\x02\x03 binary junk\n";
     os << "torn|line|without|value";  // no trailing newline: a torn tail
   }
+  const test::CounterDelta corrupt("cache.load_corrupt");
   core::ProfileCache reloaded(dir.path.string());
-  EXPECT_EQ(reloaded.load_corrupt(), 4u);
+  EXPECT_EQ(corrupt.value(), 4u);
   // The surviving entry is intact and served.
   const auto hit = reloaded.lookup<core::GemmOp>("devA", shape);
   ASSERT_TRUE(hit.has_value());
@@ -148,6 +150,7 @@ TEST_F(RobustnessTest, FallbackTierRoundTripsAndUpgrades) {
 
 TEST_F(RobustnessTest, CacheDiskDegradesAndReprobes) {
   TempDir dir("degrade");
+  const test::CounterDelta skipped("cache.disk_write_skipped");
   core::ProfileCache cache(dir.path.string());
   cache.set_disk_retry_ms(50.0);
   const auto& grid = core::OperationTraits<core::GemmOp>::seed_grid();
@@ -157,7 +160,7 @@ TEST_F(RobustnessTest, CacheDiskDegradesAndReprobes) {
   EXPECT_TRUE(cache.disk_degraded());
   // Inside the retry window every append is served memory-only.
   cache.store<core::GemmOp>("devA", gemm_shape(48, 48, 48), grid.front());
-  EXPECT_GE(cache.disk_writes_skipped(), 1u);
+  EXPECT_GE(skipped.value(), 1u);
   EXPECT_TRUE(cache.disk_degraded());
 
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
@@ -177,6 +180,7 @@ TEST_F(RobustnessTest, CacheDiskDegradesAndReprobes) {
 
 TEST_F(RobustnessTest, ObservationLogDiskDegradesAndReprobes) {
   TempDir dir("obslog");
+  const test::CounterDelta skipped("obslog.disk_write_skipped");
   tuning::ObservationLog log(64, dir.path.string());
   log.set_disk_retry_ms(50.0);
   tuning::Observation obs;
@@ -189,7 +193,7 @@ TEST_F(RobustnessTest, ObservationLogDiskDegradesAndReprobes) {
   log.append(obs);
   EXPECT_TRUE(log.disk_degraded());
   log.append(obs);
-  EXPECT_GE(log.disk_writes_skipped(), 1u);
+  EXPECT_GE(skipped.value(), 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   log.append(obs);
   EXPECT_FALSE(log.disk_degraded());
@@ -234,6 +238,7 @@ TEST_F(RobustnessTest, CircuitBreakerStateMachine) {
 // ---- dispatch runtime under injected faults ----------------------------
 
 TEST_F(RobustnessTest, TransientMeasureFailuresAreRetriedTransparently) {
+  const test::CounterDelta fallbacks("breaker.fallbacks");
   auto opts = fast_options();
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(mlp::Regressor(unit_model()));
@@ -248,12 +253,14 @@ TEST_F(RobustnessTest, TransientMeasureFailuresAreRetriedTransparently) {
   core::EntryTier tier = core::EntryTier::provisional;
   EXPECT_NO_THROW(ctx.select<core::GemmOp>(shape, nullptr, &tier));
   EXPECT_EQ(tier, core::EntryTier::refined);
-  EXPECT_EQ(ctx.fallbacks_served(), 0u);
+  EXPECT_EQ(fallbacks.value(), 0u);
   EXPECT_EQ(fp::fires("measure.throw"), 2u);
   EXPECT_EQ(ctx.breaker_state("gemm"), CircuitBreaker::State::closed);
 }
 
 TEST_F(RobustnessTest, LeaderFailureServesFallbackThenRefinesBack) {
+  const test::CounterDelta fallbacks("breaker.fallbacks");
+  const test::CounterDelta refinements("refine.upgraded");
   auto opts = fast_options();
   core::Context ctx(gpusim::tesla_p100(), opts);
   ctx.set_model(mlp::Regressor(unit_model()));
@@ -265,7 +272,7 @@ TEST_F(RobustnessTest, LeaderFailureServesFallbackThenRefinesBack) {
   EXPECT_NO_THROW(ctx.select<core::GemmOp>(shape, &from_cache, &tier));
   EXPECT_FALSE(from_cache);
   EXPECT_EQ(tier, core::EntryTier::fallback);
-  EXPECT_EQ(ctx.fallbacks_served(), 1u);
+  EXPECT_EQ(fallbacks.value(), 1u);
   // One failure < threshold: the breaker never opened.
   EXPECT_EQ(ctx.breaker_state("gemm"), CircuitBreaker::State::closed);
 
@@ -276,10 +283,11 @@ TEST_F(RobustnessTest, LeaderFailureServesFallbackThenRefinesBack) {
   ctx.select<core::GemmOp>(shape, &from_cache, &tier);
   EXPECT_TRUE(from_cache);
   EXPECT_EQ(tier, core::EntryTier::refined);
-  EXPECT_GE(ctx.refinements(), 1u);
+  EXPECT_GE(refinements.value(), 1u);
 }
 
 TEST_F(RobustnessTest, PersistentFailureOpensBreakerAndShortCircuits) {
+  const test::CounterDelta short_circuits("breaker.short_circuit");
   auto opts = fast_options();
   opts.search.measure_retries = 0;  // fail fast: the fault is persistent
   opts.fault.breaker_failure_threshold = 2;
@@ -301,7 +309,7 @@ TEST_F(RobustnessTest, PersistentFailureOpensBreakerAndShortCircuits) {
   const auto fires_before = fp::fires("predict.throw");
   EXPECT_NO_THROW(ctx.select<core::GemmOp>(gemm_shape(64, 32, 64), nullptr, &tier));
   EXPECT_EQ(tier, core::EntryTier::fallback);
-  EXPECT_GE(ctx.breaker_short_circuits(), 1u);
+  EXPECT_GE(short_circuits.value(), 1u);
   EXPECT_EQ(fp::fires("predict.throw"), fires_before);
 
   // Fault clears; after the cooldown the half-open trial succeeds and the
@@ -318,6 +326,7 @@ TEST_F(RobustnessTest, PersistentFailureOpensBreakerAndShortCircuits) {
 }
 
 TEST_F(RobustnessTest, RefinementAdmissionControlShedsThenConverges) {
+  const test::CounterDelta shed("refine.shed");
   auto opts = fast_options();
   opts.fault.refine_max_pending = 1;
   opts.fault.refine_deadline_ms = 150.0;  // bounds the injected hang below
@@ -331,7 +340,7 @@ TEST_F(RobustnessTest, RefinementAdmissionControlShedsThenConverges) {
   // pending task and the rest are shed (re-armed, not lost).
   fp::arm("refine.hang", "prob:1");
   for (const auto& shape : shapes) EXPECT_NO_THROW(ctx.select<core::GemmOp>(shape));
-  EXPECT_GE(ctx.refinements_shed(), 1u);
+  EXPECT_GE(shed.value(), 1u);
   ctx.drain_background();
   EXPECT_EQ(ctx.refinements_pending(), 0u);
   // A hung refinement is a failure, not an open breaker: leaders were fine.
@@ -354,6 +363,7 @@ TEST_F(RobustnessTest, RefinementAdmissionControlShedsThenConverges) {
 }
 
 TEST_F(RobustnessTest, RetrainFailureBacksOffInsteadOfHotLooping) {
+  const test::CounterDelta retrains("model.retrains");
   auto opts = fast_options();
   opts.online.enabled = true;
   opts.online.retrain.min_observations = 4;
@@ -367,7 +377,7 @@ TEST_F(RobustnessTest, RetrainFailureBacksOffInsteadOfHotLooping) {
   fp::arm("retrain.throw", "prob:1");
   EXPECT_FALSE(ctx.retrain_now());  // the injected failure surfaces as false
   EXPECT_FALSE(ctx.retrain_in_flight());
-  EXPECT_EQ(ctx.retrains(), 0u);
+  EXPECT_EQ(retrains.value(), 0u);
   // Scheduled retrains now refuse to enqueue until the backoff expires — the
   // trigger storm cannot hot-loop the worker.
   EXPECT_FALSE(ctx.request_retrain());
@@ -448,6 +458,8 @@ TEST_F(RobustnessTest, FaultStormNeverEscapesSelectAndReconverges) {
   // file and observation log the storm's write failures degraded take
   // writes again.
   TempDir dir("storm");
+  const test::CounterDelta cache_skipped("cache.disk_write_skipped");
+  const test::CounterDelta obslog_skipped("obslog.disk_write_skipped");
   core::ContextOptions opts;
   opts.cache_dir = (dir.path / "cache").string();
   opts.online.log_dir = (dir.path / "obslog").string();
@@ -530,8 +542,8 @@ TEST_F(RobustnessTest, FaultStormNeverEscapesSelectAndReconverges) {
   EXPECT_EQ(ctx.breaker_state("gemm"), CircuitBreaker::State::closed);
   // The storm's write failures did degrade both files (writes were skipped
   // between re-probes), and both take writes again.
-  EXPECT_GT(ctx.cache().disk_writes_skipped(), 0u);
-  EXPECT_GT(ctx.observation_log().disk_writes_skipped(), 0u);
+  EXPECT_GT(cache_skipped.value(), 0u);
+  EXPECT_GT(obslog_skipped.value(), 0u);
   EXPECT_FALSE(ctx.cache().disk_degraded());
   EXPECT_FALSE(ctx.observation_log().disk_degraded());
 }

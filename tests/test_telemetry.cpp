@@ -1,7 +1,8 @@
 // Tests for the runtime telemetry layer: metric correctness under
 // contention, histogram percentiles against stats::percentile, the
-// disabled-path no-op contract, per-shard cache accounting, the cold
-// two-tier dispatch span tree, and snapshot JSON serialization.
+// disabled-path contract (histograms record nothing, counters always
+// count), per-shard cache accounting, the cold two-tier dispatch span tree,
+// and snapshot JSON serialization.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -18,6 +19,7 @@
 #include "core/profile_cache.hpp"
 #include "gpusim/device.hpp"
 #include "mlp/regressor.hpp"
+#include "support/counter_delta.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tuning/collector.hpp"
 
@@ -77,17 +79,47 @@ TEST(TelemetryMetrics, CounterLosesNoIncrementsUnderContention) {
 TEST(TelemetryMetrics, DisabledRecordsNothing) {
   TelemetryGuard guard;
   telemetry::set_enabled(false);
-  telemetry::counter("test.off_counter").add(5);
   telemetry::gauge("test.off_gauge").set(42);
   telemetry::histogram("test.off_hist").record(123.0);
-  ISAAC_TM_COUNT("test.off_macro");
   telemetry::set_enabled(true);
   const auto snap = telemetry::snapshot();
-  EXPECT_EQ(snap.counter_value("test.off_counter"), 0u);
-  EXPECT_EQ(snap.counter_value("test.off_macro"), 0u);
   const auto* h = snap.find_histogram("test.off_hist");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 0u);
+}
+
+TEST(TelemetryMetrics, CountersCountWhileDisabled) {
+  // Each runtime event is counted once, in its telemetry counter, and that
+  // count is live whether or not telemetry is enabled: the dispatch path's
+  // tier-1 prediction and refinement upgrade move their counters by exactly
+  // one on a cold select, while histograms stay off.
+  const mlp::Regressor& m = shared_model();
+  TelemetryGuard guard;
+  telemetry::set_enabled(false);
+  telemetry::set_tracing(false);
+
+  const test::CounterDelta macro("test.off_macro");
+  ISAAC_TM_COUNT("test.off_macro");
+  EXPECT_EQ(macro.value(), 1u);
+
+  core::ContextOptions opts;
+  opts.noise_sigma = 0.0;
+  opts.search.budget = 10;
+  opts.search.reeval_reps = 1;
+  opts.search.max_candidates = 4000;
+  const test::CounterDelta predictions("dispatch.leader_predict");
+  const test::CounterDelta refinements("refine.upgraded");
+  core::Context ctx(gpusim::tesla_p100(), opts);
+  ctx.set_model(m);
+  codegen::GemmShape shape;
+  shape.m = 160;
+  shape.n = 40;
+  shape.k = 224;
+  ctx.select<core::GemmOp>(shape);
+  ctx.drain_background();
+  EXPECT_EQ(predictions.value(), 1u);
+  EXPECT_EQ(refinements.value(), 1u);
+  EXPECT_EQ(telemetry::histogram("dispatch.select_us").count(), 0u);
 }
 
 TEST(TelemetryMetrics, ResetKeepsInstrumentAddressesStable) {
