@@ -35,27 +35,6 @@ std::string ConvTuning::to_string() const {
                          tp, tq, tn, bk, bp, bq, bn, u, cs, cl, cg, vec);
 }
 
-namespace {
-const std::vector<int> k1_8{1, 2, 4, 8};
-const std::vector<int> k1_4{1, 2, 4};
-const std::vector<int> k1_32{1, 2, 4, 8, 16, 32};
-const std::vector<int> k8_128{8, 16, 32, 64, 128};
-const std::vector<int> k4_32{4, 8, 16, 32};
-const std::vector<int> k1_16{1, 2, 4, 8, 16};
-}  // namespace
-
-const std::vector<int>& ConvTuning::candidates_tk() { return k1_8; }
-const std::vector<int>& ConvTuning::candidates_tp() { return k1_4; }
-const std::vector<int>& ConvTuning::candidates_tq() { return k1_4; }
-const std::vector<int>& ConvTuning::candidates_tn() { return k1_4; }
-const std::vector<int>& ConvTuning::candidates_bk() { return k8_128; }
-const std::vector<int>& ConvTuning::candidates_bp() { return k1_8; }
-const std::vector<int>& ConvTuning::candidates_bq() { return k1_8; }
-const std::vector<int>& ConvTuning::candidates_bn() { return k1_32; }
-const std::vector<int>& ConvTuning::candidates_u() { return k4_32; }
-const std::vector<int>& ConvTuning::candidates_cl() { return k1_8; }
-const std::vector<int>& ConvTuning::candidates_cg() { return k1_16; }
-
 GemmShape conv_gemm_shape(const ConvShape& shape) {
   GemmShape g;
   g.m = shape.npq();

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "codegen/gemm.hpp"
 
@@ -67,18 +66,6 @@ struct ConvTuning {
   }
   std::string to_string() const;
   bool operator==(const ConvTuning&) const = default;
-
-  static const std::vector<int>& candidates_tk();
-  static const std::vector<int>& candidates_tp();
-  static const std::vector<int>& candidates_tq();
-  static const std::vector<int>& candidates_tn();
-  static const std::vector<int>& candidates_bk();
-  static const std::vector<int>& candidates_bp();
-  static const std::vector<int>& candidates_bq();
-  static const std::vector<int>& candidates_bn();
-  static const std::vector<int>& candidates_u();
-  static const std::vector<int>& candidates_cl();
-  static const std::vector<int>& candidates_cg();
 };
 
 /// The implicit-GEMM equivalent of (shape, tuning): rows = NPQ tile, cols = K

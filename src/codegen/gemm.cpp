@@ -24,29 +24,6 @@ std::string GemmTuning::to_string() const {
 }
 
 namespace {
-// The possible space X̂ deliberately over-covers what hardware can run: most
-// of it is illegal (register file, shared memory, thread-count and alignment
-// constraints), which is exactly why the paper needs the §4.1 generative
-// model rather than uniform sampling.
-const std::vector<int> kPow2_1_64{1, 2, 4, 8, 16, 32, 64};
-const std::vector<int> kPow2_8_512{8, 16, 32, 64, 128, 256, 512};
-const std::vector<int> kPow2_4_128{4, 8, 16, 32, 64, 128};
-const std::vector<int> kPow2_1_32{1, 2, 4, 8, 16, 32};
-const std::vector<int> kPow2_1_512{1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
-const std::vector<int> kVec{1, 2, 4, 8};
-}  // namespace
-
-const std::vector<int>& GemmTuning::candidates_ms() { return kPow2_1_64; }
-const std::vector<int>& GemmTuning::candidates_ns() { return kPow2_1_64; }
-const std::vector<int>& GemmTuning::candidates_ml() { return kPow2_8_512; }
-const std::vector<int>& GemmTuning::candidates_nl() { return kPow2_8_512; }
-const std::vector<int>& GemmTuning::candidates_u() { return kPow2_4_128; }
-const std::vector<int>& GemmTuning::candidates_ks() { return kPow2_1_32; }
-const std::vector<int>& GemmTuning::candidates_kl() { return kPow2_1_32; }
-const std::vector<int>& GemmTuning::candidates_kg() { return kPow2_1_512; }
-const std::vector<int>& GemmTuning::candidates_vec() { return kVec; }
-
-namespace {
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "gpusim/device.hpp"
 #include "gpusim/kernel_profile.hpp"
@@ -55,18 +54,6 @@ struct GemmTuning {
   int threads_per_block() const noexcept { return (ml / ms) * (nl / ns) * kl; }
   std::string to_string() const;
   bool operator==(const GemmTuning&) const = default;
-
-  /// Candidate values per parameter for samplers and exhaustive search.
-  /// All powers of two; ranges follow the paper's §4.2 setup.
-  static const std::vector<int>& candidates_ms();
-  static const std::vector<int>& candidates_ns();
-  static const std::vector<int>& candidates_ml();
-  static const std::vector<int>& candidates_nl();
-  static const std::vector<int>& candidates_u();
-  static const std::vector<int>& candidates_ks();
-  static const std::vector<int>& candidates_kl();
-  static const std::vector<int>& candidates_kg();
-  static const std::vector<int>& candidates_vec();
 };
 
 /// Is (shape, tuning) in the legal space X for `dev`? On failure, `why`

@@ -292,6 +292,26 @@ class Context {
   template <typename Op>
   void maybe_refine(const std::string& key, const typename OperationTraits<Op>::Shape& shape);
 
+  /// Run `task` on the global pool as a background task that ~Context and
+  /// drain_background() wait for: it counts in background_pending_ from this
+  /// call until its last step. That step decrements and notifies under the
+  /// lock, so a destructor waiting on zero cannot resume (and free `this`)
+  /// until the task's unlock, after which the task touches nothing of
+  /// `this`.
+  template <typename Task>
+  void submit_background(Task task) {
+    {
+      sync::MutexLock lock(background_mutex_);
+      ++background_pending_;
+    }
+    ThreadPool::global().submit([this, task = std::move(task)] {
+      task();
+      sync::MutexLock lock(background_mutex_);
+      --background_pending_;
+      background_cv_.notify_all();
+    });
+  }
+
   /// The degradation ladder's last sane rung: the first seed-grid entry legal
   /// for `shape` — no model, no measurement, no search, just the coarse grid
   /// every op guarantees. Throws std::runtime_error when no seed is legal
@@ -608,10 +628,6 @@ void Context::maybe_refine(const std::string& key,
     refining_.erase(key);
     return;
   }
-  {
-    sync::MutexLock lock(background_mutex_);
-    ++background_pending_;
-  }
   ISAAC_TM_COUNT("refine.enqueued");
   // Cross-thread span linkage: the refinement runs on a pool worker, so the
   // enqueuing dispatch's span id travels explicitly and the queue delay is
@@ -619,7 +635,7 @@ void Context::maybe_refine(const std::string& key,
   const std::uint64_t parent_span = telemetry::current_span();
   const std::uint64_t enqueue_us =
       (telemetry::enabled() || telemetry::tracing()) ? telemetry::now_us() : 0;
-  ThreadPool::global().submit([this, key, shape, parent_span, enqueue_us] {
+  submit_background([this, key, shape, parent_span, enqueue_us] {
     const std::uint64_t begin_us = enqueue_us ? telemetry::now_us() : 0;
     if (begin_us) {
       ISAAC_TM_RECORD("refine.queue_us", begin_us - enqueue_us);
@@ -732,14 +748,6 @@ void Context::maybe_refine(const std::string& key,
       }
     }
     refine_pending_.fetch_sub(1, std::memory_order_acq_rel);
-    // Last step, notify under the lock: a destructor waiting on
-    // background_pending_ == 0 cannot resume (and free `this`) until this
-    // task's unlock, after which the task touches nothing of `this`.
-    {
-      sync::MutexLock lock(background_mutex_);
-      --background_pending_;
-      background_cv_.notify_all();
-    }
   });
 }
 
@@ -759,12 +767,8 @@ std::future<void> Context::warmup(std::vector<typename OperationTraits<Op>::Shap
   }
   state->remaining.store(shapes.size());
   ISAAC_TM_COUNT_N("warmup.shapes", shapes.size());
-  {
-    sync::MutexLock lock(background_mutex_);
-    background_pending_ += shapes.size();
-  }
   for (auto& shape : shapes) {
-    ThreadPool::global().submit([this, state, shape = std::move(shape)] {
+    submit_background([this, state, shape = std::move(shape)] {
       try {
         select<Op>(shape);
       } catch (...) {
@@ -786,14 +790,6 @@ std::future<void> Context::warmup(std::vector<typename OperationTraits<Op>::Shap
         } else {
           state->done.set_value();
         }
-      }
-      // Last step, notify under the lock: a destructor waiting on
-      // background_pending_ == 0 cannot resume (and free `this`) until this
-      // task's unlock, after which the task touches nothing of `this`.
-      {
-        sync::MutexLock lock(background_mutex_);
-        --background_pending_;
-        background_cv_.notify_all();
       }
     });
   }

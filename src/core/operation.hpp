@@ -184,13 +184,8 @@ struct OperationTraits<BatchedGemmOp> {
     codegen::GemmShape g = s.gemm;
     if (s.batch <= 0) g.k = 0;  // degenerate → the builder emits a prune-all predicate
     tuning::ConstraintSet cs = space.prefix_constraints(g, dev);
-    const auto& domains = space.domains();
-    for (std::size_t d = 0; d < domains.size(); ++d) {
-      if (domains[d].name == "kg") {
-        cs.add_unary("batched kg=1", d, [d](const int* v) { return v[d] == 1; });
-        break;
-      }
-    }
+    constexpr std::size_t kg = tuning::dim_of<tuning::GemmParameters>(&Tuning::kg);
+    cs.add_unary(kg, [](const int* v) { return v[kg] == 1; });
     return cs;
   }
 

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -103,6 +104,12 @@ void ProfileCache::load_from_disk() {
     // was read, but never rewrite.
     read_ok = n == 0;
   }
+#else
+  std::ifstream in(file);
+  if (!in) return;  // no cache yet
+  const std::string contents{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+#endif
   {
     std::istringstream is(contents);
     std::string line, key, value, meta;
@@ -120,6 +127,7 @@ void ProfileCache::load_from_disk() {
       live[key] = Entry{value, meta, entry_tier, {}};
     }
   }
+#if ISAAC_HAVE_FLOCK
   // Compact once stale duplicates outnumber live entries: appends never
   // rewrite, so re-tuned and tier-upgraded keys otherwise accumulate one
   // dead line per store forever. In-place through the flocked descriptor
@@ -155,20 +163,6 @@ void ProfileCache::load_from_disk() {
   }
   if (locked) ::flock(fd, LOCK_UN);
   ::close(fd);
-#else
-  std::ifstream is(file);
-  if (!is) return;
-  std::string line, key, value, meta;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    if (!parse_line(line, key, value, meta)) {
-      ++corrupt;
-      continue;
-    }
-    const EntryTier entry_tier = tier_from_meta(meta);
-    live[key] = Entry{value, meta, entry_tier, {}};
-  }
 #endif
 
   // The constructor runs single-threaded, but the shard maps are guarded

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/cpu_isa.hpp"
-#include "common/thread_pool.hpp"
 
 namespace isaac::linalg {
 
@@ -46,10 +45,9 @@ GemmDims check_gemm_shapes(Trans trans_a, Trans trans_b, const Matrix& a, const 
 // width is the same body over two explicit vectors per tile row. Every C
 // element sees the same operations in the same order in every variant — k
 // ascending, one rounded multiply then one rounded add — so the result does
-// not depend on nr, block size, thread count or ISA. That only holds while
-// the compiler never fuses a multiply and an add into an FMA (AVX-512F
-// implies FMA, and GCC contracts by default), hence contraction is off for
-// this whole file.
+// not depend on nr, block size or ISA. That only holds while the compiler
+// never fuses a multiply and an add into an FMA (AVX-512F implies FMA, and
+// GCC contracts by default), hence contraction is off for this whole file.
 
 #if defined(__clang__)
 #pragma clang fp contract(off)
@@ -59,7 +57,6 @@ GemmDims check_gemm_shapes(Trans trans_a, Trans trans_b, const Matrix& a, const 
 
 constexpr std::size_t kMR = 4;
 constexpr std::size_t kMC = 128;         // rows per packed A block
-constexpr std::size_t kNC = 256;         // columns per parallel task group
 constexpr std::size_t kSmallN = 4;       // ≤ this many columns: dot-product path
 constexpr std::size_t kTinyM = 4;        // ≤ this many rows: no-packing path
 
@@ -120,20 +117,20 @@ void pack_b_panels(Trans trans_b, const Matrix& b, std::size_t n, std::size_t k,
 struct BlockArgs {
   const float* pa;  // packed A block, rows [r0, r1)
   const float* pb;  // all packed B panels
-  std::size_t k, n, r0, r1, j0, j1;
+  std::size_t k, n, r0, r1;
   float alpha, beta;
   float* c;  // C, row stride n
 };
 
-/// C rows [r0, r1) × columns [j0, j1) over nr-wide tiles: each nr×k B panel
-/// stays cache-hot across the block's row panels. Forced inline into one
-/// wrapper per instruction set, which compiles it for that target.
+/// C rows [r0, r1) over nr-wide tiles: each nr×k B panel stays cache-hot
+/// across the block's row panels. Forced inline into one wrapper per
+/// instruction set, which compiles it for that target.
 template <std::size_t NR>
 [[gnu::always_inline]] inline void block_tiles(const BlockArgs& g) {
-  static_assert(NR % 2 == 0 && kNC % NR == 0, "column groups must split at panel boundaries");
+  static_assert(NR % 2 == 0, "a tile row is two vectors");
   constexpr std::size_t kW = NR / 2;  // floats per vector; two vectors per tile row
   typedef float V __attribute__((vector_size(kW * sizeof(float))));
-  for (std::size_t c0 = g.j0; c0 < g.j1; c0 += NR) {
+  for (std::size_t c0 = 0; c0 < g.n; c0 += NR) {
     const float* bpanel = g.pb + (c0 / NR) * NR * g.k;
     const std::size_t cols = std::min(NR, g.n - c0);
     for (std::size_t p0 = g.r0; p0 < g.r1; p0 += kMR) {
@@ -191,14 +188,14 @@ MicroKernel micro_kernel(cpu::Isa isa) {
   }
 }
 
-/// C rows [r0, r1) × columns [j0, j1): pack the A block once, then run the
-/// micro-kernel over it.
+/// C rows [r0, r1): pack the A block once, then run the micro-kernel over
+/// it.
 void run_block(const MicroKernel& mk, Trans trans_a, float alpha, const Matrix& a, float beta,
                Matrix& c, std::size_t k, std::size_t n, std::size_t r0, std::size_t r1,
-               std::size_t j0, std::size_t j1, const float* pb, std::vector<float>& pa) {
+               const float* pb, std::vector<float>& pa) {
   pa.resize(round_up(r1 - r0, kMR) * k);
   pack_a_block(trans_a, a, r0, r1, k, pa.data());
-  mk.block({pa.data(), pb, k, n, r0, r1, j0, j1, alpha, beta, c.data()});
+  mk.block({pa.data(), pb, k, n, r0, r1, alpha, beta, c.data()});
 }
 
 /// Deterministic 4-lane dot product (fixed reduction tree, vectorizable
@@ -222,7 +219,7 @@ float dot_k(const float* __restrict__ x, const float* __restrict__ y, std::size_
 /// panel machinery entirely; the packed tile kernel would spend nr/n of its
 /// work multiplying padding.
 void gemm_small_n(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
-                  float beta, Matrix& c, const GemmDims& d, bool threaded) {
+                  float beta, Matrix& c, const GemmDims& d) {
   const auto [m, n, k] = d;
   // B columns, k-contiguous: a transposed B already stores them as rows.
   const float* bcols;
@@ -246,19 +243,12 @@ void gemm_small_n(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, co
     }
     arows = tl_pack_a.data();
   }
-  const auto rows = [&, n = n, k = k](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      float* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        const float dot = alpha * dot_k(arows + i * k, bcols + j * k, k);
-        crow[j] = (beta == 0.0f) ? dot : dot + beta * crow[j];
-      }
+  for (std::size_t i = 0; i < m; ++i) {
+    float* crow = c.data() + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float dot = alpha * dot_k(arows + i * k, bcols + j * k, k);
+      crow[j] = (beta == 0.0f) ? dot : dot + beta * crow[j];
     }
-  };
-  if (threaded && m > 2 * kMC) {
-    ThreadPool::global().parallel_for(m, rows);
-  } else {
-    rows(0, m);
   }
 }
 
@@ -285,7 +275,7 @@ void gemm_tiny_m(float alpha, const Matrix& a, const Matrix& b, float beta, Matr
 }
 
 void gemm_blocked(const MicroKernel& mk, Trans trans_a, Trans trans_b, float alpha,
-                  const Matrix& a, const Matrix& b, float beta, Matrix& c, bool threaded) {
+                  const Matrix& a, const Matrix& b, float beta, Matrix& c) {
   const GemmDims d = check_gemm_shapes(trans_a, trans_b, a, b, c);
   const auto [m, n, k] = d;
   if (m == 0 || n == 0) return;
@@ -293,10 +283,8 @@ void gemm_blocked(const MicroKernel& mk, Trans trans_a, Trans trans_b, float alp
     for (std::size_t i = 0; i < c.size(); ++i) c.data()[i] *= beta;
     return;
   }
-  // Dispatch depends only on the problem shape, never on `threaded` or pool
-  // size, so every entry point lands in the same kernel for equal inputs.
   if (n <= kSmallN) {
-    gemm_small_n(trans_a, trans_b, alpha, a, b, beta, c, d, threaded);
+    gemm_small_n(trans_a, trans_b, alpha, a, b, beta, c, d);
     return;
   }
   if (m <= kTinyM && trans_a == Trans::No && trans_b == Trans::No) {
@@ -308,54 +296,28 @@ void gemm_blocked(const MicroKernel& mk, Trans trans_a, Trans trans_b, float alp
   pack_b_panels(trans_b, b, n, k, mk.nr, tl_pack_b.data());
   const float* pb = tl_pack_b.data();
 
-  const std::size_t row_blocks = (m + kMC - 1) / kMC;
-  const std::size_t col_groups = threaded ? (n + kNC - 1) / kNC : 1;
-  const std::size_t tasks = row_blocks * col_groups;
-  if (!threaded || tasks == 1) {
-    for (std::size_t rb = 0; rb < row_blocks; ++rb) {
-      const std::size_t r0 = rb * kMC;
-      run_block(mk, trans_a, alpha, a, beta, c, k, n, r0, std::min(m, r0 + kMC), 0, n, pb,
-                tl_pack_a);
-    }
-    return;
+  for (std::size_t r0 = 0; r0 < m; r0 += kMC) {
+    run_block(mk, trans_a, alpha, a, beta, c, k, n, r0, std::min(m, r0 + kMC), pb, tl_pack_a);
   }
-  // 2D task grid over row blocks × column groups: skinny-but-wide shapes
-  // (few row blocks, many columns) still fill the pool. Workers pack into
-  // their own thread-local arenas; the shared packed B is read-only.
-  ThreadPool::global().parallel_for_each(
-      tasks, [&, m = m, n = n, k = k, col_groups](std::size_t t) {
-        const std::size_t r0 = (t / col_groups) * kMC;
-        const std::size_t j0 = (t % col_groups) * kNC;
-        run_block(mk, trans_a, alpha, a, beta, c, k, n, r0, std::min(m, r0 + kMC), j0,
-                  std::min(n, j0 + kNC), pb, tl_pack_a);
-      });
 }
 
 }  // namespace
 
 namespace detail {
 
-void gemm_serial_with(cpu::Isa isa, Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
-                      const Matrix& b, float beta, Matrix& c) {
+void gemm_with(cpu::Isa isa, Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
+               const Matrix& b, float beta, Matrix& c) {
   if (!cpu::supported(isa)) {
-    throw std::invalid_argument(std::string("gemm_serial_with: CPU lacks ") + cpu::name(isa));
+    throw std::invalid_argument(std::string("gemm_with: CPU lacks ") + cpu::name(isa));
   }
-  gemm_blocked(micro_kernel(isa), trans_a, trans_b, alpha, a, b, beta, c,
-               /*threaded=*/false);
+  gemm_blocked(micro_kernel(isa), trans_a, trans_b, alpha, a, b, beta, c);
 }
 
 }  // namespace detail
 
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
           float beta, Matrix& c) {
-  gemm_blocked(micro_kernel(cpu::widest()), trans_a, trans_b, alpha, a, b, beta,
-               c, /*threaded=*/true);
-}
-
-void gemm_serial(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
-                 float beta, Matrix& c) {
-  gemm_blocked(micro_kernel(cpu::widest()), trans_a, trans_b, alpha, a, b, beta,
-               c, /*threaded=*/false);
+  gemm_blocked(micro_kernel(cpu::widest()), trans_a, trans_b, alpha, a, b, beta, c);
 }
 
 void gemm_reference(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,

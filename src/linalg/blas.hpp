@@ -1,8 +1,9 @@
 // Blocked BLAS-like GEMM on Matrix.
 //
 // Only what the MLP and the reference checks need: GEMM with optional
-// transposes. The MLP's forward and backward passes, for scoring and for
-// training alike, run gemm_serial on the calling thread.
+// transposes, run on the calling thread. The MLP's forward and backward
+// passes, for scoring and for training alike, call gemm; the chunked
+// scoring pipeline already runs one forward pass per pool worker.
 //
 // The GEMM is a register-blocked panel kernel (see blas.cpp): op(A) is packed
 // into MR-interleaved row panels, op(B) into NR-wide column panels, and an
@@ -11,7 +12,7 @@
 // per process from the CPU (8 on SSE2, 16 on AVX2, 32 on AVX-512F). Every
 // variant performs each C element's multiplies and adds in the same order,
 // separately rounded (never fused into FMAs), so results are bit-identical
-// across thread counts, entry points, instruction sets and build flags.
+// across instruction sets and build flags.
 #pragma once
 
 #include "common/cpu_isa.hpp"
@@ -21,23 +22,11 @@ namespace isaac::linalg {
 
 enum class Trans { No, Yes };
 
-/// C = alpha * op(A) * op(B) + beta * C.
+/// C = alpha * op(A) * op(B) + beta * C, on the calling thread.
 /// op(A) is rows(A) x cols(A) after the optional transpose; shapes are
-/// validated against C. Parallelized over row blocks *and* column panels of C
-/// on the global pool; falls back to the serial kernel when the problem is
-/// too small to split. No library path calls it: it is measured by
-/// perfbench's linalg.gemm_gflops layer and the rank gate's
-/// gemm_speedup_vs_reference (bench_inference_throughput).
+/// validated against C.
 void gemm(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
           float beta, Matrix& c);
-
-/// Same math and bit-identical results as `gemm`, guaranteed to run entirely
-/// on the calling thread. This is the entry point for callers that already
-/// execute on the global pool (the chunked model-scoring pipeline runs one
-/// forward pass per worker) — nesting the parallel `gemm` there would only
-/// fight its own siblings for the queue.
-void gemm_serial(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
-                 float beta, Matrix& c);
 
 /// Naive triple loop, serial; used to validate the blocked kernel.
 void gemm_reference(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, const Matrix& b,
@@ -45,11 +34,11 @@ void gemm_reference(Trans trans_a, Trans trans_b, float alpha, const Matrix& a, 
 
 namespace detail {
 
-/// gemm_serial on the given micro-kernel variant (panel width 8, 16 or 32;
-/// the library runs cpu::widest()); throws std::invalid_argument when the
-/// CPU does not support it.
-void gemm_serial_with(cpu::Isa isa, Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
-                      const Matrix& b, float beta, Matrix& c);
+/// gemm on the given micro-kernel variant (panel width 8, 16 or 32; the
+/// library runs cpu::widest()); throws std::invalid_argument when the CPU
+/// does not support it.
+void gemm_with(cpu::Isa isa, Trans trans_a, Trans trans_b, float alpha, const Matrix& a,
+               const Matrix& b, float beta, Matrix& c);
 
 }  // namespace detail
 

@@ -48,7 +48,7 @@ const Matrix& Mlp::forward_into(Workspace& ws) const {
   for (std::size_t l = 0; l < weights_.size(); ++l) {
     Matrix& z = ws.a[l];
     z.reshape(batch, weights_[l].cols());
-    linalg::gemm_serial(Trans::No, Trans::No, 1.0f, *prev, weights_[l], 0.0f, z);
+    linalg::gemm(Trans::No, Trans::No, 1.0f, *prev, weights_[l], 0.0f, z);
     // Bias broadcast and ReLU fused into one pass over z.
     const float* bias = biases_[l].data();
     const std::size_t cols = z.cols();
@@ -93,7 +93,7 @@ void Mlp::backward(const Workspace& ws, const Matrix& dLdy, Gradients& g) const 
     // dW_l = a_{l-1}^T · delta ; db_l = column sums of delta
     const Matrix& input = l == 0 ? ws.x : ws.a[l - 1];
     g.dW[l].reshape(weights_[l].rows(), weights_[l].cols());
-    linalg::gemm_serial(Trans::Yes, Trans::No, 1.0f, input, delta, 0.0f, g.dW[l]);
+    linalg::gemm(Trans::Yes, Trans::No, 1.0f, input, delta, 0.0f, g.dW[l]);
     Matrix& db = g.db[l];
     db.reshape(1, delta.cols());
     db.set_zero();
@@ -103,7 +103,7 @@ void Mlp::backward(const Workspace& ws, const Matrix& dLdy, Gradients& g) const 
     }
     if (l > 0) {
       g.delta[l - 1].reshape(batch, weights_[l].rows());
-      linalg::gemm_serial(Trans::No, Trans::Yes, 1.0f, delta, weights_[l], 0.0f, g.delta[l - 1]);
+      linalg::gemm(Trans::No, Trans::Yes, 1.0f, delta, weights_[l], 0.0f, g.delta[l - 1]);
     }
   }
 }

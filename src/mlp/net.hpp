@@ -11,7 +11,7 @@
 // caller-owned Workspace, and backward reads that workspace's activations
 // into caller-owned Gradients, so a training loop that reuses both allocates
 // nothing after its first minibatch. All math runs serially on the in-repo
-// linalg BLAS (linalg::gemm_serial) — fittingly, MLP inference over
+// linalg BLAS (linalg::gemm) — fittingly, MLP inference over
 // ~15-feature vectors is itself the highly rectangular GEMM regime ISAAC
 // targets (§5: the system "could itself be bootstrapped").
 #pragma once
@@ -52,7 +52,7 @@ class Mlp {
   };
 
   /// Allocation-free forward pass over ws.x (batch = ws.x.rows()): runs
-  /// entirely on the calling thread (linalg::gemm_serial) and reuses the
+  /// entirely on the calling thread (linalg::gemm) and reuses the
   /// workspace's buffers. Returns ws.a.back(), valid until the next call.
   const linalg::Matrix& forward_into(Workspace& ws) const;
 

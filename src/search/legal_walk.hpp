@@ -74,9 +74,9 @@ inline WalkChunkPlan plan_legal_walk(const std::vector<tuning::ParameterDomain>&
 
 /// Walk chunk `ci` of a plan: bind its prefix, then walk the subtree over
 /// dimensions [0..split-1], emitting `fn(choice, flat)` leaves in ascending
-/// flat order. Predicates with eval_dim ≥ split already passed during
-/// planning and are not re-evaluated. Safe to call concurrently for distinct
-/// chunks — each call owns its cursors.
+/// flat order. Predicates registered at dimensions ≥ split already passed
+/// during planning and are not re-evaluated. Safe to call concurrently for
+/// distinct chunks — each call owns its cursors.
 template <typename Fn>
 void run_walk_chunk(const std::vector<tuning::ParameterDomain>& domains,
                     const tuning::ConstraintSet* constraints, const WalkChunkPlan& plan,

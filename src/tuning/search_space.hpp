@@ -19,6 +19,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,41 +38,35 @@ struct ParameterDomain {
   std::vector<int> values;
 };
 
-/// One partial-validity predicate over a *prefix* of bound parameter values.
-/// `check` receives the full values-by-dimension array but may only read
-/// dimensions ≥ eval_dim — the pruned walk binds dimensions from the highest
+/// The per-dimension partial-validity layer over a ParameterDomain list:
+/// predicates over a *prefix* of bound parameter values, bucketed by the
+/// dimension at which each becomes decidable. A predicate registered at
+/// dimension `dim` receives the full values-by-dimension array but may only
+/// read dimensions ≥ dim — the pruned walk binds dimensions from the highest
 /// index down, so exactly those are bound when the predicate first runs.
 ///
 /// Contract: a predicate must be a *necessary* condition for legality — if it
 /// fails, no completion of the bound prefix passes codegen::validate. A
 /// lenient predicate only costs pruning power; a too-strict one would
-/// silently drop legal points (the exhaustive-vs-pruned parity tests guard
-/// against that).
-struct PrefixPredicate {
-  std::string name;                             // diagnostic label
-  std::size_t eval_dim = 0;                     // lowest dimension it reads
-  bool unary = false;                           // reads values[eval_dim] only
-  std::function<bool(const int* values)> check;
-};
-
-/// The per-dimension predicate layer over a ParameterDomain list, bucketed by
-/// the dimension at which each predicate becomes decidable.
+/// silently drop legal points (the exhaustive-vs-pruned parity tests and
+/// the prefix-soundness test guard against that).
 class ConstraintSet {
  public:
-  void add(std::string name, std::size_t eval_dim, std::function<bool(const int*)> check);
+  using Check = std::function<bool(const int* values)>;
+
+  /// A predicate reading dimension `dim` and higher ones.
+  void add(std::size_t dim, Check check);
 
   /// A predicate that reads only its own dimension's value. The walker
   /// pre-evaluates these once per domain value into an admissibility mask, so
   /// they cost an array lookup per node instead of a std::function call.
-  void add_unary(std::string name, std::size_t eval_dim,
-                 std::function<bool(const int*)> check);
+  void add_unary(std::size_t dim, Check check);
 
-  bool empty() const noexcept { return count_ == 0; }
+  bool empty() const noexcept { return multi_by_dim_.empty(); }
 
   /// Every multi-dimension predicate that becomes decidable when `dim` binds
   /// passes? The walker's inner loop, paired with the value_masks() fast
-  /// path for the unary ones. The multi checks live in their own bucket list
-  /// so this never touches (or flag-tests) the unary entries.
+  /// path for the unary ones.
   bool check_multi_at(std::size_t dim, const int* values) const {
     if (dim >= multi_by_dim_.size()) return true;
     for (const auto& f : multi_by_dim_[dim]) {
@@ -85,24 +82,27 @@ class ConstraintSet {
       const std::vector<ParameterDomain>& domains) const;
 
   /// Full-point test (every dimension bound): all predicates pass. A cheap
-  /// pre-gate in front of codegen::validate for point-wise probing. Buckets
-  /// run highest dimension first — the same order the walk binds them — so a
-  /// predicate may rely on guards (positivity, pow2) at higher dimensions
-  /// having passed, exactly as during a walk.
+  /// pre-gate in front of codegen::validate for point-wise probing. It runs
+  /// in the walk's order — highest dimension first, and within a dimension
+  /// the unary checks before the multi-dimension ones — so a predicate may
+  /// rely on guards (positivity, pow2) that the walk would already have
+  /// applied.
   bool accepts(const int* values) const {
-    for (std::size_t dim = by_dim_.size(); dim-- > 0;) {
-      for (const auto& p : by_dim_[dim]) {
-        if (!p.check(values)) return false;
+    for (std::size_t dim = multi_by_dim_.size(); dim-- > 0;) {
+      for (const auto& f : unary_by_dim_[dim]) {
+        if (!f(values)) return false;
       }
+      if (!check_multi_at(dim, values)) return false;
     }
     return true;
   }
 
  private:
-  std::vector<std::vector<PrefixPredicate>> by_dim_;  // indexed by eval_dim
-  // Multi-dimension checks only, same indexing — the walker's hot path.
-  std::vector<std::vector<std::function<bool(const int*)>>> multi_by_dim_;
-  std::size_t count_ = 0;
+  /// Grow both bucket lists to cover `dim` (they always have equal length).
+  void reserve_dim(std::size_t dim);
+
+  std::vector<std::vector<Check>> unary_by_dim_;
+  std::vector<std::vector<Check>> multi_by_dim_;
   bool has_unary_ = false;
 };
 
@@ -191,91 +191,145 @@ bool walk_legal(const std::vector<ParameterDomain>& domains, const ConstraintSet
   return walk_legal_levels(domains, constraints, domains.size() - 1, 0, choice, values, 0, fn);
 }
 
-/// Generic cartesian-product space driven by per-parameter domains, with a
-/// decoder turning an index vector into a concrete tuning struct.
-class GemmSearchSpace {
+/// One row of an op's parameter table: the parameter's name, the Tuning
+/// field it sets, and its candidate values.
+template <typename Tuning>
+struct Parameter {
+  const char* name;
+  int Tuning::*field;
+  std::span<const int> values;
+};
+
+// Candidate lists. X̂ deliberately over-covers what hardware can run: most of
+// it is illegal (register file, shared memory, thread-count and alignment
+// constraints), which is exactly why the paper needs the §4.1 generative
+// model rather than uniform sampling. All powers of two; ranges follow the
+// paper's §4.2 setup.
+inline constexpr int kPow2_1_4[] = {1, 2, 4};
+inline constexpr int kPow2_1_8[] = {1, 2, 4, 8};
+inline constexpr int kPow2_1_16[] = {1, 2, 4, 8, 16};
+inline constexpr int kPow2_1_32[] = {1, 2, 4, 8, 16, 32};
+inline constexpr int kPow2_1_64[] = {1, 2, 4, 8, 16, 32, 64};
+inline constexpr int kPow2_1_512[] = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
+inline constexpr int kPow2_4_32[] = {4, 8, 16, 32};
+inline constexpr int kPow2_4_128[] = {4, 8, 16, 32, 64, 128};
+inline constexpr int kPow2_8_128[] = {8, 16, 32, 64, 128};
+inline constexpr int kPow2_8_512[] = {8, 16, 32, 64, 128, 256, 512};
+
+/// GEMM's parameter table, in dimension order (dimension 0 is the least
+/// significant digit of the flat index).
+struct GemmParameters {
+  using Shape = codegen::GemmShape;
+  using Tuning = codegen::GemmTuning;
+  static constexpr Parameter<Tuning> table[] = {
+      {"ms", &Tuning::ms, kPow2_1_64},
+      {"ns", &Tuning::ns, kPow2_1_64},
+      {"ml", &Tuning::ml, kPow2_8_512},
+      {"nl", &Tuning::nl, kPow2_8_512},
+      {"u", &Tuning::u, kPow2_4_128},
+      {"ks", &Tuning::ks, kPow2_1_32},
+      {"kl", &Tuning::kl, kPow2_1_32},
+      {"kg", &Tuning::kg, kPow2_1_512},
+      {"vec", &Tuning::vec, kPow2_1_8},
+  };
+};
+
+/// Conv's parameter table: thread tile, block tile, prefetch depth and the
+/// local/global reduction splits (ConvTuning's cs and vec stay at their
+/// defaults).
+struct ConvParameters {
+  using Shape = codegen::ConvShape;
+  using Tuning = codegen::ConvTuning;
+  static constexpr Parameter<Tuning> table[] = {
+      {"tk", &Tuning::tk, kPow2_1_8},
+      {"tp", &Tuning::tp, kPow2_1_4},
+      {"tq", &Tuning::tq, kPow2_1_4},
+      {"tn", &Tuning::tn, kPow2_1_4},
+      {"bk", &Tuning::bk, kPow2_8_128},
+      {"bp", &Tuning::bp, kPow2_1_8},
+      {"bq", &Tuning::bq, kPow2_1_8},
+      {"bn", &Tuning::bn, kPow2_1_32},
+      {"u", &Tuning::u, kPow2_4_32},
+      {"cl", &Tuning::cl, kPow2_1_8},
+      {"cg", &Tuning::cg, kPow2_1_16},
+  };
+};
+
+/// The dimension `field` occupies in Params' table; a compile error when the
+/// table has no such row (in a constant expression).
+template <typename Params>
+constexpr std::size_t dim_of(int Params::Tuning::*field) {
+  for (std::size_t d = 0; d < std::size(Params::table); ++d) {
+    if (Params::table[d].field == field) return d;
+  }
+  throw std::logic_error("dim_of: field not in the parameter table");
+}
+
+/// The cartesian-product space X̂ over Params' table, with the decoder
+/// turning an index vector into a concrete tuning struct. Subclasses may
+/// narrow or pin domain values (the batched space, test spaces) but keep
+/// the table's dimensions in its order.
+template <typename Params>
+class ParameterSpace {
  public:
-  /// Default domains follow GemmTuning::candidates_*. `cap16` restricts every
-  /// domain to powers of two in [1, 16] — the constraint Table 1 uses.
-  explicit GemmSearchSpace(bool cap16 = false);
+  using Shape = typename Params::Shape;
+  using Tuning = typename Params::Tuning;
+
+  /// Domains from the table. `cap16` restricts every domain to powers of two
+  /// in [1, 16] — the constraint Table 1 uses.
+  explicit ParameterSpace(bool cap16 = false);
 
   const std::vector<ParameterDomain>& domains() const noexcept { return domains_; }
   std::size_t num_parameters() const noexcept { return domains_.size(); }
 
-  /// Total size of X̂.
+  /// Total size of X̂, saturated at SIZE_MAX.
   std::size_t size() const noexcept;
 
   /// Decode per-parameter value indices into a tuning struct.
-  codegen::GemmTuning decode(const std::vector<std::size_t>& choice) const;
+  Tuning decode(const std::vector<std::size_t>& choice) const;
 
   /// Inverse of decode: find the index vector producing `t`. False when some
   /// field's value is not in this space's domains (e.g. a KG > 1 seed against
   /// the batched space) — the tuning then lies outside X̂.
-  bool encode(const codegen::GemmTuning& t, std::vector<std::size_t>& choice) const;
+  bool encode(const Tuning& t, std::vector<std::size_t>& choice) const;
 
   /// Uniform draw from X̂.
-  codegen::GemmTuning sample_uniform(Rng& rng, std::vector<std::size_t>* choice = nullptr) const;
+  Tuning sample_uniform(Rng& rng, std::vector<std::size_t>* choice = nullptr) const;
 
-  /// Visit every point of X̂ (used by exhaustive runtime inference). The
-  /// callback returns false to stop early.
-  void for_each(const std::function<bool(const codegen::GemmTuning&)>& fn) const;
+  /// Visit every point of X̂ in flat order. The callback returns false to
+  /// stop early.
+  void for_each(const std::function<bool(const Tuning&)>& fn) const;
 
   /// The per-dimension partial-validity layer for (shape, device): necessary
-  /// conditions of codegen::validate mirrored onto prefixes — tile-size
+  /// conditions of codegen::validate mirrored onto prefixes. GEMM: tile-size
   /// divisibility, shared-memory and occupancy bounds (gpusim/occupancy),
-  /// reduction-split (KG) limits. Predicates resolve dimensions by name, so
-  /// restricted subclass spaces (narrowed or pinned domains, e.g. the batched
-  /// space's KG = {1}) inherit the layer unchanged.
-  ConstraintSet prefix_constraints(const codegen::GemmShape& shape,
-                                   const gpusim::DeviceDescriptor& dev) const;
+  /// reduction-split (KG) limits. Conv: output-extent and reduction-split
+  /// (CG over C·R·S) limits plus the lowered GEMM's shared-memory, occupancy
+  /// and divisibility conditions.
+  ConstraintSet prefix_constraints(const Shape& shape, const gpusim::DeviceDescriptor& dev) const;
 
   /// Visit every point of the *legal* space X for (shape, device), in
   /// for_each() order: the pruned walk over prefix_constraints, gated by the
   /// full codegen::validate so the result is exactly X. The callback returns
   /// false to stop early.
-  void for_each_legal(const codegen::GemmShape& shape, const gpusim::DeviceDescriptor& dev,
-                      const std::function<bool(const codegen::GemmTuning&)>& fn) const;
+  void for_each_legal(const Shape& shape, const gpusim::DeviceDescriptor& dev,
+                      const std::function<bool(const Tuning&)>& fn) const;
 
  protected:
   std::vector<ParameterDomain> domains_;
 };
+
+extern template class ParameterSpace<GemmParameters>;
+extern template class ParameterSpace<ConvParameters>;
+
+using GemmSearchSpace = ParameterSpace<GemmParameters>;
+using ConvSearchSpace = ParameterSpace<ConvParameters>;
 
 /// The GEMM space with the grid-level reduction split pinned to KG = 1 — the
 /// legal space for strided-batched GEMM (see codegen/batched_gemm.hpp).
 class BatchedGemmSearchSpace : public GemmSearchSpace {
  public:
   explicit BatchedGemmSearchSpace(bool cap16 = false);
-};
-
-class ConvSearchSpace {
- public:
-  explicit ConvSearchSpace(bool cap16 = false);
-
-  const std::vector<ParameterDomain>& domains() const noexcept { return domains_; }
-  std::size_t num_parameters() const noexcept { return domains_.size(); }
-  std::size_t size() const noexcept;
-
-  codegen::ConvTuning decode(const std::vector<std::size_t>& choice) const;
-  bool encode(const codegen::ConvTuning& t, std::vector<std::size_t>& choice) const;
-  codegen::ConvTuning sample_uniform(Rng& rng, std::vector<std::size_t>* choice = nullptr) const;
-  void for_each(const std::function<bool(const codegen::ConvTuning&)>& fn) const;
-
-  /// Prefix predicates for the implicit-GEMM lowering: output-extent and
-  /// reduction-split (CG over C·R·S) limits plus the lowered GEMM's
-  /// shared-memory/occupancy/divisibility conditions. Same contract as
-  /// GemmSearchSpace::prefix_constraints.
-  ConstraintSet prefix_constraints(const codegen::ConvShape& shape,
-                                   const gpusim::DeviceDescriptor& dev) const;
-
-  /// Pruned + validate-gated walk of the legal conv space in for_each() order.
-  void for_each_legal(const codegen::ConvShape& shape, const gpusim::DeviceDescriptor& dev,
-                      const std::function<bool(const codegen::ConvTuning&)>& fn) const;
-
- protected:
-  // Protected (like GemmSearchSpace's) so restricted spaces — e.g. a
-  // seed-grid core for exhaustive ground truth in tests — can subclass and narrow
-  // the domains.
-  std::vector<ParameterDomain> domains_;
 };
 
 }  // namespace isaac::tuning

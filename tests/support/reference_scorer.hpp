@@ -1,5 +1,5 @@
-// The reference scorer: the allocating MLP forward pass (threaded
-// linalg::gemm, a separate bias broadcast, then ReLU) and the §5.2 encode
+// The reference scorer: the allocating MLP forward pass
+// (linalg::gemm, a separate bias broadcast, then ReLU) and the §5.2 encode
 // written the plain way (log each row, apply the Scaler, cast to float).
 // Production runs one fused forward (Mlp::forward_into) and one fused encode
 // loop over a FeatureBatch; tests hold them to these bits (tests/test_mlp.cpp)

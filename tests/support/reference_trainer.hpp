@@ -1,7 +1,7 @@
 // The reference trainer: minibatch Adam the allocating way. Every minibatch
 // is copied into fresh matrices, runs the reference forward pass with a
 // Cache (reference_scorer.hpp), backpropagates from the cached
-// pre-activations through the threaded linalg::gemm into fresh gradient
+// pre-activations through linalg::gemm into fresh gradient
 // matrices, and the features are encoded row by row (log transform, then
 // Scaler::apply). mlp::train and mlp::train_warm_start run the same math on
 // reused buffers; tests/test_mlp.cpp holds them to this trainer's bits.

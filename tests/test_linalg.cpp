@@ -136,31 +136,6 @@ TEST(Gemm, ParityGridAgainstReference) {
   }
 }
 
-// The serial entry point must be bit-identical to the threaded one across
-// every internal dispatch path (tile kernel, small-n dots, tiny-m rows):
-// chunked scoring leans on this to stay independent of thread count.
-TEST(Gemm, SerialMatchesThreadedBitExact) {
-  struct Case {
-    std::size_t m, n, k;
-  };
-  // Covers: tile path (64×64), small-n dot path (n ≤ 4), tiny-m path
-  // (m ≤ 4), and panel-straddling edges.
-  for (const Case c : {Case{64, 64, 64}, Case{300, 17, 33}, Case{129, 1, 64}, Case{2000, 3, 15},
-                       Case{2, 64, 15}, Case{37, 19, 129}}) {
-    Rng rng(static_cast<std::uint64_t>(c.m * 7 + c.n * 3 + c.k));
-    Matrix a(c.m, c.k), b(c.k, c.n);
-    a.randomize_uniform(rng, -1.0f, 1.0f);
-    b.randomize_uniform(rng, -1.0f, 1.0f);
-    Matrix c_par(c.m, c.n, 0.25f), c_ser(c.m, c.n, 0.25f);
-    gemm(Trans::No, Trans::No, 1.5f, a, b, 0.5f, c_par);
-    gemm_serial(Trans::No, Trans::No, 1.5f, a, b, 0.5f, c_ser);
-    for (std::size_t i = 0; i < c_par.size(); ++i) {
-      ASSERT_EQ(c_par.data()[i], c_ser.data()[i])
-          << "m=" << c.m << " n=" << c.n << " k=" << c.k << " at " << i;
-    }
-  }
-}
-
 // A zero in A multiplied with Inf/NaN in B must produce NaN (0·Inf = NaN in
 // IEEE 754), exactly like the reference. The old kernel's `if (av == 0.0f)
 // continue;` skip silently produced finite values here.
@@ -231,8 +206,8 @@ class GemmKernelVariant : public ::testing::TestWithParam<cpu::Isa> {
   ::testing::AssertionResult MatchesSse2(Trans ta, Trans tb, float alpha, const Matrix& a,
                                          const Matrix& b, float beta, const Matrix& c0) const {
     Matrix c_variant = c0, c_sse2 = c0;
-    detail::gemm_serial_with(GetParam(), ta, tb, alpha, a, b, beta, c_variant);
-    detail::gemm_serial_with(cpu::Isa::sse2, ta, tb, alpha, a, b, beta, c_sse2);
+    detail::gemm_with(GetParam(), ta, tb, alpha, a, b, beta, c_variant);
+    detail::gemm_with(cpu::Isa::sse2, ta, tb, alpha, a, b, beta, c_sse2);
     return SameBits(c_variant, c_sse2);
   }
 };
@@ -302,8 +277,8 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(cpu::name(info.param));
     });
 
-// The public entry points run the active variant, which is one the CPU has.
-TEST(Gemm, ActiveKernelIsSupportedAndServesGemmSerial) {
+// The public entry point runs the active variant, which is one the CPU has.
+TEST(Gemm, ActiveKernelIsSupportedAndServesGemm) {
   const cpu::Isa active = cpu::widest();
   ASSERT_TRUE(cpu::supported(active)) << cpu::name(active);
   Rng rng(3);
@@ -311,8 +286,8 @@ TEST(Gemm, ActiveKernelIsSupportedAndServesGemmSerial) {
   a.randomize_uniform(rng, -1.0f, 1.0f);
   b.randomize_uniform(rng, -1.0f, 1.0f);
   Matrix c_public(70, 90, 0.0f), c_active(70, 90, 0.0f);
-  gemm_serial(Trans::No, Trans::No, 1.0f, a, b, 0.0f, c_public);
-  detail::gemm_serial_with(active, Trans::No, Trans::No, 1.0f, a, b, 0.0f, c_active);
+  gemm(Trans::No, Trans::No, 1.0f, a, b, 0.0f, c_public);
+  detail::gemm_with(active, Trans::No, Trans::No, 1.0f, a, b, 0.0f, c_active);
   EXPECT_TRUE(SameBits(c_public, c_active));
 }
 

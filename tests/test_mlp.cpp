@@ -343,8 +343,9 @@ void expect_same_parameters(const Regressor& a, const Regressor& b, const char* 
 TEST(Mlp, TrainingMatchesReferenceTrainerBitExact) {
   // train and train_warm_start run the fused encode, forward_into, the
   // workspace backward and reused buffers; the reference trainer runs the
-  // allocating forward with a Cache, the threaded GEMM and a row-by-row
-  // encode. Both sample counts leave a last minibatch shorter than the rest.
+  // allocating forward with a Cache, fresh gradient matrices and a
+  // row-by-row encode. Both sample counts leave a last minibatch shorter
+  // than the rest.
   const auto base_data = synthetic_dataset(700, 0.05, 41);  // 256 + 256 + 188
   const auto delta_source = synthetic_dataset(150, 0.05, 43);
   tuning::Dataset delta;  // 32 × 4 + 22

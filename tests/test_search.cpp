@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/inference.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/simulator.hpp"
@@ -820,7 +821,7 @@ TEST(PrunedWalk, ChunkPlanReproducesSerialWalk) {
   const std::vector<tuning::ParameterDomain> one_dim = {{"x", {1, 2, 3, 4, 5}}};
   expect_chunks_reproduce_walk(one_dim, {}, "one dimension, unconstrained");
   tuning::ConstraintSet odd;
-  odd.add_unary("odd", 0, [](const int* v) { return v[0] % 2 == 1; });
+  odd.add_unary(0, [](const int* v) { return v[0] % 2 == 1; });
   expect_chunks_reproduce_walk(one_dim, odd, "one dimension, odd values");
   const std::vector<tuning::ParameterDomain> hollow = {{"a", {1, 2}}, {"b", {}}, {"c", {3}}};
   expect_chunks_reproduce_walk(hollow, {}, "domain with no values");
@@ -860,6 +861,104 @@ TEST(PrunedWalk, PerDeviceRankingsFollowEachDevicesLimits) {
   // could pass with the two devices silently sharing one ranking.
   ASSERT_EQ(legal_counts.size(), 2u);
   EXPECT_LT(legal_counts[1], legal_counts[0]);
+}
+
+// ------------------------------------------- prefix-constraint soundness ----
+
+/// Checks that every legal point of `space` for `shape` passes the op's
+/// prefix layer exactly where the walk would test it. That means, at every
+/// dimension from the highest down, its unary mask (value_masks) and its
+/// multi-dimension predicates (check_multi_at), and then the full-point
+/// accepts() gate the strided probe uses. A predicate that fails a legal
+/// point is stricter than validate, and the walk would silently drop that
+/// point. `for_each_choice(visit)` supplies the points; the return value is
+/// the number of legal ones checked.
+template <typename Op, typename ForEachChoice>
+std::size_t expect_legal_points_pass(const typename core::OperationTraits<Op>::SearchSpace& space,
+                                     const typename core::OperationTraits<Op>::Shape& shape,
+                                     const ForEachChoice& for_each_choice) {
+  using Traits = core::OperationTraits<Op>;
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const auto& domains = space.domains();
+  const tuning::ConstraintSet cs = Traits::prefix_constraints(shape, dev, space);
+  const auto masks = cs.value_masks(domains);
+  std::vector<int> values(domains.size());
+  std::size_t legal = 0, failures = 0;
+  std::string first_failure;
+  const auto fail = [&](const std::string& where, const search::Choice& c) {
+    if (failures++ == 0) {
+      first_failure = where + " rejects legal " + space.decode(c).to_string();
+    }
+  };
+  for_each_choice([&](const search::Choice& c) {
+    if (!Traits::validate(shape, space.decode(c), dev)) return;
+    ++legal;
+    for (std::size_t d = 0; d < domains.size(); ++d) values[d] = domains[d].values[c[d]];
+    for (std::size_t d = domains.size(); d-- > 0;) {
+      if (!masks.empty() && !masks[d][c[d]]) fail("unary mask @" + domains[d].name, c);
+      if (!cs.check_multi_at(d, values.data())) fail("multi @" + domains[d].name, c);
+    }
+    if (!cs.accepts(values.data())) fail("accepts", c);
+  });
+  EXPECT_EQ(failures, 0u) << shape.to_string() << ": " << first_failure;
+  return legal;
+}
+
+TEST(PrefixSoundness, LegalPointsPassEveryLevel) {
+  // Generate-and-test sweeps of the mid-sized spaces: every point of X̂.
+  const auto sweep = [](const auto& space) {
+    return [&space](const auto& visit) {
+      tuning::walk_legal(space.domains(), nullptr,
+                         [&](const search::Choice& c, std::uint64_t) {
+                           visit(c);
+                           return true;
+                         });
+    };
+  };
+  std::size_t gemm_legal = 0, conv_legal = 0;
+  const MidGemmSpace mid_gemm;
+  const MidConvSpace mid_conv;
+  for (const auto& shape : gemm_grid()) {
+    gemm_legal += expect_legal_points_pass<core::GemmOp>(mid_gemm, shape, sweep(mid_gemm));
+  }
+  for (const auto& shape : conv_grid()) {
+    conv_legal += expect_legal_points_pass<core::ConvOp>(mid_conv, shape, sweep(mid_conv));
+  }
+  EXPECT_GT(gemm_legal, 1000u);
+  EXPECT_GT(conv_legal, 1000u);
+
+  // Seeded uniform samples of X̂ at the production domains, for all three
+  // ops. The batched space pins KG, so only its sample covers the trait's
+  // KG predicate.
+  constexpr int kSamples = 6000;
+  const auto sample = [](const auto& space, std::uint64_t seed) {
+    return [&space, seed](const auto& visit) {
+      Rng rng(seed);
+      search::Choice c;
+      for (int i = 0; i < kSamples; ++i) {
+        space.sample_uniform(rng, &c);
+        visit(c);
+      }
+    };
+  };
+  const tuning::GemmSearchSpace gemm_space;
+  const tuning::ConvSearchSpace conv_space;
+  const tuning::BatchedGemmSearchSpace batched_space;
+  std::size_t sampled_legal[3] = {0, 0, 0};
+  std::uint64_t seed = 1;
+  for (const auto& shape : gemm_grid()) {
+    sampled_legal[0] +=
+        expect_legal_points_pass<core::GemmOp>(gemm_space, shape, sample(gemm_space, seed++));
+  }
+  for (const auto& shape : conv_grid()) {
+    sampled_legal[1] +=
+        expect_legal_points_pass<core::ConvOp>(conv_space, shape, sample(conv_space, seed++));
+  }
+  for (const auto& shape : batched_grid()) {
+    sampled_legal[2] += expect_legal_points_pass<core::BatchedGemmOp>(
+        batched_space, shape, sample(batched_space, seed++));
+  }
+  for (const std::size_t n : sampled_legal) EXPECT_GT(n, 100u);
 }
 
 /// A GEMM space inflated past 2^32 points with junk values that can never be

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "gpusim/device.hpp"
@@ -18,6 +19,11 @@ namespace isaac::tuning {
 namespace {
 
 // ----------------------------------------------------------- search space --
+
+/// GEMM's candidate values for `field`, as its parameter table lists them.
+std::span<const int> gemm_candidates(int codegen::GemmTuning::*field) {
+  return GemmParameters::table[dim_of<GemmParameters>(field)].values;
+}
 TEST(SearchSpace, GemmSizeIsDomainProduct) {
   const GemmSearchSpace space;
   std::size_t expect = 1;
@@ -41,8 +47,8 @@ TEST(SearchSpace, DecodeRoundTrip) {
   const GemmSearchSpace space;
   std::vector<std::size_t> choice(space.num_parameters(), 0);
   const auto t = space.decode(choice);
-  EXPECT_EQ(t.ms, codegen::GemmTuning::candidates_ms().front());
-  EXPECT_EQ(t.kg, codegen::GemmTuning::candidates_kg().front());
+  EXPECT_EQ(t.ms, gemm_candidates(&codegen::GemmTuning::ms).front());
+  EXPECT_EQ(t.kg, gemm_candidates(&codegen::GemmTuning::kg).front());
   EXPECT_THROW(space.decode({0, 1}), std::invalid_argument);
 }
 
@@ -78,7 +84,7 @@ TEST(SearchSpace, BatchedGemmPinsGlobalSplit) {
       EXPECT_EQ(d.values, std::vector<int>{1});
     }
   }
-  EXPECT_EQ(space.size() * codegen::GemmTuning::candidates_kg().size(),
+  EXPECT_EQ(space.size() * gemm_candidates(&codegen::GemmTuning::kg).size(),
             GemmSearchSpace().size());
 }
 
@@ -90,6 +96,41 @@ TEST(SearchSpace, GemmForEachMatchesSize) {
     return true;
   });
   EXPECT_EQ(count, space.size());
+}
+
+// A space with a domain emptied has an empty X̂: no point to visit, and the
+// prefix builders return no predicates instead of taking the empty
+// domain's minimum or maximum.
+TEST(SearchSpace, EmptyDomainHasNoPointsAndNoPredicates) {
+  struct HollowGemmSpace : GemmSearchSpace {
+    HollowGemmSpace() { domains_[2].values.clear(); }
+  };
+  struct HollowConvSpace : ConvSearchSpace {
+    HollowConvSpace() { domains_[4].values.clear(); }
+  };
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  codegen::GemmShape gemm;
+  gemm.m = gemm.n = gemm.k = 512;
+  const auto conv = codegen::ConvShape::from_npq(8, 54, 54, 64, 64, 3, 3);
+  const auto count_points = [](const auto& space, const auto& shape,
+                               const gpusim::DeviceDescriptor& device) {
+    std::size_t n = 0;
+    const auto visit = [&](const auto&) {
+      ++n;
+      return true;
+    };
+    space.for_each(visit);
+    space.for_each_legal(shape, device, visit);
+    return n;
+  };
+  const HollowGemmSpace hollow_gemm;
+  const HollowConvSpace hollow_conv;
+  EXPECT_EQ(hollow_gemm.size(), 0u);
+  EXPECT_EQ(hollow_conv.size(), 0u);
+  EXPECT_TRUE(hollow_gemm.prefix_constraints(gemm, dev).empty());
+  EXPECT_TRUE(hollow_conv.prefix_constraints(conv, dev).empty());
+  EXPECT_EQ(count_points(hollow_gemm, gemm, dev), 0u);
+  EXPECT_EQ(count_points(hollow_conv, conv, dev), 0u);
 }
 
 // -------------------------------------------------------- generative model --
