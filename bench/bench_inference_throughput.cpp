@@ -6,7 +6,9 @@
 // (with ordering agreement over the whole best-first sequence between the
 // two), the pruned walk vs the generate-and-test sweep as enumeration
 // engines (the timing ratio, and the work ratio: X̂ points the sweep
-// validates per point the walk emits), cold `select()` p50/p99, per-chunk scoring-time flatness (an
+// validates per point the walk emits), the points scored per row the MLP ran
+// (the ranking's row memo: implicit-GEMM conv tunings share rows), cold
+// `select()` p50/p99, per-chunk scoring-time flatness (an
 // allocations-per-candidate proxy: chunks after the first cost the same
 // when nothing allocates), and the blocked GEMM's speedup over
 // gemm_reference on the MLP-shaped case with the micro-kernel variant
@@ -81,6 +83,7 @@ struct RankThroughputResult {
   double agreement = 0.0;     ///< top-k ordering agreement vs reference_rank
   double enum_speedup = 0.0;  ///< pruned-walk enumeration vs generate-and-test
   double enum_work_ratio = 0.0;  ///< X̂ points validated by the sweep per walk point
+  double score_row_ratio = 0.0;  ///< points scored per row the MLP ran
   bool walk_match = true;     ///< walk survivor list == sweep survivor list
 };
 
@@ -226,6 +229,11 @@ RankThroughputResult rank_throughput_op(
           ? static_cast<double>(enum_problem.space->size()) / static_cast<double>(walk_emitted)
           : 0.0;
   result.walk_match = walk_match;
+  // Deterministic too: the ranking runs the MLP once per distinct feature row.
+  result.score_row_ratio =
+      fast.model_rows > 0
+          ? static_cast<double>(fast.scored) / static_cast<double>(fast.model_rows)
+          : 0.0;
 
   char line[1024];
   std::snprintf(
@@ -235,7 +243,7 @@ RankThroughputResult rank_throughput_op(
       "\"speedup_vs_legacy\":%.2f,\"ordering_agreement\":%.3f,"
       "\"walk_points\":%zu,\"enum_sweep_s\":%.3f,\"enum_pruned_s\":%.3f,"
       "\"walk_emitted\":%zu,\"enum_speedup\":%.2f,\"enum_work_ratio\":%.2f,"
-      "\"walk_match\":%s,"
+      "\"walk_match\":%s,\"model_rows\":%zu,\"score_row_ratio\":%.2f,"
       "\"p50_select_us\":%.1f,\"p99_select_us\":%.1f,"
       "\"chunk_us_first\":%.1f,\"chunk_us_p50\":%.1f,\"chunk_us_max\":%.1f}\n",
       opname, space.size(), fast.scored,
@@ -246,7 +254,8 @@ RankThroughputResult rank_throughput_op(
           (static_cast<double>(legacy.candidates.size()) / legacy_s),
       agreement, walked.size(), enum_sweep_s, enum_walk_s, walk_emitted, result.enum_speedup,
       result.enum_work_ratio,
-      walk_match ? "true" : "false", stats::percentile(select_us, 0.50),
+      walk_match ? "true" : "false", fast.model_rows, result.score_row_ratio,
+      stats::percentile(select_us, 0.50),
       stats::percentile(select_us, 0.99), chunk_us.front(),
       stats::percentile(chunk_us, 0.50),
       *std::max_element(chunk_us.begin(), chunk_us.end()));
@@ -350,12 +359,12 @@ int run_rank_throughput() {
       "{\"bench\":\"rank_throughput\",\"op\":\"summary\",\"gemm_speedup_vs_reference\":%.2f,"
       "\"min_ordering_agreement\":%.3f,\"conv_enum_speedup\":%.2f,"
       "\"min_enum_speedup\":%.2f,\"conv_enum_work_ratio\":%.2f,"
-      "\"min_enum_work_ratio\":%.2f,\"all_walk_match\":%s,\"gemm_kernel\":\"%s\"}\n",
+      "\"min_enum_work_ratio\":%.2f,\"conv_score_row_ratio\":%.2f,\"all_walk_match\":%s,\"gemm_kernel\":\"%s\"}\n",
       gemm_speedup, min_agreement, conv_res.enum_speedup,
       std::min({gemm_res.enum_speedup, conv_res.enum_speedup, bgemm_res.enum_speedup}),
       conv_res.enum_work_ratio,
       std::min({gemm_res.enum_work_ratio, conv_res.enum_work_ratio, bgemm_res.enum_work_ratio}),
-      all_match ? "true" : "false",
+      conv_res.score_row_ratio, all_match ? "true" : "false",
       cpu::name(cpu::widest()));
   std::fputs(line, stdout);
   std::fflush(stdout);

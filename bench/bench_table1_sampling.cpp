@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   std::printf("\nShape to match: categorical acceptance exceeds uniform by a large factor,\n"
               "making 50k-kernel training sets collectable in hours. (The paper reports two\n"
               "orders of magnitude; the factorized model's gain depends on how much of the\n"
-              "legality is explained by per-parameter marginals — see EXPERIMENTS.md.)\n");
+              "legality is explained by per-parameter marginals.)\n");
   const bool ok = gemm_rates.categorical > 5.0 * gemm_rates.uniform &&
                   conv_rates.categorical > 3.0 * conv_rates.uniform;
   std::printf("ratio GEMM: %.1fx   CONV: %.1fx   [%s]\n",

@@ -5,7 +5,7 @@
 //
 // Absolute TFLOPS come from the device simulator, so only the *shape* of each
 // result (who wins, by what factor, where crossovers fall) is comparable to
-// the paper; EXPERIMENTS.md records both.
+// the paper; each bench prints the paper's number beside its own.
 #pragma once
 
 #include <string>

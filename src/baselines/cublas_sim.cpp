@@ -34,6 +34,15 @@ codegen::GemmTuning splitk_tile(int kg) {
   return t;
 }
 
+/// `kernel` built for `dtype`: the set's tiles load 4-wide vectors, which
+/// a 128-bit load holds only up to 4-byte elements, so wider types load
+/// 16 / size elements at a time (2 in f64). f16 and f32 keep 4.
+GemmKernel for_dtype(GemmKernel kernel, gpusim::DataType dtype) {
+  kernel.tuning.vec =
+      std::min(kernel.tuning.vec, static_cast<int>(16 / gpusim::dtype_size(dtype)));
+  return kernel;
+}
+
 }  // namespace
 
 CublasSim::CublasSim(const gpusim::DeviceDescriptor& dev) : dev_(dev) {
@@ -61,7 +70,8 @@ CublasSim::CublasSim(const gpusim::DeviceDescriptor& dev) : dev_(dev) {
 std::vector<GemmKernel> CublasSim::legal_kernels(const codegen::GemmShape& shape) const {
   std::vector<GemmKernel> out;
   for (const auto& k : kernels_) {
-    if (codegen::validate(shape, k.tuning, dev_)) out.push_back(k);
+    auto kernel = for_dtype(k, shape.dtype);
+    if (codegen::validate(shape, kernel.tuning, dev_)) out.push_back(std::move(kernel));
   }
   return out;
 }
@@ -121,7 +131,8 @@ GemmKernel CublasSim::choose(const codegen::GemmShape& shape) const {
   if (best != nullptr) return *best;
 
   if (!legal.empty()) return legal.front();
-  return kernels_.front();  // nothing legal: caller's run will report invalid
+  // Nothing legal: the caller's run will report invalid.
+  return for_dtype(kernels_.front(), shape.dtype);
 }
 
 gpusim::KernelProfile CublasSim::profile(const codegen::GemmShape& shape,

@@ -46,10 +46,12 @@ class CublasSim {
  public:
   explicit CublasSim(const gpusim::DeviceDescriptor& dev);
 
-  /// The full fixed kernel set (before per-shape legality filtering).
+  /// The full fixed kernel set (before per-shape legality filtering and
+  /// dtype adjustment).
   const std::vector<GemmKernel>& kernel_set() const noexcept { return kernels_; }
 
-  /// Kernels from the set that are legal for `shape`.
+  /// Kernels from the set that are legal for `shape`, built for its dtype:
+  /// vector width min(4, 16 / element size), so f64 loads 2-wide.
   std::vector<GemmKernel> legal_kernels(const codegen::GemmShape& shape) const;
 
   /// Handcrafted heuristic selection (the library's default path).

@@ -151,6 +151,59 @@ TEST(CublasSim, HeuristicValidOnAllPaperShapes) {
   }
 }
 
+TEST(CublasSim, Fig8DoublePrecisionShapesHaveALegalKernel) {
+  // A 128-bit load holds two doubles, so the set's 4-wide tiles are built
+  // 2-wide in f64; with 4-wide loads no kernel was legal and Fig. 8's
+  // cuBLAS column read 0.
+  gpusim::Simulator sim(gpusim::tesla_p100(), 0.0, 1);
+  CublasSim lib(sim.device());
+  const std::vector<codegen::GemmShape> shapes = {
+      gemm_shape(512, 512, 512, DataType::F64, false, true),
+      gemm_shape(1024, 1024, 1024, DataType::F64, false, true),
+      gemm_shape(2048, 2048, 2048, DataType::F64, false, true),
+      gemm_shape(32, 32, 60000, DataType::F64, false, true),
+      gemm_shape(64, 64, 60000, DataType::F64, false, true),
+      gemm_shape(256, 256, 60000, DataType::F64, false, true),
+      gemm_shape(896, 896, 32, DataType::F64, false, true),
+      gemm_shape(2048, 2048, 32, DataType::F64, false, true),
+      gemm_shape(4096, 4096, 32, DataType::F64, false, true)};
+  for (const auto& s : shapes) {
+    const auto legal = lib.legal_kernels(s);
+    ASSERT_FALSE(legal.empty()) << s.to_string();
+    for (const auto& k : legal) EXPECT_EQ(k.tuning.vec, 2) << k.name;
+    const auto heuristic = lib.run_heuristic(sim, s);
+    EXPECT_TRUE(heuristic.valid) << s.to_string();
+    EXPECT_GT(heuristic.gflops, 0.0) << s.to_string();
+    EXPECT_TRUE(lib.run_best_kernel(sim, s).valid) << s.to_string();
+  }
+}
+
+TEST(CublasSim, SinglePrecisionKernelListsAreTheSetsLegalKernels) {
+  // f32 (and f16) keep the set's 4-wide tiles: the legal list is exactly
+  // the set filtered by validate, tunings unchanged.
+  CublasSim lib(gpusim::tesla_p100());
+  const std::vector<codegen::GemmShape> shapes = {
+      gemm_shape(2048, 2048, 2048, DataType::F32, false, true),
+      gemm_shape(2560, 16, 2560), gemm_shape(2560, 64, 2560, DataType::F32, true, false),
+      gemm_shape(32, 32, 60000, DataType::F32, false, true),
+      gemm_shape(896, 896, 32, DataType::F32, false, true),
+      gemm_shape(2560, 64, 2560, DataType::F16)};
+  for (const auto& s : shapes) {
+    std::vector<GemmKernel> expected;
+    for (const auto& k : lib.kernel_set()) {
+      if (codegen::validate(s, k.tuning, gpusim::tesla_p100())) expected.push_back(k);
+    }
+    const auto legal = lib.legal_kernels(s);
+    ASSERT_EQ(legal.size(), expected.size()) << s.to_string();
+    ASSERT_FALSE(legal.empty()) << s.to_string();
+    for (std::size_t i = 0; i < legal.size(); ++i) {
+      EXPECT_EQ(legal[i].name, expected[i].name) << s.to_string();
+      EXPECT_EQ(legal[i].tuning, expected[i].tuning) << legal[i].name;
+      EXPECT_EQ(legal[i].tuning.vec, 4) << legal[i].name;
+    }
+  }
+}
+
 // ------------------------------------------------------------------- cuDNN --
 TEST(CudnnSim, NoKernelSplitsTheReduction) {
   CudnnSim lib(gpusim::gtx980ti());

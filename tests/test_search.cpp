@@ -1103,6 +1103,63 @@ TEST(RankStridedProbe, MatchesReferenceProbe) {
   for (const auto& shape : batched_grid()) compare(core::BatchedGemmOp{}, batched_space, shape);
 }
 
+TEST(RankLegalSpace, RowMemoMatchesReference) {
+  // Both rankings score each distinct feature row once per slice and give
+  // that score to every point with the row. Implicit-GEMM featurization maps
+  // many conv tunings to one row, so on the production conv space at the
+  // op's own cap the model must run fewer rows than points scored, while
+  // both rankings still match their generate-and-test references bit for
+  // bit over every scored point (k = all). A memo key that confused two rows
+  // would hand one of them the other's score. GEMM's legal rows are all
+  // distinct, so there the model runs one row per scored point.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const tuning::ConvSearchSpace conv_space;
+  const search::SearchConfig conv_cfg = core::OperationTraits<core::ConvOp>::default_search();
+  for (const auto& shape : conv_grid()) {
+    search::SearchProblem<core::ConvOp> problem;
+    problem.shape = &shape;
+    problem.device = &dev;
+    problem.space = &conv_space;
+    problem.model = &shared_model();
+    const std::string label = shape.to_string();
+    const auto dense_truth = reference::reference_rank(problem, conv_cfg, kUnlimited);
+    const auto dense = search::rank_legal_space(problem, conv_cfg, kUnlimited);
+    EXPECT_EQ(dense.visited, dense_truth.visited) << label;
+    EXPECT_EQ(dense.legal, dense_truth.legal) << label;
+    EXPECT_EQ(dense.scored, dense_truth.scored) << label;
+    ASSERT_EQ(best_first(dense), best_first(dense_truth)) << label;
+    EXPECT_GT(dense.model_rows, 0u) << label;
+    EXPECT_LT(dense.model_rows, dense.scored) << label;
+
+    const auto truth = reference::reference_probe(problem, conv_cfg, kUnlimited);
+    const auto probe = search::rank_strided_probe(problem, conv_cfg, kUnlimited);
+    EXPECT_EQ(probe.visited, truth.visited) << label;
+    EXPECT_EQ(probe.legal, truth.legal) << label;
+    EXPECT_EQ(probe.scored, truth.scored) << label;
+    ASSERT_EQ(probe.candidates, truth.candidates) << label;
+    EXPECT_EQ(probe.order, truth.order) << label;
+    ASSERT_EQ(first_difference(best_first(probe), best_first(truth)), truth.order.size()) << label;
+    EXPECT_GT(probe.model_rows, 0u) << label;
+    EXPECT_LT(probe.model_rows, probe.scored) << label;
+  }
+
+  const tuning::GemmSearchSpace gemm_space;
+  search::SearchConfig gemm_cfg;
+  gemm_cfg.max_candidates = 20000;
+  for (const auto& shape : gemm_grid()) {
+    search::SearchProblem<core::GemmOp> problem;
+    problem.shape = &shape;
+    problem.device = &dev;
+    problem.space = &gemm_space;
+    problem.model = &shared_model();
+    const std::string label = shape.to_string();
+    const auto dense = search::rank_legal_space(problem, gemm_cfg, 1);
+    EXPECT_EQ(dense.model_rows, dense.scored) << label;
+    const auto probe = search::rank_strided_probe(problem, gemm_cfg, 1);
+    EXPECT_EQ(probe.model_rows, probe.scored) << label;
+  }
+}
+
 TEST(RankLegalSpace, PresetCancelScoresNothing) {
   // The ranking polls SearchConfig::cancel before each walk chunk, each
   // enumeration chunk and each scoring slice: a flag set before the call
