@@ -7,7 +7,9 @@
 // two), the pruned walk vs the generate-and-test sweep as enumeration
 // engines (the timing ratio, and the work ratio: X̂ points the sweep
 // validates per point the walk emits), the points scored per row the MLP ran
-// (the ranking's row memo: implicit-GEMM conv tunings share rows), cold
+// (the ranking's row memo: implicit-GEMM conv tunings share rows), the
+// strided probe's picks per pick it checked point by point (the rest lay
+// under prefixes its walk rejected whole), cold
 // `select()` p50/p99, per-chunk scoring-time flatness (an
 // allocations-per-candidate proxy: chunks after the first cost the same
 // when nothing allocates), and the blocked GEMM's speedup over
@@ -84,6 +86,7 @@ struct RankThroughputResult {
   double enum_speedup = 0.0;  ///< pruned-walk enumeration vs generate-and-test
   double enum_work_ratio = 0.0;  ///< X̂ points validated by the sweep per walk point
   double score_row_ratio = 0.0;  ///< points scored per row the MLP ran
+  double probe_check_ratio = 0.0;  ///< probe picks visited per pick checked
   bool walk_match = true;     ///< walk survivor list == sweep survivor list
 };
 
@@ -202,6 +205,14 @@ RankThroughputResult rank_throughput_op(
   }
   const bool walk_match = std::equal(walked.begin(), walked.end(), sweep.begin(), sweep.end());
 
+  // The strided probe a cold select runs on the rank shape, at the cap
+  // core::predict() resolves (the op's max_candidates, or 8192 for ops that
+  // rank densely). Deterministic: visited is the cap, checked the picks the
+  // walk did not reject with their prefix.
+  search::SearchConfig probe_cfg;
+  probe_cfg.max_candidates = max_candidates > 0 ? max_candidates : 8192;
+  const auto probe = search::rank_strided_probe(problem, probe_cfg, 1);
+
   // Cold select() latency: fresh context, every shape a cache miss.
   core::ContextOptions opts;
   opts.search.budget = 10;
@@ -234,6 +245,10 @@ RankThroughputResult rank_throughput_op(
       fast.model_rows > 0
           ? static_cast<double>(fast.scored) / static_cast<double>(fast.model_rows)
           : 0.0;
+  result.probe_check_ratio =
+      probe.checked > 0
+          ? static_cast<double>(probe.visited) / static_cast<double>(probe.checked)
+          : 0.0;
 
   char line[1024];
   std::snprintf(
@@ -244,6 +259,7 @@ RankThroughputResult rank_throughput_op(
       "\"walk_points\":%zu,\"enum_sweep_s\":%.3f,\"enum_pruned_s\":%.3f,"
       "\"walk_emitted\":%zu,\"enum_speedup\":%.2f,\"enum_work_ratio\":%.2f,"
       "\"walk_match\":%s,\"model_rows\":%zu,\"score_row_ratio\":%.2f,"
+      "\"probe_visited\":%zu,\"probe_checked\":%zu,\"probe_check_ratio\":%.2f,"
       "\"p50_select_us\":%.1f,\"p99_select_us\":%.1f,"
       "\"chunk_us_first\":%.1f,\"chunk_us_p50\":%.1f,\"chunk_us_max\":%.1f}\n",
       opname, space.size(), fast.scored,
@@ -255,6 +271,7 @@ RankThroughputResult rank_throughput_op(
       agreement, walked.size(), enum_sweep_s, enum_walk_s, walk_emitted, result.enum_speedup,
       result.enum_work_ratio,
       walk_match ? "true" : "false", fast.model_rows, result.score_row_ratio,
+      probe.visited, probe.checked, result.probe_check_ratio,
       stats::percentile(select_us, 0.50),
       stats::percentile(select_us, 0.99), chunk_us.front(),
       stats::percentile(chunk_us, 0.50),
@@ -359,12 +376,13 @@ int run_rank_throughput() {
       "{\"bench\":\"rank_throughput\",\"op\":\"summary\",\"gemm_speedup_vs_reference\":%.2f,"
       "\"min_ordering_agreement\":%.3f,\"conv_enum_speedup\":%.2f,"
       "\"min_enum_speedup\":%.2f,\"conv_enum_work_ratio\":%.2f,"
-      "\"min_enum_work_ratio\":%.2f,\"conv_score_row_ratio\":%.2f,\"all_walk_match\":%s,\"gemm_kernel\":\"%s\"}\n",
+      "\"min_enum_work_ratio\":%.2f,\"conv_score_row_ratio\":%.2f,"
+      "\"conv_probe_check_ratio\":%.2f,\"all_walk_match\":%s,\"gemm_kernel\":\"%s\"}\n",
       gemm_speedup, min_agreement, conv_res.enum_speedup,
       std::min({gemm_res.enum_speedup, conv_res.enum_speedup, bgemm_res.enum_speedup}),
       conv_res.enum_work_ratio,
       std::min({gemm_res.enum_work_ratio, conv_res.enum_work_ratio, bgemm_res.enum_work_ratio}),
-      conv_res.score_row_ratio, all_match ? "true" : "false",
+      conv_res.score_row_ratio, conv_res.probe_check_ratio, all_match ? "true" : "false",
       cpu::name(cpu::widest()));
   std::fputs(line, stdout);
   std::fflush(stdout);

@@ -26,11 +26,13 @@ namespace isaac::search {
 /// each surviving prefix, subtrees over [0..split-1] left to walk. Prefixes
 /// are stored in ascending flat order; flat_bases[i] is the flat-index
 /// contribution of prefix i's bound dimensions (exact only when |X̂| fits
-/// 64 bits — callers on saturated spaces must ignore it).
+/// 64 bits — callers on saturated spaces must ignore it). `tables` holds the
+/// strides and unary masks every chunk's walk reads.
 struct WalkChunkPlan {
   std::size_t split = 0;
   std::vector<Choice> prefixes;
   std::vector<std::uint64_t> flat_bases;
+  tuning::WalkTables tables;
 };
 
 /// Choose the split dimension and enumerate the surviving prefixes. Aims for
@@ -41,6 +43,7 @@ struct WalkChunkPlan {
 inline WalkChunkPlan plan_legal_walk(const std::vector<tuning::ParameterDomain>& domains,
                                      const tuning::ConstraintSet* constraints) {
   WalkChunkPlan plan;
+  plan.tables = tuning::walk_tables(domains, constraints);
   const std::size_t nd = domains.size();
   if (nd == 0) return plan;
   for (const auto& d : domains) {
@@ -63,7 +66,7 @@ inline WalkChunkPlan plan_legal_walk(const std::vector<tuning::ParameterDomain>&
   plan.split = split;
   Choice choice(nd, 0);
   std::vector<int> values(nd, 0);
-  tuning::walk_legal_levels(domains, constraints, nd - 1, split, choice, values, 0,
+  tuning::walk_legal_levels(domains, constraints, plan.tables, nd - 1, split, choice, values, 0,
                             [&](const Choice& c, std::uint64_t flat) {
                               plan.prefixes.push_back(c);
                               plan.flat_bases.push_back(flat);
@@ -73,22 +76,29 @@ inline WalkChunkPlan plan_legal_walk(const std::vector<tuning::ParameterDomain>&
 }
 
 /// Walk chunk `ci` of a plan: bind its prefix, then walk the subtree over
-/// dimensions [0..split-1], emitting `fn(choice, flat)` leaves in ascending
-/// flat order. Predicates registered at dimensions ≥ split already passed
-/// during planning and are not re-evaluated. Safe to call concurrently for
-/// distinct chunks — each call owns its cursors.
+/// dimensions [stop..split-1], emitting `fn(choice, flat)` in ascending flat
+/// order. With stop = 0 each emission is a full point; otherwise it is a
+/// surviving subtree root whose dimensions below `stop` are left unbound,
+/// and `flat` is the root's first point. A stop at or above the split emits
+/// the chunk's prefix itself. Predicates registered at dimensions ≥ split
+/// already passed during planning and are not re-evaluated. Safe to call
+/// concurrently for distinct chunks — each call owns its cursors.
 template <typename Fn>
 void run_walk_chunk(const std::vector<tuning::ParameterDomain>& domains,
                     const tuning::ConstraintSet* constraints, const WalkChunkPlan& plan,
-                    std::size_t ci, const Fn& fn) {
+                    std::size_t ci, const Fn& fn, std::size_t stop = 0) {
+  if (stop >= plan.split) {
+    fn(plan.prefixes[ci], plan.flat_bases[ci]);
+    return;
+  }
   const std::size_t nd = domains.size();
   Choice choice = plan.prefixes[ci];
   std::vector<int> values(nd, 0);
   for (std::size_t d = plan.split; d < nd; ++d) {
     values[d] = domains[d].values[choice[d]];
   }
-  tuning::walk_legal_levels(domains, constraints, plan.split - 1, 0, choice, values,
-                            plan.flat_bases[ci], fn);
+  tuning::walk_legal_levels(domains, constraints, plan.tables, plan.split - 1, stop, choice,
+                            values, plan.flat_bases[ci], fn);
 }
 
 }  // namespace isaac::search

@@ -40,9 +40,11 @@
 //    whole legal space and sorting it, whatever the slicing, the memo or the
 //    thread count.
 //
-// The probe slices its flat-index stride the same way: each slice
-// pre-gates, validates and scores its own picks, and the slices join in
-// slice order, so its candidates and scores keep the serial stride order.
+// The probe rides the same chunked walk down to a leaf level whose subtrees
+// span about four of its flat-index stride picks. Each slice checks only the
+// picks inside its surviving leaves, point by point, then validates and
+// scores them; picks under a rejected prefix are never decoded. The slices
+// join in slice order, so its candidates and scores keep the stride order.
 //
 // Ranking cost is bounded by SearchConfig::max_candidates: oversized legal
 // spaces are deterministically strided and the op's seed grid re-appended so
@@ -57,6 +59,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -85,16 +88,19 @@ namespace isaac::search {
 ///
 /// rank_legal_space keeps only the ≤ k winners: `candidates`/`scores` are
 /// already best-first and `order` is 0..k-1. rank_strided_probe keeps every
-/// scored point (its probed legal points plus the seed grid).
+/// scored point (its probed legal points plus the seed grid), and `checked`
+/// counts the picks it tested point by point; the rest of its `visited`
+/// picks lay under prefixes the walk rejected whole.
 template <typename Op>
 struct RankedCandidates {
   std::vector<Choice> candidates;
   std::vector<double> scores;      // predicted GFLOPS, aligned with candidates
   std::vector<std::size_t> order;  // best-first indices into candidates, ≤ k
-  std::size_t visited = 0;         // X̂ points legality-checked
+  std::size_t visited = 0;         // X̂ points covered: checked, or pruned with a prefix
   std::size_t legal = 0;           // subset that passed validation
   std::size_t scored = 0;          // points the model scored
   std::size_t model_rows = 0;      // rows the model ran: scored points' distinct rows
+  std::size_t checked = 0;         // probe picks tested point by point (probe only)
 };
 
 /// Decode a flat lexicographic index into an existing choice vector
@@ -430,6 +436,33 @@ auto run_slices(std::size_t n, const Fn& slice) {
   return parts;
 }
 
+/// The strided probe's i-th pick, ⌊i·step⌋ in double arithmetic: the one
+/// expression that defines the probe's candidate set.
+inline std::uint64_t probe_pick(std::size_t i, double step) {
+  return static_cast<std::uint64_t>(static_cast<double>(i) * step);
+}
+
+/// The first pick index in [0, cap) whose pick is ≥ `flat`, or cap when
+/// there is none: probe_pick inverted. The quotient only estimates it, so
+/// the estimate is corrected against probe_pick itself, whose picks never
+/// decrease as i grows.
+inline std::size_t first_pick_at(std::uint64_t flat, double step, std::size_t cap) {
+  const double guess = std::ceil(static_cast<double>(flat) / step);
+  std::size_t i = guess < static_cast<double>(cap) ? static_cast<std::size_t>(guess) : cap;
+  while (i > 0 && probe_pick(i - 1, step) >= flat) --i;
+  while (i < cap && probe_pick(i, step) < flat) ++i;
+  return i;
+}
+
+/// The probe walk's leaf level: the lowest dimension whose subtree spans
+/// about four picks (stride[leaf] ≥ 4·step), or stride.size() — the whole
+/// space as one leaf — when none does.
+inline std::size_t probe_leaf_level(const std::vector<std::uint64_t>& stride, double step) {
+  std::size_t leaf = 0;
+  while (leaf < stride.size() && static_cast<double>(stride[leaf]) < 4.0 * step) ++leaf;
+  return leaf;
+}
+
 /// The best k of the points `feed(scorer)` adds to one slice's scorer; adds
 /// the rows the model ran to `model_rows`.
 template <typename Op, typename Feed>
@@ -575,15 +608,27 @@ std::vector<RankedTuning<typename SearchProblem<Op>::Tuning>> ranked_tunings(
 
 /// Bounded-work ranking — the dispatch fast path: instead of sweeping all of
 /// X̂, probe at most config.max_candidates points by deterministic flat-index
-/// striding, filter those to the legal space, and always re-append the seed
-/// grid. Total work is O(cap) legality checks plus the model pass, no matter
-/// how large X̂ is — this is what lets a cold `select()` answer in
-/// microseconds-to-milliseconds rather than sweep-the-space time. The stride
-/// is cut into pool slices; each pre-gates, validates and scores its own
-/// picks through its own scoring stage, and the slices join in slice order.
-/// `candidates` holds every probed legal point in stride order, then every
-/// legal seed-grid point the stride missed; `scores` is aligned with it and
-/// `order` holds the best-first top k (score descending, then choice
+/// striding (pick i is ⌊i·step⌋, step = |X̂| / cap), filter those to the
+/// legal space, and always re-append the seed grid. This is what lets a cold
+/// `select()` answer in milliseconds rather than sweep-the-space time.
+///
+/// The picks are reached through the dense ranking's pruned walk: the
+/// pool-chunked prefix walk (plan_legal_walk) stops at a leaf level whose
+/// subtrees span about four picks (probe_leaf_level; the chunk's own prefix
+/// when the split sits at or below it). For each surviving leaf the slice
+/// finds the leaf's first pick (first_pick_at), decodes only the dimensions
+/// below the leaf and checks them in the walk's order — unary mask, then the
+/// multi-dimension predicates, highest dimension first — before the full
+/// validate. Picks under a rejected prefix are never decoded; they are still
+/// `visited`, since the stride defines the candidate set, and `checked`
+/// counts the rest. Work is O(legal leaves + checked picks) plus the model
+/// pass, bounded by O(cap) however large X̂ is. The predicates are necessary
+/// conditions of validate, so the candidate set is the plain stride's.
+///
+/// `candidates` holds every probed legal point in stride order (chunks and
+/// leaves ascend in flat order, and the slices join in slice order), then
+/// every legal seed-grid point the stride missed; `scores` is aligned with
+/// it and `order` holds the best-first top k (score descending, then choice
 /// ascending). The returned `order` may be empty for degenerate shapes whose
 /// sparse legal set the stride misses; callers fall back to
 /// `rank_legal_space` (and from there, to reporting "no legal
@@ -597,6 +642,7 @@ RankedCandidates<Op> rank_strided_probe(const SearchProblem<Op>& problem,
   ISAAC_TM_COUNT("rank.probe");
   detail::require_exact_size(problem);
   const auto& domains = problem.space->domains();
+  const std::size_t nd = domains.size();
   const detail::ChoiceKeys keys(domains);
   const std::size_t block = config.batch > 0 ? config.batch : 8192;
   const std::size_t total = problem.space->size();
@@ -604,40 +650,66 @@ RankedCandidates<Op> rank_strided_probe(const SearchProblem<Op>& problem,
       config.max_candidates > 0 ? std::min(config.max_candidates, total) : total;
   const tuning::ConstraintSet cs = core::OperationTraits<Op>::prefix_constraints(
       *problem.shape, *problem.device, *problem.space);
+  const tuning::ConstraintSet* csp = cs.empty() ? nullptr : &cs;
 
   // step ≥ 1, so the picks are ascending and distinct.
   const double step =
       static_cast<double>(total) / static_cast<double>(std::max<std::size_t>(cap, 1));
   const auto picks = std::views::iota(std::size_t{0}, cap) |
-                     std::views::transform([&](std::size_t i) {
-                       return static_cast<std::size_t>(static_cast<double>(i) * step);
+                     std::views::transform([step](std::size_t i) {
+                       return detail::probe_pick(i, step);
                      });
+  const WalkChunkPlan plan = plan_legal_walk(domains, csp);
+  const auto& [stride, masks] = plan.tables;
+  const std::size_t leaf = std::min(detail::probe_leaf_level(stride, step), plan.split);
+  const std::uint64_t leaf_span = leaf < nd ? stride[leaf] : total;
+
   struct Part {
     std::vector<Choice> candidates;
     std::vector<detail::ScoredPoint> points;  // aligned with candidates
     std::size_t model_rows = 0;
+    std::size_t checked = 0;
   };
-  auto parts = detail::run_slices(cap, [&](std::size_t begin, std::size_t end) {
+  auto parts = detail::run_slices(plan.prefixes.size(), [&](std::size_t begin, std::size_t end) {
     Part part;
     detail::SliceScorer scorer(problem, keys, block, [&part](const detail::ScoredPoint& p) {
       part.points.push_back(p);
     });
-    // Cheap necessary-condition pre-gate in front of the full validate.
-    // Predicates can only reject points validate would also reject, so the
-    // probed candidate set is bit-identical to the unfiltered probe's — the
-    // definite failures just skip the decode + validate.
-    std::vector<int> values(domains.size());
+    std::vector<int> values(nd);
     Choice c;
-    for (std::size_t i = begin; i < end; ++i) {
-      choice_from_flat_into(picks[i], domains, c);
-      if (!cs.empty()) {
-        for (std::size_t d = 0; d < domains.size(); ++d) values[d] = domains[d].values[c[d]];
-        if (!cs.accepts(values.data())) continue;
+    // Bind the dimensions below the leaf to the pick `offset` points into
+    // its subtree, and check them as the walk would have.
+    const auto lower_dims_pass = [&](std::uint64_t offset) {
+      for (std::size_t d = 0; d < leaf; ++d) {
+        c[d] = offset % domains[d].values.size();
+        offset /= domains[d].values.size();
       }
-      const auto t = problem.decode(c);
-      if (!problem.legal(t)) continue;
-      part.candidates.push_back(c);
-      scorer.add(t, c);
+      if (csp == nullptr) return true;
+      for (std::size_t d = leaf; d-- > 0;) {
+        if (!masks.empty() && !masks[d][c[d]]) return false;
+        values[d] = domains[d].values[c[d]];
+        if (!cs.check_multi_at(d, values.data())) return false;
+      }
+      return true;
+    };
+    const auto visit_leaf = [&](const Choice& root, std::uint64_t base) {
+      const std::uint64_t leaf_end = base + leaf_span;
+      std::size_t i = detail::first_pick_at(base, step, cap);
+      if (i == cap || picks[i] >= leaf_end) return true;
+      c = root;
+      for (std::size_t d = leaf; d < nd; ++d) values[d] = domains[d].values[c[d]];
+      for (; i < cap && picks[i] < leaf_end; ++i) {
+        ++part.checked;
+        if (!lower_dims_pass(picks[i] - base)) continue;
+        const auto t = problem.decode(c);
+        if (!problem.legal(t)) continue;
+        part.candidates.push_back(c);
+        scorer.add(t, c);
+      }
+      return true;
+    };
+    for (std::size_t ci = begin; ci < end; ++ci) {
+      run_walk_chunk(domains, csp, plan, ci, visit_leaf, leaf);
     }
     part.model_rows = scorer.finish();
     return part;
@@ -651,6 +723,7 @@ RankedCandidates<Op> rank_strided_probe(const SearchProblem<Op>& problem,
                           std::make_move_iterator(part.candidates.end()));
     points.insert(points.end(), part.points.begin(), part.points.end());
     out.model_rows += part.model_rows;
+    out.checked += part.checked;
   }
   out.legal = out.candidates.size();
   {

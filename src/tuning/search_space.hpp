@@ -81,22 +81,6 @@ class ConstraintSet {
   std::vector<std::vector<unsigned char>> value_masks(
       const std::vector<ParameterDomain>& domains) const;
 
-  /// Full-point test (every dimension bound): all predicates pass. A cheap
-  /// pre-gate in front of codegen::validate for point-wise probing. It runs
-  /// in the walk's order — highest dimension first, and within a dimension
-  /// the unary checks before the multi-dimension ones — so a predicate may
-  /// rely on guards (positivity, pow2) that the walk would already have
-  /// applied.
-  bool accepts(const int* values) const {
-    for (std::size_t dim = multi_by_dim_.size(); dim-- > 0;) {
-      for (const auto& f : unary_by_dim_[dim]) {
-        if (!f(values)) return false;
-      }
-      if (!check_multi_at(dim, values)) return false;
-    }
-    return true;
-  }
-
  private:
   /// Grow both bucket lists to cover `dim` (they always have equal length).
   void reserve_dim(std::size_t dim);
@@ -150,25 +134,37 @@ bool descend(const std::vector<ParameterDomain>& domains, const ConstraintSet* c
 
 }  // namespace walk_detail
 
+/// What a walk reads at every node besides the multi-dimension predicates:
+/// the flat strides and the unary admissibility masks (empty when the
+/// constraint set, or its absence, has no unary predicates). Built once per
+/// constraint set, so a walk split into many chunks does not rebuild them
+/// per chunk.
+struct WalkTables {
+  std::vector<std::uint64_t> stride;
+  std::vector<std::vector<unsigned char>> masks;
+};
+
+inline WalkTables walk_tables(const std::vector<ParameterDomain>& domains,
+                              const ConstraintSet* constraints) {
+  WalkTables tables;
+  tables.stride = flat_strides(domains);
+  if (constraints) tables.masks = constraints->value_masks(domains);
+  return tables;
+}
+
 /// Lower-level walk over the dimension range [stop..from], with dimensions
 /// above `from` already bound in choice/values (their partial flat index
-/// passed as flat_base); emits at `stop`. The building block the chunked
+/// passed as flat_base); emits at `stop`. `tables` must be
+/// walk_tables(domains, constraints). The building block the chunked
 /// parallel walk (search/legal_walk.hpp) splits prefixes/subtrees with —
 /// most callers want walk_legal below.
 template <typename Fn>
 bool walk_legal_levels(const std::vector<ParameterDomain>& domains,
-                       const ConstraintSet* constraints, std::size_t from, std::size_t stop,
-                       std::vector<std::size_t>& choice, std::vector<int>& values,
-                       std::uint64_t flat_base, const Fn& fn) {
-  const std::vector<std::uint64_t> stride = flat_strides(domains);
-  std::vector<std::vector<unsigned char>> masks;
-  const std::vector<std::vector<unsigned char>>* mp = nullptr;
-  if (constraints) {
-    masks = constraints->value_masks(domains);
-    if (!masks.empty()) mp = &masks;
-  }
-  return walk_detail::descend(domains, constraints, mp, stride, from, stop, choice, values,
-                              flat_base, fn);
+                       const ConstraintSet* constraints, const WalkTables& tables,
+                       std::size_t from, std::size_t stop, std::vector<std::size_t>& choice,
+                       std::vector<int>& values, std::uint64_t flat_base, const Fn& fn) {
+  return walk_detail::descend(domains, constraints, tables.masks.empty() ? nullptr : &tables.masks,
+                              tables.stride, from, stop, choice, values, flat_base, fn);
 }
 
 /// The constraint-propagating lazy enumeration: visit every point of X̂ that
@@ -188,7 +184,8 @@ bool walk_legal(const std::vector<ParameterDomain>& domains, const ConstraintSet
   }
   std::vector<std::size_t> choice(domains.size(), 0);
   std::vector<int> values(domains.size(), 0);
-  return walk_legal_levels(domains, constraints, domains.size() - 1, 0, choice, values, 0, fn);
+  return walk_legal_levels(domains, constraints, walk_tables(domains, constraints),
+                           domains.size() - 1, 0, choice, values, 0, fn);
 }
 
 /// One row of an op's parameter table: the parameter's name, the Tuning

@@ -868,8 +868,8 @@ TEST(PrunedWalk, PerDeviceRankingsFollowEachDevicesLimits) {
 /// Checks that every legal point of `space` for `shape` passes the op's
 /// prefix layer exactly where the walk would test it. That means, at every
 /// dimension from the highest down, its unary mask (value_masks) and its
-/// multi-dimension predicates (check_multi_at), and then the full-point
-/// accepts() gate the strided probe uses. A predicate that fails a legal
+/// multi-dimension predicates (check_multi_at) — the checks both the walk
+/// and the strided probe's leaf picks run. A predicate that fails a legal
 /// point is stricter than validate, and the walk would silently drop that
 /// point. `for_each_choice(visit)` supplies the points; the return value is
 /// the number of legal ones checked.
@@ -898,7 +898,6 @@ std::size_t expect_legal_points_pass(const typename core::OperationTraits<Op>::S
       if (!masks.empty() && !masks[d][c[d]]) fail("unary mask @" + domains[d].name, c);
       if (!cs.check_multi_at(d, values.data())) fail("multi @" + domains[d].name, c);
     }
-    if (!cs.accepts(values.data())) fail("accepts", c);
   });
   EXPECT_EQ(failures, 0u) << shape.to_string() << ": " << first_failure;
   return legal;
@@ -1101,6 +1100,149 @@ TEST(RankStridedProbe, MatchesReferenceProbe) {
   for (const auto& shape : gemm_grid()) compare(core::GemmOp{}, gemm_space, shape);
   for (const auto& shape : conv_grid()) compare(core::ConvOp{}, conv_space, shape);
   for (const auto& shape : batched_grid()) compare(core::BatchedGemmOp{}, batched_space, shape);
+}
+
+/// The probe's chunk split and the level its walk stops at for `cap`: the
+/// leaf rule (stride[leaf] ≥ 4·step) clamped to the split, as
+/// rank_strided_probe applies it.
+template <typename Op>
+std::pair<std::size_t, std::size_t> probe_leaf_and_split(const search::SearchProblem<Op>& problem,
+                                                         std::size_t cap) {
+  const tuning::ConstraintSet cs = core::OperationTraits<Op>::prefix_constraints(
+      *problem.shape, *problem.device, *problem.space);
+  const search::WalkChunkPlan plan =
+      search::plan_legal_walk(problem.space->domains(), cs.empty() ? nullptr : &cs);
+  const double step = static_cast<double>(problem.space->size()) / static_cast<double>(cap);
+  return {std::min(search::detail::probe_leaf_level(plan.tables.stride, step), plan.split),
+          plan.split};
+}
+
+/// A conv space of ~62k points whose lowest dimension has four values, so a
+/// cap of |X̂| (step 1) puts the probe's leaf at level 1.
+struct LeafConvSpace : tuning::ConvSearchSpace {
+  LeafConvSpace() {
+    domains_ = {{"tk", {1, 2, 4, 8}}, {"tp", {1, 2}},    {"tq", {1, 2, 4}}, {"tn", {2, 4}},
+                {"bk", {16, 32, 64, 128}}, {"bp", {1, 2, 4}}, {"bq", {1, 2, 4}},
+                {"bn", {4, 8, 16}}, {"u", {4, 8}},     {"cl", {1, 4}},    {"cg", {1, 4, 16}}};
+  }
+};
+
+/// A GEMM space whose every point loads 8 elements per vector: no f64 point
+/// is legal, and no seed-grid point encodes.
+struct WideVectorGemmSpace : tuning::GemmSearchSpace {
+  WideVectorGemmSpace() {
+    for (auto& d : domains_) {
+      if (d.name == "vec") d.values = {8};
+    }
+  }
+};
+
+TEST(RankStridedProbe, WalkedPicksMatchReferenceProbe) {
+  // The probe reaches its stride picks through the pruned prefix walk: a
+  // leaf's first pick is found by inverting ⌊i·step⌋, its picks run to the
+  // leaf's end, and only the dimensions below the leaf are decoded and
+  // checked. Against the generate-and-test reference, which validates every
+  // pick, candidates (stride order), order, score bits and the
+  // visited/legal/scored accounting must all match at every leaf level the
+  // rule can choose: level 0 never (stride[0] = 1 < 4·step for any step ≥
+  // 1), level 1 at step 1, each level up to the chunk split, and the split
+  // itself once the rule's level lies above it.
+  const gpusim::DeviceDescriptor& dev = gpusim::tesla_p100();
+  const auto compare = [&](const auto& problem, std::size_t cap, const std::string& label) {
+    search::SearchConfig cfg;
+    cfg.max_candidates = cap;
+    const auto truth = reference::reference_probe(problem, cfg, kUnlimited);
+    const auto fast = search::rank_strided_probe(problem, cfg, kUnlimited);
+    EXPECT_EQ(fast.visited, truth.visited) << label;
+    EXPECT_EQ(fast.legal, truth.legal) << label;
+    EXPECT_EQ(fast.scored, truth.scored) << label;
+    EXPECT_LE(fast.checked, fast.visited) << label;
+    EXPECT_GE(fast.checked, fast.legal) << label;
+    EXPECT_EQ(fast.candidates, truth.candidates) << label;
+    EXPECT_EQ(fast.order, truth.order) << label;
+    EXPECT_EQ(best_first(fast), best_first(truth)) << label;
+    return fast;
+  };
+  const auto problem_for = [&](auto op_tag, const auto& space, const auto& shape) {
+    search::SearchProblem<std::decay_t<decltype(op_tag)>> problem;
+    problem.shape = &shape;
+    problem.device = &dev;
+    problem.space = &space;
+    problem.model = &shared_model();
+    return problem;
+  };
+
+  // The production cap on three Table 5 convs: the walk stops below the
+  // chunk split, and the picks under rejected prefixes are never checked.
+  const tuning::ConvSearchSpace conv_space;
+  const std::size_t conv_cap =
+      core::OperationTraits<core::ConvOp>::default_search().max_candidates;
+  for (const auto& shape : {codegen::ConvShape::from_npq(16, 79, 341, 32, 1, 5, 20),
+                            codegen::ConvShape::from_npq(16, 14, 14, 48, 512, 5, 5),
+                            codegen::ConvShape::from_npq(16, 256, 19, 87, 128, 5, 5)}) {
+    const auto problem = problem_for(core::ConvOp{}, conv_space, shape);
+    const auto [leaf, split] = probe_leaf_and_split(problem, conv_cap);
+    EXPECT_GT(leaf, 0u);
+    EXPECT_LT(leaf, split);
+    const auto probe = compare(problem, conv_cap, shape.to_string() + " production cap");
+    EXPECT_LT(probe.checked, probe.visited) << shape.to_string();
+  }
+
+  // Every level from 1 to the split. cap = 4·|X̂| / stride[L] makes the
+  // step stride[L] / 4, so picks land exactly on leaf boundaries; one pick
+  // more (where |X̂| allows it) moves them off the boundaries. Both caps
+  // keep the leaf at L.
+  const LeafConvSpace leaf_space;
+  const auto leaf_shape = codegen::ConvShape::from_npq(8, 28, 28, 64, 64, 3, 3);
+  const auto leaf_problem = problem_for(core::ConvOp{}, leaf_space, leaf_shape);
+  const std::size_t total = leaf_space.size();
+  const auto stride = tuning::flat_strides(leaf_space.domains());
+  const std::size_t split = probe_leaf_and_split(leaf_problem, total).second;
+  ASSERT_GE(split, 3u);  // some level lies strictly between 1 and the split
+  for (std::size_t level = 1; level <= split; ++level) {
+    for (const std::size_t more : {0, 1}) {
+      const std::size_t cap = 4 * (total / stride[level]) + more;
+      if (cap > total) continue;
+      const std::string label = "leaf " + std::to_string(level) + " cap " + std::to_string(cap);
+      ASSERT_EQ(probe_leaf_and_split(leaf_problem, cap).first, level) << label;
+      compare(leaf_problem, cap, label);
+    }
+  }
+
+  // Leaf rule above the split: the chunks' own ranges are the leaves.
+  const auto above = probe_leaf_and_split(leaf_problem, 7);
+  ASSERT_EQ(above.first, above.second);
+  compare(leaf_problem, 7, "cap 7");
+
+  // A cap ≥ |X̂| on a small space probes every point of it.
+  const SeedCoreGemmSpace small_space;
+  const auto small_shape = gemm_shape(1024, 1024, 1024);
+  const auto small = compare(problem_for(core::GemmOp{}, small_space, small_shape),
+                             10 * small_space.size(), "cap above |X̂|");
+  EXPECT_EQ(small.visited, small_space.size());
+  EXPECT_GT(small.legal, 0u);
+
+  // A cap of 1 probes flat index 0 alone. For conv that point's 8-thread
+  // block is illegal, so the candidates are exactly the seed grid.
+  const auto conv_shape = codegen::ConvShape::from_npq(8, 54, 54, 64, 64, 3, 3);
+  const auto one = compare(problem_for(core::ConvOp{}, conv_space, conv_shape), 1, "conv cap 1");
+  EXPECT_EQ(one.visited, 1u);
+  EXPECT_EQ(one.legal, 0u);
+  EXPECT_GT(one.scored, 0u);
+  const tuning::GemmSearchSpace gemm_space;
+  compare(problem_for(core::GemmOp{}, gemm_space, small_shape), 1, "gemm cap 1");
+
+  // No legal point at all: the walk prunes the whole space, and the seed
+  // grid re-append adds nothing.
+  const WideVectorGemmSpace wide_space;
+  auto f64_shape = gemm_shape(512, 512, 512);
+  f64_shape.dtype = gpusim::DataType::F64;
+  const auto none =
+      compare(problem_for(core::GemmOp{}, wide_space, f64_shape), 20000, "no legal point");
+  EXPECT_EQ(none.legal, 0u);
+  EXPECT_EQ(none.checked, 0u);
+  EXPECT_TRUE(none.candidates.empty());
+  EXPECT_TRUE(none.order.empty());
 }
 
 TEST(RankLegalSpace, RowMemoMatchesReference) {
