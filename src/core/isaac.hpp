@@ -504,6 +504,15 @@ typename OperationTraits<Op>::Tuning Context::select(
       EntryTier winner_tier = EntryTier::refined;
       std::exception_ptr error;
       CircuitBreaker& breaker = breaker_for(OperationTraits<Op>::kind());
+      // Serve the seed-grid fallback: stored (so followers and future callers
+      // hit), tiered `fallback`, and upgradeable by a later refinement.
+      const auto serve_fallback = [&] {
+        winner = fallback_tuning<Op>(shape);
+        cache_.store<Op>(dev, shape, *winner,
+                         ProfileCache::provenance("fallback", 0, EntryTier::fallback));
+        ISAAC_TM_COUNT("breaker.fallbacks");
+        winner_tier = EntryTier::fallback;
+      };
       try {
         // One snapshot pin for the whole leader operation: a concurrent hot
         // swap cannot mix two model versions into one decision, and the
@@ -513,15 +522,10 @@ typename OperationTraits<Op>::Tuning Context::select(
         if (!breaker.allow_request()) {
           // Persistent-failure short circuit: don't even attempt the ranking
           // the last N leaders died in — serve the seed-grid fallback
-          // instantly. The entry is stored (so followers and future callers
-          // hit), tiered `fallback`, and upgradeable once the breaker lets a
-          // refinement through again.
+          // instantly; it upgrades once the breaker lets a refinement
+          // through again.
           ISAAC_TM_COUNT("breaker.short_circuit");
-          winner = fallback_tuning<Op>(shape);
-          cache_.store<Op>(dev, shape, *winner,
-                           ProfileCache::provenance("fallback", 0, EntryTier::fallback));
-          ISAAC_TM_COUNT("breaker.fallbacks");
-          winner_tier = EntryTier::fallback;
+          serve_fallback();
         } else {
           try {
             // Tier 1: the model's argmax, zero measurements on this thread.
@@ -550,11 +554,7 @@ typename OperationTraits<Op>::Tuning Context::select(
             ISAAC_TM_COUNT("fault.leader_failures");
             ISAAC_LOG_WARN() << "dispatch leader failed for " << key << " (" << e.what()
                              << "); serving seed-grid fallback";
-            winner = fallback_tuning<Op>(shape);
-            cache_.store<Op>(dev, shape, *winner,
-                             ProfileCache::provenance("fallback", 0, EntryTier::fallback));
-            ISAAC_TM_COUNT("breaker.fallbacks");
-            winner_tier = EntryTier::fallback;
+            serve_fallback();
             maybe_refine<Op>(key, shape);
           }
         }

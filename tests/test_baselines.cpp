@@ -63,6 +63,17 @@ TEST(CublasSim, SkinnyBatchStillGetsWideNTile) {
   EXPECT_GE(k.tuning.nl, 64) << k.name;
 }
 
+TEST(CublasSim, Sec81ComparatorIsLegalOnDeepBenchBatch32) {
+  // bench_paper's §8.1 deep dive compares against this kernel at
+  // (2560, 32, 2560) and fails when it is not legal there.
+  CublasSim lib(gpusim::tesla_p100());
+  bool found = false;
+  for (const auto& k : lib.legal_kernels(gemm_shape(2560, 32, 2560))) {
+    found = found || k.name == "gemm_128x64_splitK4";
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST(CublasSim, IcaShapeMissesSplitK) {
   // §7.3 ICA: M = N = 32, K = 60000 — the heuristic does NOT reach for the
   // split-K kernels (the documented order-of-magnitude hole).

@@ -1,4 +1,4 @@
-// Unit tests for src/common: strings, stats, rng, thread pool, table, cli.
+// Unit tests for src/common: strings, stats, rng, thread pool, table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
@@ -342,65 +341,6 @@ TEST(Table, ShortRowsArePadded) {
 TEST(Table, FmtDouble) {
   EXPECT_EQ(Table::fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(Table::fmt_double(2.0, 0), "2");
-}
-
-// -------------------------------------------------------------------- cli --
-TEST(Cli, ParsesAllKinds) {
-  CliParser cli("prog", "test");
-  cli.add_flag("full", "run at paper scale", false);
-  cli.add_int("samples", "sample count", 1000);
-  cli.add_double("sigma", "noise", 0.03);
-  cli.add_string("device", "target", "p100");
-  const char* argv[] = {"prog", "--full", "--samples", "5000", "--sigma=0.1",
-                        "--device", "gtx980ti"};
-  ASSERT_TRUE(cli.parse(7, argv));
-  EXPECT_TRUE(cli.get_flag("full"));
-  EXPECT_EQ(cli.get_int("samples"), 5000);
-  EXPECT_DOUBLE_EQ(cli.get_double("sigma"), 0.1);
-  EXPECT_EQ(cli.get_string("device"), "gtx980ti");
-}
-
-TEST(Cli, DefaultsApplyWhenAbsent) {
-  CliParser cli("prog", "test");
-  cli.add_int("n", "count", 7);
-  const char* argv[] = {"prog"};
-  ASSERT_TRUE(cli.parse(1, argv));
-  EXPECT_EQ(cli.get_int("n"), 7);
-}
-
-TEST(Cli, UnknownFlagThrows) {
-  CliParser cli("prog", "test");
-  const char* argv[] = {"prog", "--nope"};
-  EXPECT_THROW(cli.parse(2, argv), std::invalid_argument);
-}
-
-TEST(Cli, MissingValueThrows) {
-  CliParser cli("prog", "test");
-  cli.add_int("n", "count", 1);
-  const char* argv[] = {"prog", "--n"};
-  EXPECT_THROW(cli.parse(2, argv), std::invalid_argument);
-}
-
-TEST(Cli, BadIntegerThrows) {
-  CliParser cli("prog", "test");
-  cli.add_int("n", "count", 1);
-  const char* argv[] = {"prog", "--n", "abc"};
-  ASSERT_TRUE(cli.parse(3, argv));
-  EXPECT_THROW(cli.get_int("n"), std::invalid_argument);
-}
-
-TEST(Cli, HelpReturnsFalse) {
-  CliParser cli("prog", "test");
-  const char* argv[] = {"prog", "--help"};
-  EXPECT_FALSE(cli.parse(2, argv));
-}
-
-TEST(Cli, BooleanWithExplicitValue) {
-  CliParser cli("prog", "test");
-  cli.add_flag("x", "x", true);
-  const char* argv[] = {"prog", "--x=false"};
-  ASSERT_TRUE(cli.parse(2, argv));
-  EXPECT_FALSE(cli.get_flag("x"));
 }
 
 }  // namespace
